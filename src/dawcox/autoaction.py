@@ -233,23 +233,18 @@ class CanonMap:
         ctx = self.src_ctx
         if g.ctx is not ctx:
             raise ValueError("element is not in the source group")
-        rs = ctx.rs
         out_ctx = self.dst_ctx
         img = self.gen_images
-
-        word = ctx.wg.reduced_word(g.w)
-        mu_coords = rs.lattice_coords(g.mu, rs.m_basis())
-        beta_coords = rs.lattice_coords(g.beta, rs.simple_coroots())
-        assert mu_coords is not None and beta_coords is not None
         k = g.k
-        assert k.denominator == 1
+        if k.denominator != 1:
+            raise ValueError("CanonMap.apply needs an integral tau_delta exponent")
 
-        w_parts = [img[f"s{i}"] for i in word]
+        w_parts = [img[f"s{i}"] for i in ctx.wg.reduced_word(g.w)]
         lam_parts = [
-            img[f"lam_A{i + 1}"] ** c for i, c in enumerate(mu_coords) if c
+            img[f"lam_A{i + 1}"] ** c for i, c in enumerate(g.mu_coords) if c
         ]
         tau_parts = [
-            img[f"tau_a{i + 1}"] ** c for i, c in enumerate(beta_coords) if c
+            img[f"tau_a{i + 1}"] ** c for i, c in enumerate(g.beta_coords) if c
         ]
         delta_parts = [img["tau_delta"] ** int(k)] if k else []
         if not self.anti:

@@ -96,9 +96,17 @@ def cmd_nf(args) -> int:
     return 0
 
 
+def _matrix(text: str) -> congruence.Mat2:
+    """A determinant-one matrix in the CLI syntax; ValueError otherwise."""
+    m = congruence.parse_matrix(text)
+    if m.det() != 1:
+        raise ValueError(f"determinant must be 1, got {m.det()}")
+    return m
+
+
 def cmd_decompose(args) -> int:
     try:
-        m = congruence.parse_matrix(args.matrix)
+        m = _matrix(args.matrix)
     except ValueError as exc:
         return _fail(str(exc))
     try:
@@ -115,7 +123,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_involution(args) -> int:
     try:
-        m = congruence.parse_matrix(args.matrix)
+        m = _matrix(args.matrix)
         lab = _label(args)
     except (ValueError, UnknownTypeError) as exc:
         return _fail(str(exc))
@@ -186,8 +194,14 @@ def _suite_checks(name: str, suite: str, large: bool):
             wg = WeylGroup(rs)
             if wg.is_simply_laced():
                 return True, {"skipped": "simply-laced"}
-            wg.compute_xy()  # asserts the x/y structural identities internally
-            return True, {}
+            x, y = wg.xy_candidates()
+            failures = wg.xy_failures(x, y)
+            witness = {
+                "x": list(wg.reduced_word(x)),
+                "y": list(wg.reduced_word(y)),
+                "failures": failures,
+            }
+            return not failures, witness
         yield f"{name}:appendixA", run_appa
 
 
@@ -229,6 +243,8 @@ def cmd_verify(args) -> int:
             )
             if not ok:
                 any_fail = True
+    if not checks:
+        return _fail(f"suite {args.suite} has no check for {', '.join(names)}")
     report = {
         "suite": args.suite,
         "checks": checks,

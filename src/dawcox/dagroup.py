@@ -4,9 +4,14 @@
 mu lives in the lattice M (spanned by A_i = e_i alpha_i), beta in the
 nu-image of the finite coroot lattice, and k is the central tau_delta
 exponent (a half-integer only in the central extension used for the
-A_{2n}^(2) comparison).  Multiplication moves factors into this order
-using the semidirect relations; the commutation of lam and tau picks up
-the cocycle tau_delta^{(beta, mu)}.
+A_{2n}^(2) comparison).  An element stores w as an integer matrix, mu
+and beta as their integer coordinates in the bases A_i and
+nu(alpha_i^v), and k as an int whenever it is integral.  Multiplication
+moves factors into this order using the semidirect relations, with w
+acting on the coordinates by the integer matrices of WeylElement; the
+commutation of lam and tau picks up the cocycle tau_delta^{(beta, mu)},
+read from the root system's integer pairing table.  The ambient vectors
+mu and beta are formed on demand.
 
 The defining affine action on the weight space is implemented
 independently of the multiplication and serves as its oracle: the linear
@@ -20,9 +25,9 @@ while tau_beta is the honest translation by beta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import add, mul
 
 from . import weyl
 from .rootsys import (
@@ -36,7 +41,7 @@ from .rootsys import (
     vsub,
     vzero,
 )
-from .weyl import WeylElement, WeylGroup, frac_sum, reflect
+from .weyl import WeylElement, WeylGroup, frac_sum, int_matrix, mat_vec, reflect
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -53,6 +58,7 @@ class DaweylContext:
         n = rs.n
         self.nfin = n
         self.zero = vzero(rs.dim)
+        self.zero_coords = (0,) * n
         self.s_theta = reflect(rs, rs.theta)
         self.nu_theta_v = rs.coroot(rs.theta)  # = a_0^{-1} theta
         # X-side affine reflection data: c = theta for untwisted or
@@ -66,12 +72,26 @@ class DaweylContext:
         return self.rs.n
 
     def identity(self) -> "DaweylElement":
-        return DaweylElement(self, self.wg.id, self.zero, self.zero, _F0)
+        return DaweylElement.from_coords(
+            self, self.wg.id, self.zero_coords, self.zero_coords, 0
+        )
+
+    def coords(self, x: Vec, basis) -> tuple[int, ...]:
+        """Integer coordinates of x in a lattice basis; ValueError if x is
+        not in the lattice."""
+        if not any(x):
+            return self.zero_coords
+        c = self.rs.lattice_coords(x, basis)
+        if c is None:
+            raise ValueError(f"{[str(t) for t in x]} is not in the lattice")
+        return c
 
     # -- generators ----------------------------------------------------
 
     def s(self, i: int) -> "DaweylElement":
         """Simple reflection; i = 0 gives s_theta lam_{-a0^{-1} theta}."""
+        if not 0 <= i <= self.n:
+            raise ValueError(f"no simple reflection s{i} at rank {self.n}")
         if i == 0:
             return DaweylElement(
                 self, self.s_theta, vneg(self.nu_theta_v), self.zero, _F0
@@ -108,12 +128,15 @@ class DaweylContext:
             return self.tau_alpha0()
         if symbol.startswith("s"):
             return self.s(int(symbol[1:]))
-        if symbol.startswith("lam_A"):
+        if symbol.startswith(("lam_A", "tau_a")):
+            # lam_{A_i} and tau_{nu(alpha_i^v)}: unit lattice coordinates
             i = int(symbol[5:])
-            return self.lam(self.rs.m_basis()[i - 1])
-        if symbol.startswith("tau_a"):
-            i = int(symbol[5:])
-            return self.tau(self.rs.simple_coroots()[i - 1])
+            if not 1 <= i <= self.n:
+                raise ValueError(f"unknown generator symbol {symbol!r}")
+            unit = tuple(int(j == i - 1) for j in range(self.n))
+            zero = self.zero_coords
+            mu, beta = (unit, zero) if symbol[0] == "l" else (zero, unit)
+            return DaweylElement.from_coords(self, self.wg.id, mu, beta, 0)
         raise ValueError(f"unknown generator symbol {symbol!r}")
 
     # -- linear action of translation elements of W --------------------
@@ -143,32 +166,76 @@ class DaweylContext:
         out[n] -= coeff
         return tuple(out)
 
-    def pairing_int(self, beta: Vec, mu: Vec) -> Fraction:
-        return self.rs.bilinear(beta, mu)
+    def pairing_int(self, beta: tuple[int, ...], mu: tuple[int, ...]) -> int:
+        """(beta, mu) from lattice coordinates of beta and mu."""
+        return sum(
+            b * sum(map(mul, row, mu))
+            for b, row in zip(beta, self.rs.pairing_table)
+            if b
+        )
 
 
-@dataclass(frozen=True)
+def _exponent(k):
+    """k as an int when it is integral, else as a Fraction."""
+    if isinstance(k, int):
+        return k
+    k = Fraction(k)
+    return k.numerator if k.denominator == 1 else k
+
+
 class DaweylElement:
-    ctx: DaweylContext
-    w: WeylElement
-    mu: Vec
-    beta: Vec
-    k: Fraction
+    """w lam_mu tau_beta tau_delta^k.  DaweylElement(ctx, w, mu, beta, k)
+    takes mu and beta as ambient vectors and raises ValueError unless they
+    lie in M and nu(Q^v); from_coords takes their lattice coordinates."""
+
+    def __init__(self, ctx: DaweylContext, w: WeylElement, mu: Vec, beta: Vec, k):
+        rs = ctx.rs
+        self.ctx = ctx
+        self.w = w
+        self.mu_coords = ctx.coords(mu, rs.m_basis())
+        self.beta_coords = ctx.coords(beta, rs.qcheck_basis())
+        self.k = _exponent(k)
+
+    @classmethod
+    def from_coords(cls, ctx, w, mu_coords, beta_coords, k) -> "DaweylElement":
+        g = cls.__new__(cls)
+        g.ctx = ctx
+        g.w = w
+        g.mu_coords = mu_coords
+        g.beta_coords = beta_coords
+        g.k = k
+        return g
+
+    @cached_property
+    def mu(self) -> Vec:
+        """mu as an ambient vector."""
+        return self.ctx.rs.combine(self.mu_coords, self.ctx.rs.m_basis())
+
+    @cached_property
+    def beta(self) -> Vec:
+        """beta as an ambient vector."""
+        return self.ctx.rs.combine(self.beta_coords, self.ctx.rs.qcheck_basis())
+
+    def __repr__(self) -> str:
+        return f"DaweylElement({self.describe()})"
 
     def __mul__(self, other: "DaweylElement") -> "DaweylElement":
-        if self.ctx is not other.ctx:
+        ctx = self.ctx
+        if ctx is not other.ctx:
             raise ValueError("mixed root systems")
-        w2inv = other.w.inv()
-        mu1 = w2inv.act(self.mu)
-        beta1 = w2inv.act(self.beta)
-        k = self.k + other.k + self.ctx.pairing_int(beta1, other.mu)
-        return DaweylElement(
-            self.ctx,
-            self.w * other.w,
-            vadd(mu1, other.mu),
-            vadd(beta1, other.beta),
-            k,
-        )
+        mu, beta = other.mu_coords, other.beta_coords
+        k = self.k + other.k
+        if any(self.mu_coords) or any(self.beta_coords):
+            w2inv = other.w.inv()
+            if any(self.mu_coords):
+                mu = tuple(map(add, mat_vec(w2inv.m_matrix, self.mu_coords), mu))
+            if any(self.beta_coords):
+                beta1 = mat_vec(w2inv.qcheck_matrix, self.beta_coords)
+                k += ctx.pairing_int(beta1, other.mu_coords)
+                beta = tuple(map(add, beta1, beta))
+        if k.__class__ is not int:
+            k = _exponent(k)
+        return DaweylElement.from_coords(ctx, self.w * other.w, mu, beta, k)
 
     def inv(self) -> "DaweylElement":
         return self._inverse
@@ -177,11 +244,11 @@ class DaweylElement:
     def _inverse(self) -> "DaweylElement":
         # Computed once per element: words use g**-1 of the same
         # generator images over and over.
-        winv = self.w.inv()
-        mu = vneg(self.w.act(self.mu))
-        beta = vneg(self.w.act(self.beta))
-        k = -self.k + self.ctx.pairing_int(self.beta, self.mu)
-        inverse = DaweylElement(self.ctx, winv, mu, beta, k)
+        w = self.w
+        mu = tuple(-c for c in mat_vec(w.m_matrix, self.mu_coords))
+        beta = tuple(-c for c in mat_vec(w.qcheck_matrix, self.beta_coords))
+        k = -self.k + self.ctx.pairing_int(self.beta_coords, self.mu_coords)
+        inverse = DaweylElement.from_coords(self.ctx, w.inv(), mu, beta, k)
         inverse.__dict__["_inverse"] = self
         return inverse
 
@@ -201,26 +268,25 @@ class DaweylElement:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, DaweylElement)
-            and self.w == other.w
-            and self.mu == other.mu
-            and self.beta == other.beta
             and self.k == other.k
+            and self.mu_coords == other.mu_coords
+            and self.beta_coords == other.beta_coords
+            and self.w == other.w
         )
 
     def __hash__(self) -> int:
-        return hash((self.w, self.mu, self.beta, self.k))
+        return hash((self.w.matrix, self.mu_coords, self.beta_coords, self.k))
 
     def is_identity(self) -> bool:
-        return (
-            self.w.is_identity()
-            and not any(self.mu)
-            and not any(self.beta)
-            and self.k == 0
-        )
+        return self.k == 0 and self.is_central_power()
 
     def is_central_power(self) -> bool:
         """True if the element is tau_delta^k for some k."""
-        return self.w.is_identity() and not any(self.mu) and not any(self.beta)
+        return (
+            not any(self.mu_coords)
+            and not any(self.beta_coords)
+            and self.w.is_identity()
+        )
 
     def act(self, p: Vec) -> Vec:
         """The defining affine action on the weight space."""
@@ -366,7 +432,8 @@ class AffineWalk:
             guard += 1
             if guard > 100000:
                 raise RuntimeError("alcove walk did not terminate")
-        assert x == self.base, "element is not in this affine subgroup"
+        if x != self.base:
+            raise ValueError("element is not in this affine subgroup")
         return tuple(word)
 
     def _point_of(self, g: DaweylElement) -> Vec:
@@ -393,7 +460,8 @@ def lam_word(ctx: DaweylContext, mu: Vec):
     walk = _walk(ctx, "lam")
     g = ctx.lam(mu)
     word = walk.word_for(g)
-    assert walk.evaluate(word) == g
+    if walk.evaluate(word) != g:
+        raise ValueError("alcove walk word does not evaluate to the element")
     return word
 
 
@@ -402,7 +470,8 @@ def tau_word(ctx: DaweylContext, beta: Vec):
     walk = _walk(ctx, "tau")
     g = ctx.tau(beta)
     word = walk.word_for(g)
-    assert walk.evaluate(word) == g
+    if walk.evaluate(word) != g:
+        raise ValueError("alcove walk word does not evaluate to the element")
     return word
 
 
@@ -593,13 +662,17 @@ class A2n2Comparison:
         rs_c, rs_a = self.src.rs, self.dst.rs
         for i, v in enumerate(self.eps_c):
             for j, w in enumerate(self.eps_a):
-                assert rs_c.bilinear(v, self.eps_c[j]) == 2 * (i == j) * _F1
-                assert rs_a.bilinear(self.eps_a[i], w) == (i == j) * _F1
+                if (
+                    rs_c.bilinear(v, self.eps_c[j]) != 2 * (i == j)
+                    or rs_a.bilinear(self.eps_a[i], w) != (i == j)
+                ):
+                    raise ValueError("inconsistent epsilon dictionaries")
 
     def finite_map(self, v: Vec) -> Vec:
         """sqrt2 eps_i -> eps_i on the finite parts (delta forbidden)."""
         n = self.n
-        assert not any(v[n:]), "finite vectors only"
+        if any(v[n:]):
+            raise ValueError("finite vectors only")
         coeffs = self._eps_coords_c(v)
         out = vzero(self.dst.rs.dim)
         for c, w in zip(coeffs, self.eps_a):
@@ -626,7 +699,7 @@ class A2n2Comparison:
             for i in range(n)
         )
         m = mat_mul(mat_mul(tmat, w.matrix), mat_inv(tmat))
-        return WeylElement(self.dst.rs, m)
+        return WeylElement(self.dst.rs, int_matrix(m))
 
     def _map_element(self, g: DaweylElement, to_c: bool) -> DaweylElement:
         """The coordinate morphism: defined on normal forms; lands in the
@@ -639,8 +712,8 @@ class A2n2Comparison:
         # T-conjugation: mu, beta are finite vectors.
         mu = self.finite_map(g.mu)
         beta = self.finite_map(g.beta)
-        k = g.k / 2 if to_c else g.k
-        return DaweylElement(ctx, WeylElement(ctx.rs, wt.matrix), mu, beta, k)
+        k = Fraction(g.k, 2) if to_c else g.k
+        return DaweylElement(ctx, wt, mu, beta, k)
 
     def map_ii(self, g: DaweylElement) -> DaweylElement:
         """The morphism into the half-delta extension (a homomorphism on

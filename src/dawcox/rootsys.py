@@ -1,7 +1,10 @@
 """Exact affine root-system data.
 
 Everything is computed over the rationals in the coordinate basis
-(alpha_1, ..., alpha_n, delta, Lambda0) of the affine weight space.  The
+(alpha_1, ..., alpha_n, delta, Lambda0) of the affine weight space.
+The lattices M and nu(Q^v) have bases of multiples of the simple roots;
+their integer scales and the integer pairing table between them are
+what the double affine Weyl kernel computes with.  The
 affine Cartan matrices follow Kac's Tables Aff 1-3 with his conventional
 node numbering (node 0 is the affine node).  Marks are stored with each
 table entry; comarks, the symmetrizing weights d_i, the lattices M and
@@ -11,9 +14,10 @@ derived from them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence
 
 Vec = tuple[Fraction, ...]
@@ -27,8 +31,8 @@ def _vec(values) -> Vec:
 
 
 def vadd(x: Vec, y: Vec) -> Vec:
-    # A zero summand is passed through instead of added: lattice vectors
-    # are sparse and Fraction additions dominate the kernel's run time.
+    # A zero summand is passed through instead of added: ambient vectors
+    # are sparse and each Fraction addition is costly.
     return tuple(a + b if a and b else a or b for a, b in zip(x, y))
 
 
@@ -47,6 +51,13 @@ def vscale(c, x: Vec) -> Vec:
 
 def vzero(dim: int) -> Vec:
     return (_F0,) * dim
+
+
+def as_int(x, what: str) -> int:
+    """x as an int; ValueError if x is not an integer."""
+    if x != int(x):
+        raise ValueError(f"{what}: {x} is not an integer")
+    return int(x)
 
 
 class UnknownTypeError(ValueError):
@@ -393,6 +404,49 @@ class RootSystemData:
         coeffs = self.lattice_coords(x, basis)
         return coeffs is not None
 
+    @cached_property
+    def m_scales(self) -> tuple[int, ...]:
+        """Integer scales E with A_i = (E_i / L) alpha_i for one common L."""
+        return _diagonal_scales(self.m_basis())
+
+    @cached_property
+    def qcheck_scales(self) -> tuple[int, ...]:
+        """Integer scales F with nu(alpha_i^v) = (F_i / L') alpha_i."""
+        return _diagonal_scales(self.qcheck_basis())
+
+    @cached_property
+    def pairing_table(self) -> tuple[tuple[int, ...], ...]:
+        """P[i][j] = (nu(alpha_i^v), A_j): the tau_delta cocycle (beta, mu)
+        in lattice coordinates is sum_ij beta_i P[i][j] mu_j."""
+        return tuple(
+            tuple(as_int(self.bilinear(b, a), "pairing table") for a in self.m_basis())
+            for b in self.qcheck_basis()
+        )
+
+    @cached_property
+    def finite_form(self) -> tuple:
+        """(S, T, d): S is the finite Gram matrix in the simple-root basis
+        times its least common denominator, T = d S^{-1}, both integral.
+        A Weyl element w preserves the form, so w^{-1} = T w^T S / d."""
+        n = self.n
+        gram = [row[:n] for row in self.gram[:n]]
+        lcd = math.lcm(*(Fraction(x).denominator for row in gram for x in row))
+        s = tuple(tuple(as_int(x * lcd, "scaled Gram matrix") for x in row) for row in gram)
+        cols = [_solve(s, [int(i == j) for i in range(n)]) for j in range(n)]
+        d = math.lcm(*(x.denominator for col in cols for x in col))
+        t = tuple(tuple(int(cols[j][i] * d) for j in range(n)) for i in range(n))
+        return s, t, d
+
+    def combine(self, coords, basis: Sequence[Vec]) -> Vec:
+        """The vector sum_i coords[i] basis[i]; lattice_coords inverts it."""
+        out = list(vzero(self.dim))
+        for c, b in zip(coords, basis):
+            if c:
+                for j, x in enumerate(b):
+                    if x:
+                        out[j] = out[j] + c * x if out[j] else c * x
+        return tuple(out)
+
     def lattice_coords(self, x: Vec, basis: Sequence[Vec]):
         """Integer coordinates of the finite vector x in the given basis."""
         n = self.n
@@ -465,10 +519,28 @@ def _solve(mat, rhs):
     return [m[i][n] / m[i][i] for i in range(n)]
 
 
+def _diagonal_scales(basis: Sequence[Vec]) -> tuple[int, ...]:
+    """For a basis b_i = c_i alpha_i, the c_i times the least common
+    denominator: integers with the ratios of the c_i."""
+    diag = []
+    for i, v in enumerate(basis):
+        if any(c for j, c in enumerate(v) if j != i):
+            raise ValueError("basis vector is not a multiple of a simple root")
+        diag.append(Fraction(v[i]))
+    lcd = math.lcm(*(c.denominator for c in diag))
+    return tuple(int(c * lcd) for c in diag)
+
+
 def build(label: AffineLabel | str) -> RootSystemData:
-    """Build the full root-system datum for a Kac label."""
+    """The full root-system datum for a Kac label, built once per label;
+    RootSystemData is frozen, so every caller shares it."""
     if isinstance(label, str):
         label = parse_label(label)
+    return _build(label)
+
+
+@cache
+def _build(label: AffineLabel) -> RootSystemData:
     cartan = affine_cartan(label)
     n = cartan.n
     dim = n + 2

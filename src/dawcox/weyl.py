@@ -1,29 +1,31 @@
 """Finite Weyl group elements and the length/inversion combinatorics.
 
-Elements are exact rational matrices acting on the finite part of the
-weight space (the span of alpha_1..alpha_n); comparison is by matrix
-equality.  Reduced words are advisory caches extracted by greedy descent
-on inversion sets.
+Elements are integer matrices in the simple-root basis of the finite
+part of the weight space (the span of alpha_1..alpha_n); comparison is
+by matrix equality.  Each element also acts on the lattices M and
+nu(Q^v) by integer matrices in their bases, derived from its matrix and
+the lattices' integer scales.  Reduced words are advisory caches
+extracted by greedy descent on inversion sets.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
+from operator import mul
 
-from .rootsys import RootSystemData, Vec, vneg, vsub, vscale
+from .rootsys import RootSystemData, Vec, as_int, vsub, vscale
 
-Matrix = tuple[tuple[Fraction, ...], ...]
+Matrix = tuple[tuple[int, ...], ...]
 
 _F0 = Fraction(0)
 
 
+@cache
 def _identity(n: int) -> Matrix:
-    one, zero = Fraction(1), Fraction(0)
-    return tuple(
-        tuple(one if i == j else zero for j in range(n)) for i in range(n)
-    )
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def frac_sum(terms) -> Fraction:
@@ -36,25 +38,27 @@ def frac_sum(terms) -> Fraction:
     return total
 
 
-# Weyl matrices and lattice vectors are mostly zeros, and Fraction
-# arithmetic dominates the run time: the products below skip zero factors.
+def int_matrix(a) -> Matrix:
+    """a with int entries; ValueError if an entry is not an integer."""
+    return tuple(tuple(as_int(x, "matrix entry") for x in row) for row in a)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     bt = tuple(zip(*b))
-    return tuple(
-        tuple(frac_sum(x * y for x, y in zip(row, col) if x and y) for col in bt)
-        for row in a
-    )
+    return tuple([tuple([sum(map(mul, row, col)) for col in bt]) for row in a])
 
 
-def mat_vec(a: Matrix, v) -> tuple[Fraction, ...]:
-    return tuple(frac_sum(x * y for x, y in zip(row, v) if x and y) for row in a)
+def mat_vec(a: Matrix, v) -> tuple:
+    return tuple([sum(map(mul, row, v)) for row in a])
 
 
-def mat_inv(a: Matrix) -> Matrix:
+def mat_inv(a) -> tuple[tuple[Fraction, ...], ...]:
+    """The inverse of an invertible matrix, in Fractions."""
     n = len(a)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    aug = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(a)
+    ]
     for col in range(n):
         piv = next(r for r in range(col, n) if aug[r][col] != 0)
         aug[col], aug[piv] = aug[piv], aug[col]
@@ -69,10 +73,37 @@ def mat_inv(a: Matrix) -> Matrix:
     return tuple(tuple(row[n:]) for row in aug)
 
 
+def _divide(a: Matrix, d: int) -> Matrix:
+    """a / d; ValueError unless every entry divides exactly."""
+    if d == 1:
+        return a
+    out = tuple(tuple(x // d for x in row) for row in a)
+    if any(x % d for row in a for x in row):
+        raise ValueError("matrix does not preserve the form")
+    return out
+
+
+def _rescale(a: Matrix, scales: tuple[int, ...]) -> Matrix:
+    """The matrix of the same map in the basis (scales[j] alpha_j):
+    a[i][j] scales[j] / scales[i], which must divide exactly."""
+    if len(set(scales)) == 1:
+        return a
+    out = []
+    for row, si in zip(a, scales):
+        new = []
+        for x, sj in zip(row, scales):
+            q, r = divmod(x * sj, si)
+            if r:
+                raise ValueError("Weyl element does not preserve the lattice")
+            new.append(q)
+        out.append(tuple(new))
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class WeylElement:
     rs: RootSystemData
-    matrix: Matrix
+    matrix: Matrix  # int entries, simple-root basis
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         if self.rs is not other.rs:
@@ -87,9 +118,25 @@ class WeylElement:
         # Computed once per element: the double affine product inverts
         # the right factor's Weyl part on every multiplication.  The
         # inverse's own inverse is this element, so record it too.
-        inverse = WeylElement(self.rs, mat_inv(self.matrix))
+        # A Weyl element preserves the form (w^T S w = S), so w^{-1} =
+        # S^{-1} w^T S: integer products and an exact division, checked.
+        s, t, d = self.rs.finite_form
+        num = mat_mul(mat_mul(t, tuple(zip(*self.matrix))), s)
+        inverse = WeylElement(self.rs, _divide(num, d))
+        if mat_mul(self.matrix, inverse.matrix) != _identity(self.rs.n):
+            raise ValueError("matrix does not preserve the form")
         inverse.__dict__["_inverse"] = self
         return inverse
+
+    @cached_property
+    def m_matrix(self) -> Matrix:
+        """The action on M in the basis A_1..A_n."""
+        return _rescale(self.matrix, self.rs.m_scales)
+
+    @cached_property
+    def qcheck_matrix(self) -> Matrix:
+        """The action on nu(Q^v) in the basis nu(alpha_1^v)..nu(alpha_n^v)."""
+        return _rescale(self.matrix, self.rs.qcheck_scales)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, WeylElement) and self.matrix == other.matrix
@@ -97,9 +144,15 @@ class WeylElement:
     def __hash__(self) -> int:
         return hash(self.matrix)
 
-    def act_finite(self, v) -> tuple[Fraction, ...]:
-        """Apply to a finite vector (n coordinates)."""
-        return mat_vec(self.matrix, v)
+    def act_finite(self, v) -> tuple:
+        """Apply to a finite vector (n coordinates): ints for an int
+        vector, otherwise Fractions, computed as the integer product with
+        the vector's numerators over their common denominator."""
+        if all(x.__class__ is int for x in v):
+            return mat_vec(self.matrix, v)
+        den = math.lcm(*(x.denominator for x in v))
+        nums = [x.numerator * (den // x.denominator) for x in v]
+        return tuple([Fraction(x, den) for x in mat_vec(self.matrix, nums)])
 
     def act(self, v: Vec) -> Vec:
         """Apply to a full vector; delta and Lambda0 are fixed."""
@@ -115,7 +168,8 @@ def identity(rs: RootSystemData) -> WeylElement:
 
 
 def reflect(rs: RootSystemData, alpha: Vec) -> WeylElement:
-    """The reflection s_alpha(x) = x - (x, alpha^v) alpha."""
+    """The reflection s_alpha(x) = x - (x, alpha^v) alpha; ValueError
+    if its matrix is not integral."""
     n = rs.n
     if rs.bilinear(alpha, alpha) == 0:
         raise ValueError("cannot reflect in an isotropic vector")
@@ -128,7 +182,7 @@ def reflect(rs: RootSystemData, alpha: Vec) -> WeylElement:
         img = vsub(e, vscale(rs.bilinear(e, av), alpha))
         cols.append(img[:n])
     matrix = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-    return WeylElement(rs, matrix)
+    return WeylElement(rs, int_matrix(matrix))
 
 
 def simple_reflection(rs: RootSystemData, i: int) -> WeylElement:
@@ -141,30 +195,25 @@ class WeylGroup:
 
     def __init__(self, rs: RootSystemData):
         self.rs = rs
-        self.simples = [simple_reflection(rs, i) for i in range(1, rs.n + 1)]
-        self.pos_set = frozenset(r[: rs.n] for r in rs.pos_roots)
-        self.neg_set = frozenset(vneg(r)[: rs.n] for r in rs.pos_roots)
+        n = rs.n
+        self.simples = [simple_reflection(rs, i) for i in range(1, n + 1)]
+        # Roots have integer coordinates in the simple-root basis.
+        self.pos_int = tuple(tuple(int(c) for c in r[:n]) for r in rs.pos_roots)
+        self.pos_set = frozenset(self.pos_int)
+        self.neg_set = frozenset(tuple(-c for c in r) for r in self.pos_int)
         self.id = identity(rs)
 
     def inversion_set(self, w: WeylElement) -> frozenset:
         """Pi(w): positive finite roots sent negative (finite coords)."""
-        out = []
-        for r in self.rs.pos_roots:
-            if w.act_finite(r[: self.rs.n]) in self.neg_set:
-                out.append(r[: self.rs.n])
-        return frozenset(out)
+        return frozenset(r for r in self.pos_int if w.act_finite(r) in self.neg_set)
 
     def length(self, w: WeylElement) -> int:
         return len(self.inversion_set(w))
 
     def right_descents(self, w: WeylElement) -> list[int]:
-        n = self.rs.n
-        out = []
-        for i in range(1, n + 1):
-            a = self.rs.simple_roots[i - 1][:n]
-            if w.act_finite(a) in self.neg_set:
-                out.append(i)
-        return out
+        # w(alpha_i) is column i of the matrix; a root is negative exactly
+        # when it has a negative coordinate.
+        return [i for i, col in enumerate(zip(*w.matrix), start=1) if min(col) < 0]
 
     def reduced_word(self, w: WeylElement) -> tuple[int, ...]:
         """Greedy extraction from the left: the lexicographically least
@@ -178,10 +227,11 @@ class WeylGroup:
             desc = self.right_descents(winv)  # left descents of winv^{-1}
             if not desc:
                 break
-            i = min(desc)
+            i = desc[0]
             word.append(i)
             winv = winv * self.simples[i - 1]
-        assert winv.is_identity()
+        if not winv.is_identity():
+            raise ValueError("descent ended away from the identity")
         return tuple(word)
 
     def from_word(self, word) -> WeylElement:
@@ -195,7 +245,8 @@ class WeylGroup:
         uv = u * v
         additive = self.length(uv) == self.length(u) + self.length(v)
         contained = self.inversion_set(v) <= self.inversion_set(uv)
-        assert additive == contained, "Pi-containment criterion violated"
+        if additive != contained:
+            raise ValueError("Pi-containment criterion violated")
         return additive
 
     def longest_element(self) -> WeylElement:
@@ -263,7 +314,8 @@ class WeylGroup:
             if rs.bilinear(r, r) == short
             and all(rs.bilinear(r, a) >= 0 for a in rs.simple_roots)
         ]
-        assert len(cands) == 1
+        if len(cands) != 1:
+            raise ValueError(f"{len(cands)} short dominant roots")
         return cands[0]
 
     def long_dominant(self) -> Vec:
@@ -272,49 +324,63 @@ class WeylGroup:
     def theta_phi_finite(self) -> tuple[Vec, Vec]:
         return self.short_dominant(), self.long_dominant()
 
-    def compute_xy(self) -> tuple[WeylElement, WeylElement]:
-        """The order-two elements x, y with v_circ w_circ = s_theta x =
-        s_phi y; verifies the defining properties before returning."""
+    def xy_candidates(self) -> tuple[WeylElement, WeylElement]:
+        """x = s_theta v_circ w_circ and y = s_phi v_circ w_circ, not yet
+        checked against the structural lemma."""
         rs = self.rs
         if self.is_simply_laced():
             raise ValueError("x, y are defined for non-simply-laced data only")
         theta, phi = self.theta_phi_finite()
+        vw = self.longest_in_stabilizer([theta, phi]) * self.longest_element()
+        return reflect(rs, theta) * vw, reflect(rs, phi) * vw
+
+    def xy_failures(self, x: WeylElement, y: WeylElement) -> list[str]:
+        """The identities i) - vi) of the structural lemma that x, y
+        violate; empty when all hold."""
+        rs = self.rs
+        n = rs.n
+        theta, phi = self.theta_phi_finite()
         theta_prime = vsub(phi, theta)
         phi_prime = vsub(vscale(rs.pairing(phi, theta), theta), phi)
-        s_th = reflect(rs, theta)
-        s_ph = reflect(rs, phi)
-        v0 = self.longest_in_stabilizer([theta, phi])
-        w0 = self.longest_element()
-        vw = v0 * w0
-        x = s_th * vw
-        y = s_ph * vw
-        # i) - iv) of the structural lemma.
-        assert (x * x).is_identity() and (y * y).is_identity()
-        assert x.act_finite(theta[: rs.n]) == theta[: rs.n]
-        assert y.act_finite(phi[: rs.n]) == phi[: rs.n]
-        assert s_ph * s_th == y * x
-        assert self.length(s_ph * s_th) == self.length(y) + self.length(x)
-        s_thp = reflect(rs, theta_prime)
-        s_php = reflect(rs, phi_prime)
-        assert s_th == y * s_thp * y
-        assert s_ph == x * s_php * x
-        assert self.length(s_th) == 2 * self.length(y) + self.length(s_thp)
-        assert self.length(s_ph) == 2 * self.length(x) + self.length(s_php)
-        # v), vi): inversion-set pairing bounds.
+        s_th, s_ph = reflect(rs, theta), reflect(rs, phi)
+        s_thp, s_php = reflect(rs, theta_prime), reflect(rs, phi_prime)
         php_v = rs.coroot(phi_prime)
-        for b in self.inversion_set(y):
-            bfull = b + (Fraction(0),) * 2
-            assert rs.pairing(theta_prime, bfull) == -1
-        for b in self.inversion_set(x):
-            bfull = b + (Fraction(0),) * 2
-            assert rs.bilinear(php_v, bfull) == -1
+        zero2 = (_F0, _F0)
+        checks = {
+            "x^2 = y^2 = 1": (x * x).is_identity() and (y * y).is_identity(),
+            "x(theta) = theta": x.act_finite(theta[:n]) == theta[:n],
+            "y(phi) = phi": y.act_finite(phi[:n]) == phi[:n],
+            "s_phi s_theta = y x": s_ph * s_th == y * x,
+            "l(s_phi s_theta) = l(y) + l(x)":
+                self.length(s_ph * s_th) == self.length(y) + self.length(x),
+            "s_theta = y s_theta' y": s_th == y * s_thp * y,
+            "s_phi = x s_phi' x": s_ph == x * s_php * x,
+            "l(s_theta) = 2 l(y) + l(s_theta')":
+                self.length(s_th) == 2 * self.length(y) + self.length(s_thp),
+            "l(s_phi) = 2 l(x) + l(s_phi')":
+                self.length(s_ph) == 2 * self.length(x) + self.length(s_php),
+            # v), vi): inversion-set pairing bounds.
+            "(theta', b^v) = -1 on Pi(y)": all(
+                rs.pairing(theta_prime, b + zero2) == -1 for b in self.inversion_set(y)
+            ),
+            "(phi'^v, b) = -1 on Pi(x)": all(
+                rs.bilinear(php_v, b + zero2) == -1 for b in self.inversion_set(x)
+            ),
+        }
+        return [name for name, ok in checks.items() if not ok]
+
+    def compute_xy(self) -> tuple[WeylElement, WeylElement]:
+        """The order-two elements x, y with v_circ w_circ = s_theta x =
+        s_phi y; ValueError unless they satisfy the structural lemma."""
+        x, y = self.xy_candidates()
+        failures = self.xy_failures(x, y)
+        if failures:
+            raise ValueError(f"structural lemma fails: {', '.join(failures)}")
         return x, y
 
     def acts_as_minus_identity(self, w: WeylElement) -> bool:
         n = self.rs.n
-        return w.matrix == tuple(
-            tuple(-Fraction(int(i == j)) for j in range(n)) for i in range(n)
-        )
+        return w.matrix == tuple(tuple(-int(i == j) for j in range(n)) for i in range(n))
 
 
 # Finite types where conjugation by T_{w_circ} is asserted to be global

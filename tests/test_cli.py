@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import dawcox
 from dawcox.cli import main
+from dawcox.weyl import WeylGroup
 
 
 def run(capsys, *argv):
@@ -123,3 +129,58 @@ def test_verify_bernstein_instance(capsys):
         capsys, "verify", "--family", "ddotG2", "--suite", "bernstein", "--json"
     )
     assert code == 0
+
+
+def test_decompose_determinant_not_one(capsys):
+    code, out, err = run(capsys, "decompose", "--matrix", "2,0;0,1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: determinant must be 1") and "Traceback" not in err
+
+
+def test_verify_selection_without_checks(capsys):
+    # the auto suite has no check for a presentation-only family
+    code, out, err = run(capsys, "verify", "--family", "dddotE6", "--suite", "auto")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "no check" in err
+
+
+def test_verify_appendix_reports_corrupted_xy(capsys, monkeypatch):
+    code, out, _ = run(capsys, "verify", "--family", "ddotB2", "--suite", "appendixA")
+    assert code == 0 and out.startswith("    pass  ddotB2:appendixA")
+    real = WeylGroup.xy_candidates
+    monkeypatch.setattr(WeylGroup, "xy_candidates", lambda self: real(self)[::-1])
+    code, out, _ = run(
+        capsys, "verify", "--family", "ddotB2", "--suite", "appendixA", "--json"
+    )
+    assert code == 1
+    (check,) = json.loads(out)["checks"]
+    assert check["status"] == "FAIL"
+    assert "x(theta) = theta" in check["witness"]["failures"]
+
+
+_UNDER_O = """
+import sys
+from dawcox import cli
+from dawcox.weyl import WeylGroup
+
+if not sys.flags.optimize:
+    sys.exit("expected to run under -O")
+argv = ["verify", "--family", "ddotB2", "--suite", "appendixA", "--json"]
+cli.main(argv)
+WeylGroup.xy_candidates = lambda self: (self.id, self.id)
+cli.main(argv)
+"""
+
+
+def test_appendix_a_checks_under_python_O():
+    # asserts vanish under -O; the structural lemma must still be checked
+    env = {**os.environ, "PYTHONPATH": str(Path(dawcox.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _UNDER_O],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    good, bad = (json.loads(line) for line in proc.stdout.splitlines())
+    assert [c["status"] for c in good["checks"]] == ["pass"]
+    assert [c["status"] for c in bad["checks"]] == ["FAIL"]
+    assert "s_phi s_theta = y x" in bad["checks"][0]["witness"]["failures"]

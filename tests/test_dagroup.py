@@ -5,7 +5,7 @@ import pytest
 
 from dawcox import dagroup
 from dawcox.dagroup import A2n2Comparison, context, lam_word, tau_word
-from dawcox.rootsys import vadd, vneg, vscale, vsub
+from dawcox.rootsys import build, parse_label, vadd, vneg, vscale, vsub
 
 LABELS = ["A1(1)", "C2(1)", "A2(2)", "D3(2)", "G2(1)", "D4(3)", "B3(1)", "E6(2)"]
 
@@ -278,3 +278,10 @@ def test_half_delta_context():
     ctx = context("A2(2)", half_delta=True)
     h = ctx.tau_delta(Fraction(1, 2))
     assert h * h == ctx.tau_delta(1)
+
+
+def test_contexts_share_one_root_system():
+    a = context("B3(1)")
+    b = context(parse_label("B3(1)"), half_delta=True)
+    assert a is not b and a.rs is b.rs
+    assert build("B3(1)") is a.rs
