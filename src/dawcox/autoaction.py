@@ -17,15 +17,7 @@ from dataclasses import dataclass
 from . import congruence, diagrams
 from .congruence import Mat2, braid_lift, decompose, decompose_gamma12_prime, member
 from .dagroup import DaweylContext, DaweylElement, product
-from .presentation import GeneratorDictionary, Word, free_reduce, winv, wmul
-
-_GD_CACHE: dict = {}
-
-
-def _gd(label_name: str) -> GeneratorDictionary:
-    if label_name not in _GD_CACHE:
-        _GD_CACHE[label_name] = GeneratorDictionary(label_name)
-    return _GD_CACHE[label_name]
+from .presentation import Word, free_reduce, generator_dictionary, winv, wmul
 
 
 @dataclass
@@ -61,7 +53,7 @@ class EndoMap:
 
 
 def identity_map(label_name: str) -> EndoMap:
-    pres = _gd(label_name).presentation
+    pres = generator_dictionary(label_name).presentation
     return EndoMap(
         "id", label_name, label_name,
         {g: ((g, 1),) for g in pres.generators},
@@ -77,7 +69,7 @@ def _fixing_finite(pres) -> dict:
 
 
 def a_map(label_name: str) -> EndoMap:
-    pres = _gd(label_name).presentation
+    pres = generator_dictionary(label_name).presentation
     images = _fixing_finite(pres)
     if pres.label.base_family.startswith("dddot"):
         images["Theta01"] = (("Theta02", 1),)
@@ -93,7 +85,7 @@ def a_map(label_name: str) -> EndoMap:
 
 
 def b_map(label_name: str) -> EndoMap:
-    pres = _gd(label_name).presentation
+    pres = generator_dictionary(label_name).presentation
     images = _fixing_finite(pres)
     if pres.label.base_family.startswith("dddot"):
         images["Theta01"] = (("Theta01", 1),)
@@ -128,7 +120,7 @@ def e_map(label_name: str) -> EndoMap:
     """The anti-involution: swaps Theta01 <-> Theta03 (triple-node case)
     or the two labelled affine nodes (two-node case, possibly crossing to
     the partner labeling)."""
-    pres = _gd(label_name).presentation
+    pres = generator_dictionary(label_name).presentation
     lab = pres.label
     images: dict = {}
     if lab.base_family.startswith("dddot"):
@@ -162,8 +154,8 @@ def b_inv_map(label_name: str) -> EndoMap:
 def is_automorphism(m: EndoMap, star: bool = False) -> tuple[bool, list]:
     """Relation preservation in the Weyl quotient, plus an invertibility
     witness through the e-conjugate inverse."""
-    src_gd = _gd(m.src)
-    dst_gd = _gd(m.dst)
+    src_gd = generator_dictionary(m.src)
+    dst_gd = generator_dictionary(m.dst)
     failures = []
     for name, lhs, rhs in src_gd.presentation.relations:
         if name.startswith("star") and not star:
@@ -186,17 +178,6 @@ def is_automorphism(m: EndoMap, star: bool = False) -> tuple[bool, list]:
 # Structural (CanonMap) machinery
 # ---------------------------------------------------------------------
 
-_PSI_CACHE: dict = {}
-
-
-def _psi_words(label_name: str) -> dict:
-    from .presentation import psi_words
-
-    if label_name not in _PSI_CACHE:
-        _PSI_CACHE[label_name] = psi_words(_gd(label_name))
-    return _PSI_CACHE[label_name]
-
-
 class CanonMap:
     """The endomorphism of the double affine Weyl group induced by an
     EndoMap, represented by its images of the group generators."""
@@ -206,26 +187,24 @@ class CanonMap:
         self.dst = dst
         self.anti = anti
         self.gen_images = gen_images
-        self.src_ctx: DaweylContext = _gd(src).ctx
-        self.dst_ctx: DaweylContext = _gd(dst).ctx
+        self.src_ctx: DaweylContext = generator_dictionary(src).ctx
+        self.dst_ctx: DaweylContext = generator_dictionary(dst).ctx
 
     @classmethod
     def from_endo(cls, m: EndoMap) -> "CanonMap":
-        src_gd = _gd(m.src)
-        dst_gd = _gd(m.dst)
-        words = _psi_words(m.src)
+        dst_gd = generator_dictionary(m.dst)
         gen_images = {
-            sym: dst_gd.evaluate(m.apply_word(word)) for sym, word in words.items()
+            sym: dst_gd.evaluate(m.apply_word(word))
+            for sym, word in generator_dictionary(m.src).psi.items()
         }
         return cls(m.src, m.dst, m.anti, gen_images)
 
     @classmethod
     def identity(cls, label_name: str) -> "CanonMap":
-        gd = _gd(label_name)
+        gd = generator_dictionary(label_name)
         ctx = gd.ctx
-        words = _psi_words(label_name)
         gen_images = {}
-        for sym in words:
+        for sym in gd.psi:
             gen_images[sym] = ctx.s(0) if sym == "s0" else ctx.generator(sym)
         return cls(label_name, label_name, False, gen_images)
 
@@ -304,20 +283,10 @@ def evaluate_braid(word, label_name: str) -> CanonMap:
     return out
 
 
-def generator_images(label_name: str) -> dict:
-    gd = _gd(label_name)
-    return dict(gd.images)
-
-
-def map_on_presentation_generators(m: CanonMap) -> dict:
-    gd = _gd(m.src)
-    return {g: m.apply(img) for g, img in gd.images.items()}
-
-
 def braid_identity_check(label_name: str) -> dict:
     """The level-r braid relation between a and b as automorphisms,
     checked generator-wise in the Weyl quotient."""
-    r = _gd(label_name).presentation.label
+    r = generator_dictionary(label_name).presentation.label
     twist = diagrams.correspondence(r).twist
     A, B = canon(label_name, "a"), canon(label_name, "b")
     if twist == 1:
@@ -340,7 +309,7 @@ def braid_identity_check(label_name: str) -> dict:
 def central_element_action(label_name: str) -> dict:
     """(ab)^3 (r = 1), (ab)^2 (r = 2), (ab)^3 (r = 3) act by conjugation
     by w_circ (resp. its square) in the Weyl quotient."""
-    gd = _gd(label_name)
+    gd = generator_dictionary(label_name)
     twist = diagrams.correspondence(gd.presentation.label).twist
     ctx = gd.ctx
     w0 = ctx.w(ctx.wg.longest_element())
@@ -386,7 +355,7 @@ def cstar_restriction_check(n: int) -> dict:
     not (the expected negative), all read in the A_{2n}^(2) quotient."""
     label_name = f"dddotC{n}" if n >= 2 else "dddotA1"
     star_name = f"dddotC{n}star"
-    gd_star = _gd(star_name)
+    gd_star = generator_dictionary(star_name)
     pres = gd_star.presentation
     a = a_map(label_name)
     b = b_map(label_name)
@@ -423,7 +392,7 @@ def basic_involution_check(m: Mat2, r: int, label_name: str) -> dict:
     """Lift a congruence matrix to a braid word, compose with e, and test
     whether the resulting anti-morphism squares to the identity on every
     generator in the Weyl quotient."""
-    gd = _gd(label_name)
+    gd = generator_dictionary(label_name)
     lab = gd.presentation.label
     twist = diagrams.correspondence(lab).twist
     if r != twist:
@@ -444,9 +413,7 @@ def basic_involution_check(m: Mat2, r: int, label_name: str) -> dict:
         M2 = Mback.compose(M)
     else:
         M2 = M.compose(M)
-    ok = all(
-        M2.apply(img) == img for img in _gd(label_name).images.values()
-    )
+    ok = all(M2.apply(img) == img for img in gd.images.values())
     return {
         "matrix": str(m),
         "upsilon_member": member(m, "Upsilon1", r),
@@ -466,7 +433,8 @@ def basic_involution_check_cstar(m: Mat2, n: int) -> dict:
     gamma = evaluate_braid(lifted, label_name)
     M = canon(label_name, "e").compose(gamma)
     M2 = M.compose(M)
-    ok = all(M2.apply(img) == img for img in _gd(label_name).images.values())
+    images = generator_dictionary(label_name).images
+    ok = all(M2.apply(img) == img for img in images.values())
     return {
         "matrix": str(m),
         "upsilon_member": member(m, "Upsilon1'", 2),

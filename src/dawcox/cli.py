@@ -74,7 +74,7 @@ def cmd_params(args) -> int:
 def cmd_nf(args) -> int:
     try:
         lab = _label(args)
-        gd = presentation.GeneratorDictionary(lab)
+        gd = presentation.generator_dictionary(lab)
     except UnknownTypeError as exc:
         return _fail(str(exc))
     word = []
@@ -187,11 +187,7 @@ def _suite_checks(name: str, suite: str, large: bool):
         yield f"{name}:auto-cstar", run_star
     if suite in ("appendixA", "all"):
         def run_appa():
-            from .weyl import WeylGroup
-            from . import rootsys
-
-            rs = rootsys.build(diagrams.correspondence(lab))
-            wg = WeylGroup(rs)
+            wg = dagroup.context(diagrams.correspondence(lab)).wg
             if wg.is_simply_laced():
                 return True, {"skipped": "simply-laced"}
             x, y = wg.xy_candidates()

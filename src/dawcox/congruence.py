@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from .presentation import free_reduce
+
 
 @dataclass(frozen=True)
 class Mat2:
@@ -254,8 +256,9 @@ def decompose(m: Mat2, r: int) -> Word:
         word += _minus_one_word(r)
     word.append(("A", -s * cur.b))
     word += right
-    out = _reduce_word(word)
-    assert eval_word(out, r) == m
+    out = list(free_reduce(word))
+    if eval_word(out, r) != m:
+        raise ValueError(f"decompose: the word for {m} does not evaluate to it")
     return out
 
 
@@ -265,21 +268,6 @@ def _round_div(x: int, y: int) -> int:
     if 2 * abs(rem) > abs(y):
         q += 1
     return q
-
-
-def _reduce_word(word: Word) -> Word:
-    out: Word = []
-    for letter, e in word:
-        if e == 0:
-            continue
-        if out and out[-1][0] == letter:
-            s = out[-1][1] + e
-            out.pop()
-            if s:
-                out.append((letter, s))
-        else:
-            out.append((letter, e))
-    return out
 
 
 def word_to_text(word: Word) -> str:
@@ -299,7 +287,7 @@ def text_to_word(text: str) -> Word:
             raise ValueError(f"unknown letter {tok!r}")
         e = -1 if tok.endswith("'") else 1
         word.append((letter, e))
-    return _reduce_word(word)
+    return list(free_reduce(word))
 
 
 def braid_lift(word: Iterable, r: int) -> list:
@@ -311,7 +299,7 @@ def braid_lift(word: Iterable, r: int) -> list:
     out = []
     for letter, e in word:
         out.append(("a" if letter == "A" else "b", e))
-    return _reduce_word(out)
+    return list(free_reduce(out))
 
 
 def decompose_gamma12_prime(m: Mat2) -> Word:
@@ -330,4 +318,4 @@ def decompose_gamma12_prime(m: Mat2) -> Word:
         else:
             word.append(("B", 2 * e))
     word.append(("B", -1))
-    return _reduce_word(word)
+    return list(free_reduce(word))

@@ -26,14 +26,15 @@ while tau_beta is the honest translation by beta.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from operator import add, mul
 
-from . import weyl
 from .rootsys import (
+    AffineLabel,
     RootSystemData,
     Vec,
     build,
+    mat_inv,
     parse_label,
     vadd,
     vneg,
@@ -41,7 +42,16 @@ from .rootsys import (
     vsub,
     vzero,
 )
-from .weyl import WeylElement, WeylGroup, frac_sum, int_matrix, mat_vec, reflect
+from .weyl import (
+    WeylElement,
+    WeylGroup,
+    braid_sides,
+    frac_sum,
+    int_matrix,
+    mat_mul,
+    mat_vec,
+    reflect,
+)
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -70,6 +80,16 @@ class DaweylContext:
     @property
     def n(self) -> int:
         return self.rs.n
+
+    @cached_property
+    def lam_walk(self) -> "AffineWalk":
+        """The alcove walk over <s_0..s_n>, built once per context."""
+        return AffineWalk(self, "lam")
+
+    @cached_property
+    def tau_walk(self) -> "AffineWalk":
+        """The alcove walk over <t_0, s_1..s_n>, built once per context."""
+        return AffineWalk(self, "tau")
 
     def identity(self) -> "DaweylElement":
         return DaweylElement.from_coords(
@@ -313,9 +333,16 @@ class DaweylElement:
         return f"w=[{' '.join(map(str, word))}] mu=[{mu}] beta=[{beta}] k={self.k}"
 
 
-def context(label, half_delta: bool = False) -> DaweylContext:
+def context(label: AffineLabel | str, half_delta: bool = False) -> DaweylContext:
+    """The context of an affine label, built once per (label, half_delta)
+    for the life of the process and shared by every caller."""
     if isinstance(label, str):
         label = parse_label(label)
+    return _context(label, bool(half_delta))
+
+
+@cache
+def _context(label: AffineLabel, half_delta: bool) -> DaweylContext:
     return DaweylContext(build(label), half_delta=half_delta)
 
 
@@ -381,23 +408,20 @@ class AffineWalk:
         # A generic interior point of the fundamental alcove: prescribe
         # small unequal positive values for (x, alpha_i^v) and shrink
         # until the affine wall value is positive too.
-        from .rootsys import _solve
-
         rs = self.ctx.rs
         n = rs.n
         basis = [
             tuple(_F1 if j == i else _F0 for j in range(n)) + (_F0, _F0)
             for i in range(n)
         ]
-        pairing = [
+        pairing_inv = mat_inv([
             [rs.bilinear(basis[j], self.simple_coroots[i]) for j in range(n)]
             for i in range(n)
-        ]
+        ])
         for attempt in range(1, 40):
             denom = 1 << attempt
             rhs = [Fraction(i + 2, (i + 3) * denom) for i in range(n)]
-            sol = _solve(pairing, rhs)
-            x = tuple(sol) + (_F0, _F0)
+            x = mat_vec(pairing_inv, rhs) + (_F0, _F0)
             vals = self._wall_values(x)
             if all(v > 0 for v in vals):
                 return x
@@ -457,7 +481,7 @@ class AffineWalk:
 
 def lam_word(ctx: DaweylContext, mu: Vec):
     """Word in s_0..s_n for lam_mu (indices, 0 = affine node)."""
-    walk = _walk(ctx, "lam")
+    walk = ctx.lam_walk
     g = ctx.lam(mu)
     word = walk.word_for(g)
     if walk.evaluate(word) != g:
@@ -467,22 +491,12 @@ def lam_word(ctx: DaweylContext, mu: Vec):
 
 def tau_word(ctx: DaweylContext, beta: Vec):
     """Word in t_0, s_1..s_n for tau_beta (0 denotes t_0)."""
-    walk = _walk(ctx, "tau")
+    walk = ctx.tau_walk
     g = ctx.tau(beta)
     word = walk.word_for(g)
     if walk.evaluate(word) != g:
         raise ValueError("alcove walk word does not evaluate to the element")
     return word
-
-
-def _walk(ctx: DaweylContext, kind: str) -> AffineWalk:
-    cache = getattr(ctx, "_walks", None)
-    if cache is None:
-        cache = {}
-        ctx._walks = cache
-    if kind not in cache:
-        cache[kind] = AffineWalk(ctx, kind)
-    return cache[kind]
 
 
 # ---------------------------------------------------------------------
@@ -551,7 +565,7 @@ def verify_bernstein_relations(label) -> dict:
                 saw_eq42 = True
                 record(f"t0-comm-long j={j}", t0 * ctx.tau(b), ctx.tau(b) * t0)
         else:  # pragma: no cover - excluded by the classification
-            raise AssertionError("unexpected pairing")
+            raise ValueError(f"unexpected pairing {pair} of alpha_{j}^v with theta")
     # The classification "pairing 2 happens only for C_n^(1), n >= 2" is
     # stated under the standing A != A_{2n}^(2) assumption; the relations
     # themselves are checked for A_{2n}^(2) above all the same.
@@ -680,19 +694,15 @@ class A2n2Comparison:
         return out
 
     def _eps_coords_c(self, v: Vec):
-        from .rootsys import _solve
-
         n = self.n
         mat = [[self.eps_c[j][i] for j in range(n)] for i in range(n)]
-        return _solve(mat, list(v[:n]))
+        return mat_vec(mat_inv(mat), v[:n])
 
     def map_weyl(self, w: WeylElement) -> WeylElement:
         """Transport a finite Weyl element through the epsilon dictionary:
         T w T^{-1} where T is the linear map sqrt2 eps_i -> eps_i."""
-        from .weyl import Matrix, mat_inv, mat_mul
-
         n = self.n
-        tmat: Matrix = tuple(
+        tmat = tuple(
             tuple(self.finite_map(
                 tuple(_F1 if t == j else _F0 for t in range(n)) + (_F0, _F0)
             )[i] for j in range(n))
@@ -764,16 +774,11 @@ class A2n2Comparison:
         for i in range(self.n + 1):
             for j in range(i + 1, self.n + 1):
                 lace = a[i][j] * a[j][i]
-                x, y = im[f"s{i}"], im[f"s{j}"]
-                if lace == 0:
-                    checks[f"braid {i},{j}"] = x * y == y * x
-                elif lace in (1, 2, 3):
-                    factors = {1: 3, 2: 4, 3: 6}[lace]
-                    lhs = rhs = self.dst.identity()
-                    for t in range(factors):
-                        lhs = lhs * (x if t % 2 == 0 else y)
-                        rhs = rhs * (y if t % 2 == 0 else x)
-                    checks[f"braid {i},{j}"] = lhs == rhs
+                if lace <= 3:  # four laces (A_1^(1)) impose no braid relation
+                    lhs, rhs = braid_sides(im[f"s{i}"], im[f"s{j}"], lace)
+                    checks[f"braid {i},{j}"] = (
+                        product(self.dst, lhs) == product(self.dst, rhs)
+                    )
         checks["kernel generator i trivial"] = self.kernel_image_i().is_identity()
         checks["kernel generator ii trivial"] = self.kernel_image_ii().is_identity()
         # The tau_delta^{-1} shift: without the central half-delta factor

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
 
 from .rootsys import AffineLabel, UnknownTypeError, affine_cartan, parse_label
 
@@ -119,8 +120,10 @@ def label(family: str, rank: int | None = None) -> DoubleAffineLabel:
     raise UnknownTypeError(f"invalid family/rank: {family} {rank}")
 
 
+@cache
 def parse(text: str) -> DoubleAffineLabel:
-    """Parse e.g. 'dddotC3', 'dddotC2star', 'ddotB4', 'ddotG2'."""
+    """Parse e.g. 'dddotC3', 'dddotC2star', 'ddotB4', 'ddotG2'.  Memoized:
+    the per-label factories look labels up by name on every call."""
     text = text.strip()
     for fam in sorted(
         list(TRIPLE_FAMILIES) + list(STAR_FAMILIES) + list(DDOT_FAMILIES),

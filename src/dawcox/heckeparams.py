@@ -16,10 +16,6 @@ from .diagrams import DoubleAffineLabel, build_diagram, one_connected_components
 from .rootsys import UnknownTypeError
 
 
-def _symbol(node_label: str) -> str:
-    return node_label.lower().replace("theta0", "theta0").replace("phi0", "phi0")
-
-
 @dataclass
 class ParamAssignment:
     label: DoubleAffineLabel

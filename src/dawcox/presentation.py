@@ -3,7 +3,8 @@ generator dictionaries into the double affine Weyl group, and the full
 verification suites (relations plus the surjectivity round trip).
 
 Words are tuples of (generator name, exponent).  All equalities are
-decided in the double affine Weyl group through the phi dictionary; for
+decided in the double affine Weyl group through the generator
+dictionary, built once per label by generator_dictionary; for
 the starred C-family the dictionary composes with the comparison
 morphism into the A_{2n}^(2) group, where the extra central relation
 becomes visible.
@@ -13,12 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache, cached_property
 
 from . import dagroup, diagrams
 from .dagroup import A2n2Comparison, DaweylContext, DaweylElement, lam_word, tau_word
 from .diagrams import CoxeterDiagram, DoubleAffineLabel, build_diagram, correspondence
 from .rootsys import vneg, vsub, vscale
-from .weyl import reflect
+from .weyl import braid_sides, reflect
 
 Word = tuple
 
@@ -61,19 +63,9 @@ class Presentation:
     # words for the distinguished elements (twisted families)
     extra_words: dict = field(default_factory=dict)
 
-    def braid_mult(self, a: str, b: str) -> int:
-        return self.diagram.multiplicity(a, b)
-
 
 def _word_of_indices(indices, letters=None) -> Word:
     return tuple((letters[i] if letters else f"T{i}", 1) for i in indices)
-
-
-def _braid_words(a: str, b: str, mult: int):
-    factors = {0: 2, 1: 3, 2: 4, 3: 6}[mult]
-    lhs = tuple(((a if t % 2 == 0 else b), 1) for t in range(factors))
-    rhs = tuple(((b if t % 2 == 0 else a), 1) for t in range(factors))
-    return lhs, rhs
 
 
 def build_presentation(lab: DoubleAffineLabel | str) -> Presentation:
@@ -92,7 +84,7 @@ def build_presentation(lab: DoubleAffineLabel | str) -> Presentation:
         for b in names[i + 1:]:
             m = d.multiplicity(a, b)
             if m <= 3:
-                lhs, rhs = _braid_words(a, b, m)
+                lhs, rhs = braid_sides((a, 1), (b, 1), m)
                 relations.append((f"braid {a},{b} [{m}]", lhs, rhs))
 
     # Coxeter quotient: generator squares.  For the starred labels the
@@ -238,8 +230,22 @@ class GeneratorDictionary:
     def central_image(self, half: bool = False) -> DaweylElement:
         return self.evaluate(self.presentation.central_word, half=half)
 
+    @cached_property
+    def psi(self) -> dict:
+        """psi_words(self), computed once per dictionary."""
+        return psi_words(self)
 
-def phi_dictionary(lab) -> GeneratorDictionary:
+
+def generator_dictionary(lab: DoubleAffineLabel | str) -> GeneratorDictionary:
+    """The generator dictionary of a double affine label, built once per
+    label for the life of the process and shared by every caller."""
+    if isinstance(lab, str):
+        lab = diagrams.parse(lab)
+    return _generator_dictionary(lab)
+
+
+@cache
+def _generator_dictionary(lab: DoubleAffineLabel) -> GeneratorDictionary:
     return GeneratorDictionary(lab)
 
 
@@ -290,9 +296,8 @@ def psi_words(gd: GeneratorDictionary) -> dict:
 def verify_presentation(lab) -> dict:
     """Check every defining relation and the surjectivity round trip in
     the double affine Weyl group."""
-    gd = GeneratorDictionary(lab)
+    gd = generator_dictionary(lab)
     pres = gd.presentation
-    ctx = gd.ctx
     failures = []
     checked = 0
     for name, lhs, rhs in pres.relations:
@@ -333,8 +338,7 @@ def verify_presentation(lab) -> dict:
         )
 
     # Surjectivity round trip.
-    words = psi_words(gd)
-    for sym, word in words.items():
+    for sym, word in gd.psi.items():
         checked += 1
         expected = gd.ctx.generator(sym) if sym != "s0" else gd.ctx.s(0)
         got = gd.evaluate(word)
@@ -377,24 +381,25 @@ def distinguished_elements(lab) -> dict:
     out["Psi"] = (s_ph * s_th).inv()
     out["PsiRev"] = (s_th * s_ph).inv()
     # Weyl-level identities tying the primed reflections together.
-    assert s_thp * s_th == s_ph * s_php
-    assert s_php * s_ph == s_th * s_thp
-    is_doubly = rs.bilinear(phi, phi) == 2 * rs.bilinear(theta, theta)
-    if is_doubly:
-        assert s_th == s_php * s_thp * s_php
-        assert s_ph == s_thp * s_php * s_thp
-        # 2-braid between the primes.
+    identities = {
+        "s_theta' s_theta = s_phi s_phi'": s_thp * s_th == s_ph * s_php,
+        "s_phi' s_phi = s_theta s_theta'": s_php * s_ph == s_th * s_thp,
+    }
+    if rs.bilinear(phi, phi) == 2 * rs.bilinear(theta, theta):
         a, b = s_thp, s_php
-        assert a * b * a * b == b * a * b * a
+        identities["s_theta = s_phi' s_theta' s_phi'"] = s_th == b * a * b
+        identities["s_phi = s_theta' s_phi' s_theta'"] = s_ph == a * b * a
+        identities["2-braid of s_theta', s_phi'"] = a * b * a * b == b * a * b * a
+    failed = [name for name, ok in identities.items() if not ok]
+    if failed:
+        raise ValueError(f"{lab}: {'; '.join(failed)} fails")
     return out
 
 
 def b2_pattern_check(lab) -> dict:
     """For doubly-laced two-affine-node diagrams: the images of Theta0,
     Phi0, Theta', Phi' satisfy the labelled-B2 braid pattern."""
-    if isinstance(lab, str):
-        lab = diagrams.parse(lab)
-    gd = GeneratorDictionary(lab)
+    gd = generator_dictionary(lab)
     ctx = gd.ctx
     rs = ctx.rs
     wg = ctx.wg
@@ -416,20 +421,18 @@ def b2_pattern_check(lab) -> dict:
         ("Theta0", "Phi0"): 2,
     }
     results = {}
-    for (a, b), m in pattern.items():
-        x, y = els[a], els[b]
-        if m == 0:
-            results[f"{a},{b} commute"] = x * y == y * x
-        else:
-            results[f"{a},{b} 2-braid"] = x * y * x * y == y * x * y * x
+    for (a, b), lace in pattern.items():
+        lhs, rhs = braid_sides(els[a], els[b], lace)
+        kind = "commute" if lace == 0 else "2-braid"
+        results[f"{a},{b} {kind}"] = (
+            dagroup.product(ctx, lhs) == dagroup.product(ctx, rhs)
+        )
     return results
 
 
 def central_word_rewrites(lab) -> dict:
     """The doubly-laced and G2 rewritings of the central word."""
-    if isinstance(lab, str):
-        lab = diagrams.parse(lab)
-    gd = GeneratorDictionary(lab)
+    gd = generator_dictionary(lab)
     pres = gd.presentation
     out = {}
     c = gd.central_image()
@@ -464,9 +467,7 @@ def central_word_rewrites(lab) -> dict:
 def theta02_expression_check(lab) -> bool:
     """The expressed Theta02 word equals the generator image (untwisted
     families with a single lace at the affine node)."""
-    if isinstance(lab, str):
-        lab = diagrams.parse(lab)
-    gd = GeneratorDictionary(lab)
+    gd = generator_dictionary(lab)
     pres = gd.presentation
     ctx = gd.ctx
     rs = ctx.rs

@@ -26,10 +26,6 @@ _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
-def _vec(values) -> Vec:
-    return tuple(Fraction(v) for v in values)
-
-
 def vadd(x: Vec, y: Vec) -> Vec:
     # A zero summand is passed through instead of added: ambient vectors
     # are sparse and each Fraction addition is costly.
@@ -200,50 +196,6 @@ def _table_key(label: AffineLabel) -> tuple[str, int]:
     raise UnknownTypeError(f"{label} is not in Tables Aff 1-3")
 
 
-def _left_null_primitive(a: list[list[int]]) -> list[Fraction]:
-    """Primitive nonnegative left null vector of an integer matrix."""
-    m = len(a)
-    # Solve x^T a = 0 by Gaussian elimination on a^T x = 0.
-    rows = [[Fraction(a[i][j]) for i in range(m)] for j in range(m)]
-    x = [None] * m
-    pivots = []
-    col = 0
-    for r in range(m):
-        piv = next((c for c in range(col, m) if rows[r][c] != 0), None)
-        if piv is None:
-            continue
-        pivots.append((r, piv))
-        pr = rows[r]
-        for r2 in range(m):
-            if r2 != r and rows[r2][piv] != 0:
-                f = rows[r2][piv] / pr[piv]
-                rows[r2] = [v2 - f * v1 for v1, v2 in zip(pr, rows[r2])]
-    free = [c for c in range(m) if c not in {p for _, p in pivots}]
-    assert len(free) == 1, "affine Cartan matrix must have corank 1"
-    sol = [Fraction(0)] * m
-    sol[free[0]] = Fraction(1)
-    for r, piv in reversed(pivots):
-        s = sum(rows[r][c] * sol[c] for c in range(m) if c != piv)
-        sol[piv] = -s / rows[r][piv]
-    lcm = 1
-    for v in sol:
-        lcm = lcm * v.denominator // _gcd(lcm, v.denominator)
-    sol = [v * lcm for v in sol]
-    if sol[0] < 0:
-        sol = [-v for v in sol]
-    g = 0
-    for v in sol:
-        g = _gcd(g, v.numerator)
-    return [v / g for v in sol]
-
-
-def _gcd(a: int, b: int) -> int:
-    a, b = abs(int(a)), abs(int(b))
-    while b:
-        a, b = b, a % b
-    return a
-
-
 @dataclass(frozen=True)
 class AffineCartanData:
     label: AffineLabel
@@ -276,15 +228,25 @@ def affine_cartan(label: AffineLabel) -> AffineCartanData:
     marks = [int(x) for x in marks]
     # Sanity: marks are the right null vector.
     for i in range(m):
-        assert sum(a[i][j] * marks[j] for j in range(m)) == 0, (label, i)
-    comarks_f = _left_null_primitive(a)
-    assert comarks_f[0] == 1, f"a_0^v != 1 for {label}"
-    comarks = [int(x) for x in comarks_f]
+        if sum(a[i][j] * marks[j] for j in range(m)):
+            raise ValueError(f"{label}: marks are not a null vector (row {i})")
+    # Comarks: the left null vector with a_0^v = 1.  Its finite part
+    # solves sum_i x_i a_ij = -a_0j for j >= 1; the whole vector must
+    # then annihilate every column.
+    fin = mat_inv([[a[i][j] for i in range(1, m)] for j in range(1, m)])
+    rhs = [-a[0][j] for j in range(1, m)]
+    comarks = [1] + [sum(c * b for c, b in zip(row, rhs)) for row in fin]
+    if any(sum(comarks[i] * a[i][j] for i in range(m)) for j in range(m)):
+        raise ValueError(f"{label}: no left null vector with a_0^v = 1")
+    if any(c <= 0 or c.denominator != 1 for c in comarks):
+        raise ValueError(f"{label}: comarks are not positive integers")
+    comarks = [int(x) for x in comarks]
     d = tuple(Fraction(marks[i], comarks[i]) for i in range(m))
     a0inv = Fraction(1, marks[0])
     e = tuple(max(a0inv, di) for di in d)
     twist = max(Fraction(1) / di for di in d)
-    assert twist.denominator == 1
+    if twist.denominator != 1:
+        raise ValueError(f"{label}: twist {twist} is not an integer")
     return AffineCartanData(
         label=label,
         cartan=tuple(tuple(row) for row in a),
@@ -393,16 +355,9 @@ class RootSystemData:
             vscale(self.cartan.e[i + 1], a) for i, a in enumerate(self.simple_roots)
         )
 
-    def m_basis_dual(self) -> tuple[Vec, ...]:
-        return tuple(self.coroot(a) for a in self.m_basis())
-
     def qcheck_basis(self) -> tuple[Vec, ...]:
         """nu(alpha_i^v), a basis of nu(Q^v) of the finite system."""
         return self.simple_coroots()
-
-    def in_lattice(self, x: Vec, basis: Sequence[Vec]) -> bool:
-        coeffs = self.lattice_coords(x, basis)
-        return coeffs is not None
 
     @cached_property
     def m_scales(self) -> tuple[int, ...]:
@@ -432,9 +387,9 @@ class RootSystemData:
         gram = [row[:n] for row in self.gram[:n]]
         lcd = math.lcm(*(Fraction(x).denominator for row in gram for x in row))
         s = tuple(tuple(as_int(x * lcd, "scaled Gram matrix") for x in row) for row in gram)
-        cols = [_solve(s, [int(i == j) for i in range(n)]) for j in range(n)]
-        d = math.lcm(*(x.denominator for col in cols for x in col))
-        t = tuple(tuple(int(cols[j][i] * d) for j in range(n)) for i in range(n))
+        sinv = mat_inv(s)
+        d = math.lcm(*(x.denominator for row in sinv for x in row))
+        t = tuple(tuple(int(x * d) for x in row) for row in sinv)
         return s, t, d
 
     def combine(self, coords, basis: Sequence[Vec]) -> Vec:
@@ -448,14 +403,18 @@ class RootSystemData:
         return tuple(out)
 
     def lattice_coords(self, x: Vec, basis: Sequence[Vec]):
-        """Integer coordinates of the finite vector x in the given basis."""
+        """Integer coordinates of the finite vector x in the given basis;
+        None if x is not an integer combination of it, or if the vectors
+        are not a basis."""
         n = self.n
         if any(x[n:]):
             return None
-        mat = [[basis[j][i] for j in range(n)] for i in range(n)]
-        rhs = list(x[:n])
-        coeffs = _solve(mat, rhs)
-        if coeffs is None or any(c.denominator != 1 for c in coeffs):
+        try:
+            inv = mat_inv([[basis[j][i] for j in range(n)] for i in range(n)])
+        except ValueError:
+            return None
+        coeffs = [sum(c * xi for c, xi in zip(row, x) if c and xi) for row in inv]
+        if any(c.denominator != 1 for c in coeffs):
             return None
         return tuple(int(c) for c in coeffs)
 
@@ -480,7 +439,8 @@ class RootSystemData:
             for i, a in enumerate(self.simple_roots)
             if self.bilinear(self.phi, a) != 0
         ]
-        assert len(cand) == 1
+        if len(cand) != 1:
+            raise ValueError(f"{len(cand)} finite nodes are not orthogonal to phi")
         return cand[0]
 
     def ell0(self) -> int:
@@ -502,21 +462,32 @@ class RootSystemData:
         }
 
 
-def _solve(mat, rhs):
-    """Solve a square rational linear system; None if singular."""
-    n = len(rhs)
-    m = [[Fraction(mat[i][j]) for j in range(n)] + [Fraction(rhs[i])] for i in range(n)]
+def mat_inv(a) -> tuple[tuple[Fraction, ...], ...]:
+    """The inverse of a square matrix, in Fractions, by Gauss-Jordan
+    elimination; ValueError if it is singular.  This is the package's one
+    exact linear solver: a system a x = b is solved as mat_inv(a) b."""
+    # Zero entries are skipped and shared, not rebuilt: the matrices
+    # inverted here (lattice bases, Gram matrices) are sparse.
+    n = len(a)
+    aug = [
+        [x if x.__class__ is Fraction else Fraction(x) for x in row]
+        + [_F1 if i == j else _F0 for j in range(n)]
+        for i, row in enumerate(a)
+    ]
     for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        piv = next((r for r in range(col, n) if aug[r][col]), None)
         if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        pr = m[col]
+            raise ValueError("singular matrix")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        d = aug[col][col]
+        aug[col] = [x / d if x else x for x in aug[col]]
         for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col] / pr[col]
-                m[r] = [v2 - f * v1 for v1, v2 in zip(pr, m[r])]
-    return [m[i][n] / m[i][i] for i in range(n)]
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [
+                    x - f * y if y else x for x, y in zip(aug[r], aug[col])
+                ]
+    return tuple(tuple(row[n:]) for row in aug)
 
 
 def _diagonal_scales(basis: Sequence[Vec]) -> tuple[int, ...]:
@@ -566,9 +537,8 @@ def _build(label: AffineLabel) -> RootSystemData:
             gram[i][j] = cartan.cartan[i + 1][j + 1] / cartan.d[i + 1]
     gram[IDELTA][ILAM] = _F1
     gram[ILAM][IDELTA] = _F1
-    for i in range(dim):
-        for j in range(dim):
-            assert gram[i][j] == gram[j][i], "form must be symmetric"
+    if any(gram[i][j] != gram[j][i] for i in range(dim) for j in range(dim)):
+        raise ValueError(f"{label}: the bilinear form is not symmetric")
     gram = tuple(tuple(row) for row in gram)
 
     theta = [_F0] * dim
@@ -615,7 +585,8 @@ def _enumerate_positive_roots(rs: RootSystemData) -> list[Vec]:
                     nxt.append(w)
         frontier = nxt
     pos = [v for v in seen if _is_positive(v, rs.n)]
-    assert 2 * len(pos) == len(seen)
+    if 2 * len(pos) != len(seen):
+        raise ValueError("the root closure is not split into positive and negative roots")
     pos.sort(key=lambda v: (sum(v[: rs.n]), v))
     return pos
 
@@ -633,8 +604,8 @@ def _highest_root(rs: RootSystemData, pos: list[Vec]) -> Vec:
     # The highest root is the unique positive root of maximal height that
     # is dominant; for our systems maximal height suffices.
     best = max(pos, key=lambda v: sum(v[: rs.n]))
-    for a in rs.simple_roots:
-        assert rs.bilinear(best, a) >= 0, "highest root must be dominant"
+    if any(rs.bilinear(best, a) < 0 for a in rs.simple_roots):
+        raise ValueError("the highest root is not dominant")
     return best
 
 

@@ -17,6 +17,7 @@ from functools import cache, cached_property
 from operator import mul
 
 from .rootsys import RootSystemData, Vec, as_int, vsub, vscale
+from .rootsys import mat_inv  # noqa: F401  (public here: tests and bench/spans.py use weyl.mat_inv)
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -50,27 +51,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 def mat_vec(a: Matrix, v) -> tuple:
     return tuple([sum(map(mul, row, v)) for row in a])
-
-
-def mat_inv(a) -> tuple[tuple[Fraction, ...], ...]:
-    """The inverse of an invertible matrix, in Fractions."""
-    n = len(a)
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(a)
-    ]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        d = aug[col][col]
-        aug[col] = [x / d if x else x for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [
-                    x - f * y if y else x for x, y in zip(aug[r], aug[col])
-                ]
-    return tuple(tuple(row[n:]) for row in aug)
 
 
 def _divide(a: Matrix, d: int) -> Matrix:
@@ -161,6 +141,14 @@ class WeylElement:
 
     def is_identity(self) -> bool:
         return self.matrix == _identity(self.rs.n)
+
+
+def braid_sides(x, y, lace: int) -> tuple[tuple, tuple]:
+    """The two sides x y x ... = y x y ... of the braid relation between
+    nodes joined by lace = a_ij a_ji = 0, 1, 2, 3 laces, of length
+    m = 2, 3, 4, 6 (the order of s_i s_j)."""
+    m = {0: 2, 1: 3, 2: 4, 3: 6}[lace]
+    return (x, y) * (m // 2) + (x,) * (m % 2), (y, x) * (m // 2) + (y,) * (m % 2)
 
 
 def identity(rs: RootSystemData) -> WeylElement:
@@ -326,7 +314,11 @@ class WeylGroup:
 
     def xy_candidates(self) -> tuple[WeylElement, WeylElement]:
         """x = s_theta v_circ w_circ and y = s_phi v_circ w_circ, not yet
-        checked against the structural lemma."""
+        checked against the structural lemma; computed once per group."""
+        return self._xy
+
+    @cached_property
+    def _xy(self) -> tuple[WeylElement, WeylElement]:
         rs = self.rs
         if self.is_simply_laced():
             raise ValueError("x, y are defined for non-simply-laced data only")

@@ -209,10 +209,11 @@ def test_criterion_8_appendix_a():
             failures.append((name, "length factorization i"))
         if wg.length(s_ph) != wg.length(s_th * s_ph) + wg.length(reflect(rs, theta_p)):
             failures.append((name, "length factorization ii"))
-        # the x/y structural properties are asserted inside compute_xy
+        # compute_xy checks the x/y structural properties and raises
+        # ValueError, naming the failed identities, when one fails
         try:
             x, y = wg.compute_xy()
-        except AssertionError as exc:
+        except ValueError as exc:
             failures.append((name, f"xy structure {exc}"))
             continue
         # explicit x/y identifications

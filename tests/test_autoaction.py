@@ -45,11 +45,11 @@ def test_maps_are_automorphisms(name):
 @pytest.mark.parametrize("name", SMALL)
 def test_e_fixes_central_class(name):
     # the image of C under e is tau_delta^{+-1}
-    from dawcox.autoaction import _gd
+    from dawcox.presentation import generator_dictionary
 
-    gd = _gd(name)
+    gd = generator_dictionary(name)
     e = e_map(name)
-    dst = _gd(e.dst)
+    dst = generator_dictionary(e.dst)
     img = dst.evaluate(e.apply_word(gd.presentation.central_word))
     assert img.is_central_power() and img.k in (1, -1)
 
@@ -58,13 +58,13 @@ def test_e_fixes_central_class(name):
 def test_canon_map_consistency(name):
     """The structural evaluator agrees with word substitution on the
     presentation generators."""
-    from dawcox.autoaction import _gd
+    from dawcox.presentation import generator_dictionary
 
-    gd = _gd(name)
+    gd = generator_dictionary(name)
     for maker in (a_map, b_map, e_map):
         m = maker(name)
         cm = CanonMap.from_endo(m)
-        dst = _gd(m.dst)
+        dst = generator_dictionary(m.dst)
         for g in gd.presentation.generators:
             word_img = dst.evaluate(m.apply_word(((g, 1),)))
             struct_img = cm.apply(gd.images[g])
@@ -92,9 +92,9 @@ def test_central_element_action(name):
 
 def test_w0_minus_id_families():
     # dddotB3 has w0 = -id; the conjugation action is by -id there
-    from dawcox.autoaction import _gd
+    from dawcox.presentation import generator_dictionary
 
-    gd = _gd("dddotB3")
+    gd = generator_dictionary("dddotB3")
     w0 = gd.ctx.wg.longest_element()
     assert gd.ctx.wg.acts_as_minus_identity(w0)
 
@@ -123,11 +123,11 @@ def test_matrix_kernel_words_act_as_central_powers():
     whose matrix is +-I acts on dddotA1 like the corresponding power of
     the central element (trivially for +I since w0^2 = 1, by conjugation
     by w0 for -I)."""
-    from dawcox.autoaction import _gd
+    from dawcox.presentation import generator_dictionary
     from dawcox.congruence import eval_word
 
     name = "dddotA1"
-    gd = _gd(name)
+    gd = generator_dictionary(name)
     ctx = gd.ctx
     w0 = ctx.w(ctx.wg.longest_element())
     hits = []

@@ -1,11 +1,19 @@
+import contextlib
+import functools
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import dawcox
-from dawcox.cli import main
+from dawcox import dagroup, diagrams, presentation
+from dawcox.cli import RANK_MATRIX, main
 from dawcox.weyl import WeylGroup
 
 
@@ -184,3 +192,113 @@ def test_appendix_a_checks_under_python_O():
     assert [c["status"] for c in good["checks"]] == ["pass"]
     assert [c["status"] for c in bad["checks"]] == ["FAIL"]
     assert "s_phi s_theta = y x" in bad["checks"][0]["witness"]["failures"]
+
+
+def test_verify_enumerates_a_weyl_group_once(capsys, monkeypatch):
+    # fresh per-label caches for this test; monkeypatch restores the
+    # process-wide ones afterwards
+    for module, name in ((dagroup, "_context"), (presentation, "_generator_dictionary")):
+        fresh = functools.cache(getattr(module, name).__wrapped__)
+        monkeypatch.setattr(module, name, fresh)
+    calls = []
+    real = WeylGroup.enumerate
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(WeylGroup, "enumerate", counting)
+    for suite in ("presentation", "appendixA"):
+        code, _, _ = run(capsys, "verify", "--family", "ddotF4", "--suite", suite)
+        assert code == 0
+    assert len(calls) == 1
+
+
+def _strip_elapsed(report):
+    report.pop("elapsed_ms")
+    for check in report["checks"]:
+        check.pop("elapsed_ms")
+    return report
+
+
+def test_verify_report_does_not_depend_on_warm_caches(capsys):
+    argv = ("verify", "--family", "ddotB2", "--suite", "all", "--json")
+    first, second = (run(capsys, *argv) for _ in range(2))
+    assert first[0] == second[0] == 0
+    assert _strip_elapsed(json.loads(first[1])) == _strip_elapsed(json.loads(second[1]))
+
+
+# ---------------------------------------------------------------------
+# The CLI contract on arbitrary input: exit code 0, 1 or 2, no traceback,
+# and the same output for the same invocation.
+
+FAMILIES = sorted(
+    set(diagrams.TRIPLE_FAMILIES) | set(diagrams.STAR_FAMILIES) | set(diagrams.DDOT_FAMILIES)
+)
+GENERATORS = ["T1", "T2", "T3", "Theta01", "Theta02", "Theta03", "Theta0", "Phi0", "C"]
+
+junk = st.text(alphabet="abcdAB0123(),;' -", max_size=8)
+family = st.sampled_from(FAMILIES) | st.sampled_from(RANK_MATRIX) | junk
+rank = st.none() | st.integers(0, 4)
+entry = st.integers(-6, 6)
+SL2 = [
+    f"{a},{b};{c},{d}"
+    for a in range(-6, 7) for b in range(-6, 7) for c in range(-6, 7) for d in range(-6, 7)
+    if a * d - b * c == 1
+]
+# half the draws lie in SL(2, Z), so that the commands get past the
+# determinant check
+matrix = st.sampled_from(SL2) | (st.builds("{},{};{},{}".format, entry, entry, entry, entry) | junk)
+word = st.lists(
+    st.builds(str.__add__, st.sampled_from(GENERATORS + [""]), st.sampled_from(["", "'"])),
+    max_size=6,
+).map(" ".join)
+
+
+def _with_rank(argv, r):
+    return argv + ["--rank", str(r)] if r is not None else argv
+
+
+invocation = st.one_of(
+    st.builds(
+        lambda f, r, dot: _with_rank(["diagram", "--family", f], r) + (["--dot"] if dot else []),
+        family, rank, st.booleans(),
+    ),
+    st.builds(
+        lambda s, n: ["params", "--system", s] + ([] if n is None else ["--n", str(n)]),
+        st.sampled_from(["A1(1)", "Cn(1)", "(Cn^,Cn)", "A2n(2)", "Dn+1(2)", "E6(2)"]) | junk,
+        rank,
+    ),
+    st.builds(lambda f, r, w: _with_rank(["nf", "--family", f, "--word", w], r), family, rank, word),
+    st.builds(
+        lambda m, lv: ["decompose", f"--matrix={m}", "--level", str(lv)],
+        matrix, st.sampled_from([1, 2, 3]) | st.integers(0, 4),
+    ),
+    st.builds(
+        lambda m, f: ["involution", f"--matrix={m}", "--family", f],
+        matrix, st.sampled_from(["dddotA1", "ddotB2", "ddotG2", "dddotC1star"]) | junk,
+    ),
+    st.builds(
+        lambda f, s, js: ["verify", "--family", f, "--suite", s] + (["--json"] if js else []),
+        st.sampled_from(["dddotA1", "dddotA2", "dddotC2", "ddotB2", "ddotG2"]) | junk,
+        st.sampled_from(["presentation", "bernstein", "auto", "appendixA", "all", "none"]),
+        st.booleans(),
+    ),
+)
+
+
+def _call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    # verify reports its own running time; everything else must repeat exactly
+    return code, re.sub(r'\d+ ms|"elapsed_ms": \d+', "ms", out.getvalue()), err.getvalue()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(invocation)
+def test_cli_contract_on_arbitrary_input(argv):
+    code, out, err = _call(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err, (argv, err)
+    assert _call(argv) == (code, out, err), argv

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -143,6 +147,31 @@ def test_decompose_upsilon_members(a_seed, b):
 def test_decompose_rejects_nonmembers():
     with pytest.raises(cg.NotInGroupError):
         decompose(U21, 2)
+
+
+_CORRUPT_DECOMPOSE = """
+import sys
+from dawcox import congruence
+
+if not sys.flags.optimize:
+    sys.exit("expected to run under -O")
+congruence.free_reduce = lambda word: tuple(word)[1:]  # drops a letter
+try:
+    congruence.decompose(congruence.Mat2(0, -1, 1, 0), 1)
+except ValueError as exc:
+    print(exc)
+"""
+
+
+def test_decompose_checks_its_round_trip_under_python_O():
+    # asserts vanish under -O; the round-trip check must not
+    env = {**os.environ, "PYTHONPATH": str(Path(cg.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _CORRUPT_DECOMPOSE],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "does not evaluate to it" in proc.stdout
 
 
 def test_word_text_roundtrip():

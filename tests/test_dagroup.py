@@ -285,3 +285,7 @@ def test_contexts_share_one_root_system():
     b = context(parse_label("B3(1)"), half_delta=True)
     assert a is not b and a.rs is b.rs
     assert build("B3(1)") is a.rs
+    # one context per (label, half_delta), however the label is spelled
+    assert context(parse_label("B3(1)")) is a
+    assert context("B3(1)", half_delta=True) is b
+    assert a.lam_walk is a.lam_walk and a.tau_walk is not b.tau_walk

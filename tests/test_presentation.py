@@ -32,15 +32,24 @@ def test_elliptic_relations_only_for_ell0_2():
     assert not any(n.startswith("ellbraid") for n, _, _ in p3.relations)
 
 
+def test_generator_dictionary_is_built_once_per_label():
+    from dawcox import diagrams
+
+    gd = pr.generator_dictionary("dddotC2")
+    assert pr.generator_dictionary(diagrams.parse("dddotC2")) is gd
+    assert pr.generator_dictionary("dddotC2star") is not gd
+    assert gd.psi is gd.psi
+
+
 def test_central_image_is_tau_delta():
     for name in ["dddotA2", "dddotC2", "ddotB3", "ddotG2"]:
-        gd = pr.phi_dictionary(name)
+        gd = pr.generator_dictionary(name)
         c = gd.central_image()
         assert c.is_central_power() and c.k == 1
 
 
 def test_finite_generator_images_are_involutions():
-    gd = pr.phi_dictionary("dddotC2")
+    gd = pr.generator_dictionary("dddotC2")
     for i in (1, 2):
         img = gd.images[f"T{i}"]
         assert (img * img).is_identity()
@@ -56,7 +65,7 @@ def test_theta02_image_squares_to_identity_in_cn1():
 
 
 def test_superfluous_branch_star_relations():
-    gd = pr.phi_dictionary("dddotC2star")
+    gd = pr.generator_dictionary("dddotC2star")
     # the square relation in the half-delta quotient
     sq = gd.evaluate((("Theta02", 2),), half=True)
     assert sq.is_identity()
@@ -104,7 +113,7 @@ def test_distinguished_simply_laced():
 
 def test_psi_untwisted_theta_word():
     # psi(X_{theta^v}) = Theta03 Theta: its image is tau_{theta^v}
-    gd = pr.phi_dictionary("dddotB3")
+    gd = pr.generator_dictionary("dddotB3")
     pres = gd.presentation
     word = pr.wmul((("Theta03", 1),), pres.theta_word)
     ctx = gd.ctx
@@ -113,7 +122,7 @@ def test_psi_untwisted_theta_word():
 
 def test_psi_twisted_phi_word():
     # psi(X_{phi^v}) = Phi0 Phi
-    gd = pr.phi_dictionary("ddotF4")
+    gd = pr.generator_dictionary("ddotF4")
     pres = gd.presentation
     word = pr.wmul((("Phi0", 1),), pres.phi_word)
     ctx = gd.ctx
