@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 
@@ -305,10 +306,25 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _attach_matrix_values(argv: list[str]) -> list[str]:
+    """`--matrix -1,1;-6,5` as `--matrix=-1,1;-6,5`, and the same for an
+    abbreviation such as `--mat`: argparse would take a value that starts
+    with a minus sign for an option and stop."""
+    out: list[str] = []
+    for tok in argv:
+        prev = out[-1] if out else ""
+        if len(prev) > 2 and "--matrix".startswith(prev) and re.match(r"-\d", tok):
+            out[-1] = f"{prev}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_matrix_values(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     return args.fn(args)

@@ -25,6 +25,7 @@ while tau_beta is the honest translation by beta.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cache, cached_property
 from operator import add, mul
@@ -33,6 +34,7 @@ from .rootsys import (
     AffineLabel,
     RootSystemData,
     Vec,
+    as_int,
     build,
     mat_inv,
     parse_label,
@@ -375,7 +377,13 @@ class AffineWalk:
 
     The affine group acts on the finite weight space by x -> s_c(x) +
     nu(c^v) for the affine generator; the walls of the fundamental
-    alcove are (x, alpha_i^v) = 0 and (x, c^v) = kappa.
+    alcove are (x, alpha_i^v) = 0 and (x, c^v) = kappa.  The walk runs on
+    the integer vector of wall values V = D ((x, alpha_1^v), ...,
+    (x, alpha_n^v)), with one common denominator D per walk such that
+    D kappa is an integer.  With A the finite Cartan matrix and c^v =
+    sum_i gamma_i alpha_i^v, s_i subtracts V_i times column i of A, the
+    affine wall value is D kappa - sum_i gamma_i V_i, and the affine
+    generator adds that value times the integers <c, alpha_j^v>.
     """
 
     def __init__(self, ctx: DaweylContext, kind: str):
@@ -385,98 +393,94 @@ class AffineWalk:
         self.ctx = ctx
         self.kind = kind
         rs = ctx.rs
+        n = rs.n
         if kind == "lam":
-            self.c_root = rs.theta
-            self.aff_gen = ctx.s(0)
+            c_root = rs.theta
+            aff_gen = ctx.s(0)
         elif kind == "tau":
-            self.c_root = ctx.c_root
-            self.aff_gen = ctx.tau(ctx.nu_c_v) * ctx.w(ctx.s_c)
+            c_root = ctx.c_root
+            aff_gen = ctx.tau(ctx.nu_c_v) * ctx.w(ctx.s_c)
         else:
             raise ValueError(kind)
-        self.c_coroot = rs.coroot(self.c_root)
-        self.kappa = Fraction(2) / rs.bilinear(self.c_root, self.c_root)
-        self.simple_coroots = rs.simple_coroots()
-        self.base = self._base_point()
-
-    def _wall_values(self, x: Vec):
-        rs = self.ctx.rs
-        vals = [rs.bilinear(x, av) for av in self.simple_coroots]
-        vals.append(self.kappa - rs.bilinear(x, self.c_coroot))
-        return vals
-
-    def _base_point(self) -> Vec:
+        self.generators = (aff_gen,) + tuple(ctx.s(i) for i in range(1, n + 1))
+        cartan = rs.finite_cartan
+        self.cartan = cartan
+        # the non-zero entries (j, A[j][i]) of column i: the wall values
+        # that s_i changes
+        self.columns = tuple(
+            tuple((j, row[i]) for j, row in enumerate(cartan) if row[i])
+            for i in range(n)
+        )
+        c = [as_int(x, "root coordinate") for x in c_root[:n]]
+        self.c_pairings = tuple(
+            (j, p) for j, p in enumerate(mat_vec(cartan, c)) if p
+        )  # the non-zero <c, alpha_j^v>
+        gamma = rs.lattice_coords(rs.coroot(c_root), rs.qcheck_basis())
+        if gamma is None:
+            raise ValueError("c^v is not an integer combination of the simple coroots")
+        self.gamma = gamma
+        kappa = Fraction(2) / rs.bilinear(c_root, c_root)
         # A generic interior point of the fundamental alcove: prescribe
         # small unequal positive values for (x, alpha_i^v) and shrink
         # until the affine wall value is positive too.
-        rs = self.ctx.rs
-        n = rs.n
-        basis = [
-            tuple(_F1 if j == i else _F0 for j in range(n)) + (_F0, _F0)
-            for i in range(n)
-        ]
-        pairing_inv = mat_inv([
-            [rs.bilinear(basis[j], self.simple_coroots[i]) for j in range(n)]
-            for i in range(n)
-        ])
         for attempt in range(1, 40):
             denom = 1 << attempt
-            rhs = [Fraction(i + 2, (i + 3) * denom) for i in range(n)]
-            x = mat_vec(pairing_inv, rhs) + (_F0, _F0)
-            vals = self._wall_values(x)
-            if all(v > 0 for v in vals):
-                return x
-        raise RuntimeError("no interior base point found")
+            vals = [Fraction(i + 2, (i + 3) * denom) for i in range(n)]
+            if kappa > sum(map(mul, gamma, vals)):
+                break
+        else:
+            raise RuntimeError("no interior base point found")
+        self.denom = math.lcm(kappa.denominator, *(v.denominator for v in vals))
+        self.kappa_d = as_int(self.denom * kappa, "scaled kappa")
+        self.base_values = [as_int(self.denom * v, "scaled wall value") for v in vals]
+        # the base point in simple-root coordinates: A x = vals
+        self.base = mat_vec(mat_inv(cartan), vals)
 
-    def _apply(self, i: int, x: Vec) -> Vec:
-        """Apply generator i (0 = affine) to a point of the finite space."""
-        rs = self.ctx.rs
-        if i == 0:
-            y = vsub(x, vscale(rs.bilinear(x, self.c_coroot) - self.kappa, self.c_root))
-            return y
-        a = rs.simple_roots[i - 1]
-        return vsub(x, vscale(rs.bilinear(x, rs.coroot(a)), a))
+    def _values_of(self, g: DaweylElement) -> list[int]:
+        """The scaled wall values of the image of the base point under g
+        through the subgroup action; ValueError if they are not integers,
+        for then g is not in the subgroup."""
+        # For "lam": g = w lam_mu tau_beta tau_delta^k sends the base
+        # point, lifted to level one, to w(x + mu + beta) + (a multiple
+        # of delta); for "tau": g acts on the finite space by w(x + beta).
+        n = self.ctx.n
+        shift = self.base if self.kind == "tau" else tuple(map(add, self.base, g.mu[:n]))
+        y = g.w.act_finite(tuple(map(add, shift, g.beta[:n])))
+        vals = [self.denom * frac_sum(map(mul, row, y)) for row in self.cartan]
+        if any(v.denominator != 1 for v in vals):
+            raise ValueError("element is not in this affine subgroup")
+        return [v.numerator for v in vals]
 
     def word_for(self, g: DaweylElement):
         """A reduced word (tuple of indices, 0 = affine generator) with
         g = prod of generators, valid when g lies in the subgroup."""
-        target = self._point_of(g)
+        vals = self._values_of(g)
+        columns, c_pairings = self.columns, self.c_pairings
+        gamma, kappa_d = self.gamma, self.kappa_d
         word = []
-        x = target
-        guard = 0
         while True:
-            vals = self._wall_values(x)
-            neg = [i for i, v in enumerate(vals) if v < 0]
-            if not neg:
-                break
-            # wall index n is the affine wall -> generator 0
-            wall = neg[0]
-            gen = 0 if wall == self.ctx.rs.n else wall + 1
-            x = self._apply(gen, x)
-            word.append(gen)
-            guard += 1
-            if guard > 100000:
+            # the first negative wall value, the affine wall last
+            for i, v in enumerate(vals):
+                if v < 0:
+                    for j, a in columns[i]:
+                        vals[j] -= v * a
+                    word.append(i + 1)
+                    break
+            else:
+                v0 = kappa_d - sum(map(mul, gamma, vals))
+                if v0 >= 0:
+                    break
+                for j, p in c_pairings:
+                    vals[j] += v0 * p
+                word.append(0)
+            if len(word) > 100000:
                 raise RuntimeError("alcove walk did not terminate")
-        if x != self.base:
+        if vals != self.base_values:
             raise ValueError("element is not in this affine subgroup")
         return tuple(word)
 
-    def _point_of(self, g: DaweylElement) -> Vec:
-        """Image of the base point under g through the subgroup action."""
-        # For "lam": g = w lam_mu acts on the level-one slice: the finite
-        # image of the base point under the defining action with
-        # Lambda0-coefficient 1.  For "tau": g = w tau_beta acts by
-        # w(x) + w(beta) on the finite space.
-        rs = self.ctx.rs
-        if self.kind == "lam":
-            p = self.base[: rs.n] + (_F0, _F1)
-            q = g.act(p)
-            return q[: rs.n] + (_F0, _F0)
-        q = g.w.act(vadd(self.base, g.beta))
-        return q
-
     def evaluate(self, word) -> DaweylElement:
-        gens = (self.aff_gen if i == 0 else self.ctx.s(i) for i in word)
-        return product(self.ctx, gens)
+        return product(self.ctx, (self.generators[i] for i in word))
 
 
 def lam_word(ctx: DaweylContext, mu: Vec):

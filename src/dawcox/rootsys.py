@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
+from operator import mul
 from typing import Sequence
 
 Vec = tuple[Fraction, ...]
@@ -379,6 +380,13 @@ class RootSystemData:
         )
 
     @cached_property
+    def finite_cartan(self) -> tuple[tuple[int, ...], ...]:
+        """A[i][j] = <alpha_i^v, alpha_j> on the finite nodes 1..n.  In
+        simple-root coordinates, <v, alpha_j^v> = sum_i A[j][i] v_i, and
+        s_j changes coordinate j of v by that pairing and no other."""
+        return tuple(row[1:] for row in self.cartan.cartan[1:])
+
+    @cached_property
     def finite_form(self) -> tuple:
         """(S, T, d): S is the finite Gram matrix in the simple-root basis
         times its least common denominator, T = d S^{-1}, both integral.
@@ -410,13 +418,32 @@ class RootSystemData:
         if any(x[n:]):
             return None
         try:
-            inv = mat_inv([[basis[j][i] for j in range(n)] for i in range(n)])
+            inv = self._basis_inverse(basis)
         except ValueError:
             return None
         coeffs = [sum(c * xi for c, xi in zip(row, x) if c and xi) for row in inv]
         if any(c.denominator != 1 for c in coeffs):
             return None
         return tuple(int(c) for c in coeffs)
+
+    @cached_property
+    def _basis_inverses(self) -> dict:
+        return {}
+
+    def _basis_inverse(self, basis: Sequence[Vec]):
+        """The inverse of the matrix whose columns are the basis vectors;
+        ValueError if they are not a basis.  The kernel passes the same
+        two basis tuples, of M and nu(Q^v), on every call, so a tuple's
+        inverse is kept, keyed by its id: the entry holds the tuple, so
+        the id cannot pass to another object."""
+        hit = self._basis_inverses.get(id(basis))
+        if hit is not None:
+            return hit[1]
+        n = self.n
+        inv = mat_inv([[basis[j][i] for j in range(n)] for i in range(n)])
+        if isinstance(basis, tuple):
+            self._basis_inverses[id(basis)] = (basis, inv)
+        return inv
 
     def max_root_norm(self) -> Fraction:
         norms = {self.bilinear(a, a) for a in self.pos_roots}
@@ -569,26 +596,30 @@ def _build(label: AffineLabel) -> RootSystemData:
 
 
 def _enumerate_positive_roots(rs: RootSystemData) -> list[Vec]:
-    """Finite roots as the closure of the simple roots under reflections."""
-    simple = rs.simple_roots
-    coroots = [rs.coroot(a) for a in simple]
+    """Finite roots as the closure of the simple roots under reflections,
+    computed on int tuples in simple-root coordinates and converted to
+    Vec once at the end."""
+    n = rs.n
+    cartan = rs.finite_cartan
+    simple = [tuple(int(i == j) for i in range(n)) for j in range(n)]
     seen = set(simple)
-    frontier = list(simple)
+    frontier = simple
     while frontier:
         nxt = []
         for v in frontier:
-            for a, av in zip(simple, coroots):
-                w = vsub(v, vscale(rs.bilinear(v, a) * 2 / rs.bilinear(a, a), a))
-                # w = s_a(v) spelled out to avoid recomputing coroots
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
+            for j, row in enumerate(cartan):
+                p = sum(map(mul, row, v))  # <v, alpha_j^v>
+                if p:
+                    w = v[:j] + (v[j] - p,) + v[j + 1:]  # s_j(v)
+                    if w not in seen:
+                        seen.add(w)
+                        nxt.append(w)
         frontier = nxt
-    pos = [v for v in seen if _is_positive(v, rs.n)]
+    pos = [v for v in seen if _is_positive(v, n)]
     if 2 * len(pos) != len(seen):
         raise ValueError("the root closure is not split into positive and negative roots")
-    pos.sort(key=lambda v: (sum(v[: rs.n]), v))
-    return pos
+    pos.sort(key=lambda v: (sum(v), v))
+    return [tuple(map(Fraction, v)) + (_F0, _F0) for v in pos]
 
 
 def _is_positive(v: Vec, n: int) -> bool:

@@ -110,6 +110,21 @@ def test_involution_negative(capsys):
     assert "member: no, involution: no" in out
 
 
+def test_decompose_negative_matrix_space_separated(capsys):
+    # a value that starts with a minus sign is not taken for an option
+    spaced = run(capsys, "decompose", "--matrix", "-1,1;-6,5", "--level", "1")
+    joined = run(capsys, "decompose", "--matrix=-1,1;-6,5", "--level", "1")
+    assert spaced == joined == run(capsys, "decompose", "--mat", "-1,1;-6,5", "--level", "1")
+    assert spaced[0] == 0 and "round-trip: ok" in spaced[1]
+
+
+def test_involution_negative_matrix_space_separated(capsys):
+    spaced = run(capsys, "involution", "--matrix", "-1,1;-6,5", "--family", "dddotA1")
+    joined = run(capsys, "involution", "--matrix=-1,1;-6,5", "--family", "dddotA1")
+    assert spaced == joined
+    assert spaced[0] == 0 and "member: no, involution: no" in spaced[1]
+
+
 def test_verify_single_family(capsys):
     code, out, _ = run(
         capsys, "verify", "--family", "dddotC2", "--suite", "presentation", "--json"
@@ -249,6 +264,10 @@ SL2 = [
 # half the draws lie in SL(2, Z), so that the commands get past the
 # determinant check
 matrix = st.sampled_from(SL2) | (st.builds("{},{};{},{}".format, entry, entry, entry, entry) | junk)
+# --matrix=VALUE and --matrix VALUE, which must parse the same
+matrix_option = st.builds(
+    lambda m, joined: [f"--matrix={m}"] if joined else ["--matrix", m], matrix, st.booleans()
+)
 word = st.lists(
     st.builds(str.__add__, st.sampled_from(GENERATORS + [""]), st.sampled_from(["", "'"])),
     max_size=6,
@@ -271,12 +290,12 @@ invocation = st.one_of(
     ),
     st.builds(lambda f, r, w: _with_rank(["nf", "--family", f, "--word", w], r), family, rank, word),
     st.builds(
-        lambda m, lv: ["decompose", f"--matrix={m}", "--level", str(lv)],
-        matrix, st.sampled_from([1, 2, 3]) | st.integers(0, 4),
+        lambda m, lv: ["decompose", *m, "--level", str(lv)],
+        matrix_option, st.sampled_from([1, 2, 3]) | st.integers(0, 4),
     ),
     st.builds(
-        lambda m, f: ["involution", f"--matrix={m}", "--family", f],
-        matrix, st.sampled_from(["dddotA1", "ddotB2", "ddotG2", "dddotC1star"]) | junk,
+        lambda m, f: ["involution", *m, "--family", f],
+        matrix_option, st.sampled_from(["dddotA1", "ddotB2", "ddotG2", "dddotC1star"]) | junk,
     ),
     st.builds(
         lambda f, s, js: ["verify", "--family", f, "--suite", s] + (["--json"] if js else []),
