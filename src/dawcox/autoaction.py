@@ -14,10 +14,13 @@ coordinates) instead of by word substitution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+
 from . import congruence, diagrams
 from .congruence import Mat2, braid_lift, decompose, decompose_gamma12_prime, member
 from .dagroup import DaweylContext, DaweylElement, product
 from .presentation import Word, free_reduce, generator_dictionary, winv, wmul
+from .weyl import braid_sides
 
 
 @dataclass
@@ -288,16 +291,10 @@ def braid_identity_check(label_name: str) -> dict:
     checked generator-wise in the Weyl quotient."""
     r = generator_dictionary(label_name).presentation.label
     twist = diagrams.correspondence(r).twist
-    A, B = canon(label_name, "a"), canon(label_name, "b")
-    if twist == 1:
-        lhs = A.compose(B).compose(A)
-        rhs = B.compose(A).compose(B)
-    elif twist == 2:
-        lhs = A.compose(B).compose(A).compose(B)
-        rhs = B.compose(A).compose(B).compose(A)
-    else:
-        lhs = A.compose(B).compose(A).compose(B).compose(A).compose(B)
-        rhs = B.compose(A).compose(B).compose(A).compose(B).compose(A)
+    lhs, rhs = (
+        reduce(CanonMap.compose, side)
+        for side in braid_sides(canon(label_name, "a"), canon(label_name, "b"), twist)
+    )
     ok = lhs.agrees_with(rhs)
     inv_ok = (
         canon(label_name, "a").compose(canon(label_name, "a_inv")).is_identity_map()

@@ -8,6 +8,7 @@ deterministic; --json switches to machine-readable reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -16,17 +17,97 @@ import time
 from . import autoaction, congruence, dagroup, diagrams, heckeparams, presentation
 from .rootsys import UnknownTypeError
 
-# The default family/rank matrix driven by `verify --suite all`.
-RANK_MATRIX = [
+# The check registry.  `verify --suite all` runs every check of LABELS;
+# --large adds the E7/E8 labels.  CHECKS maps each suite to its checks
+# (name, applies(label), run(label) -> (ok, witness)); the check id is
+# "<label name>:<name>".
+LABELS = (
     "dddotA1", "dddotA2", "dddotA3", "dddotA4", "dddotA1star",
     "dddotB3", "dddotB4", "dddotC2", "dddotC3",
     "dddotC1star", "dddotC2star", "dddotC3star",
-    "dddotD4", "dddotE6", "dddotF4", "dddotG2",
-    "ddotB2", "ddotB3", "ddotC3", "ddotF4", "ddotG2",
-]
+    "dddotD4", "dddotD5", "dddotE6", "dddotF4", "dddotG2",
+    "ddotB2", "ddotB3", "ddotB4", "ddotC3", "ddotC4", "ddotF4", "ddotG2",
+)
+LARGE = ("dddotE7", "dddotE8")
 
-PRESENTATION_ONLY = {"dddotE6", "dddotE7", "dddotE8"}
-LARGE = {"dddotE7", "dddotE8"}
+
+def _presentation(lab):
+    rep = presentation.verify_presentation(lab)
+    return not rep["failures"], rep
+
+
+def _bernstein(lab):
+    rep = dagroup.verify_bernstein_relations(diagrams.correspondence(lab))
+    return not rep["failures"], rep
+
+
+def _a2n2_comparison(lab):
+    rep = dagroup.A2n2Comparison(lab.rank).report()
+    return all(rep.values()), rep
+
+
+def _auto(lab):
+    name = str(lab)
+    failures = []
+    for maker in (autoaction.a_map, autoaction.b_map, autoaction.e_map):
+        failures.extend(autoaction.is_automorphism(maker(name))[1])
+    braid = autoaction.braid_identity_check(name)
+    central = autoaction.central_element_action(name)
+    ok = not failures and braid["braid"] and braid["inverses"] and central["ok"]
+    return ok, {"failures": failures, "braid": braid, "central": central}
+
+
+def _auto_cstar(lab):
+    rep = autoaction.cstar_restriction_check(lab.rank)
+    return rep["ok"], rep
+
+
+def _appendix_a(lab):
+    wg = dagroup.context(diagrams.correspondence(lab)).wg
+    if wg.is_simply_laced():
+        return True, {"skipped": "simply-laced"}
+    x, y = wg.xy_candidates()
+    failures = wg.xy_failures(x, y)
+    witness = {
+        "x": list(wg.reduced_word(x)),
+        "y": list(wg.reduced_word(y)),
+        "failures": failures,
+    }
+    return not failures, witness
+
+
+def _every(lab) -> bool:
+    return True
+
+
+def _star(lab) -> bool:
+    return lab.is_star
+
+
+def _plain(lab) -> bool:
+    return not lab.is_star
+
+
+CHECKS = {
+    "presentation": (("presentation", _every, _presentation),),
+    "bernstein": (
+        ("bernstein", _every, _bernstein),
+        ("a2n2-comparison", _star, _a2n2_comparison),
+    ),
+    "auto": (("auto", _plain, _auto), ("auto-cstar", _star, _auto_cstar)),
+    "appendixA": (("appendixA", _every, _appendix_a),),
+}
+
+
+def checks_for(name: str, suite: str):
+    """The (check id, run) pairs of one label name in one suite, or in
+    every suite for "all", in registry order."""
+    lab = diagrams.parse(name)
+    for key, table in CHECKS.items():
+        if suite in (key, "all"):
+            for check, applies, run in table:
+                if applies(lab):
+                    yield f"{name}:{check}", functools.partial(run, lab)
 
 
 def _fail(msg: str) -> int:
@@ -147,61 +228,6 @@ def cmd_involution(args) -> int:
     return 0
 
 
-def _suite_checks(name: str, suite: str, large: bool):
-    """Yield (check id, callable) pairs for one family."""
-    lab = diagrams.parse(name)
-    presentation_only = name in PRESENTATION_ONLY
-    if suite in ("presentation", "all"):
-        def run_pres():
-            rep = presentation.verify_presentation(name)
-            return not rep["failures"], rep
-        yield f"{name}:presentation", run_pres
-    if presentation_only:
-        return
-    if suite in ("bernstein", "all"):
-        aff = diagrams.correspondence(lab)
-        def run_bern():
-            rep = dagroup.verify_bernstein_relations(aff)
-            return not rep["failures"], rep
-        yield f"{name}:bernstein", run_bern
-        if lab.is_star:
-            def run_cmp():
-                rep = dagroup.A2n2Comparison(lab.rank).report()
-                return all(rep.values()), rep
-            yield f"{name}:a2n2-comparison", run_cmp
-    if suite in ("auto", "all") and not lab.is_star:
-        def run_auto():
-            failures = []
-            for maker in (autoaction.a_map, autoaction.b_map, autoaction.e_map):
-                ok, f = autoaction.is_automorphism(maker(name))
-                if not ok:
-                    failures.extend(f)
-            braid = autoaction.braid_identity_check(name)
-            central = autoaction.central_element_action(name)
-            ok = not failures and braid["braid"] and braid["inverses"] and central["ok"]
-            return ok, {"failures": failures, "braid": braid, "central": central}
-        yield f"{name}:auto", run_auto
-    if suite in ("auto", "all") and lab.is_star:
-        def run_star():
-            rep = autoaction.cstar_restriction_check(lab.rank)
-            return rep["ok"], rep
-        yield f"{name}:auto-cstar", run_star
-    if suite in ("appendixA", "all"):
-        def run_appa():
-            wg = dagroup.context(diagrams.correspondence(lab)).wg
-            if wg.is_simply_laced():
-                return True, {"skipped": "simply-laced"}
-            x, y = wg.xy_candidates()
-            failures = wg.xy_failures(x, y)
-            witness = {
-                "x": list(wg.reduced_word(x)),
-                "y": list(wg.reduced_word(y)),
-                "failures": failures,
-            }
-            return not failures, witness
-        yield f"{name}:appendixA", run_appa
-
-
 def cmd_verify(args) -> int:
     if args.family:
         try:
@@ -209,14 +235,12 @@ def cmd_verify(args) -> int:
         except UnknownTypeError as exc:
             return _fail(str(exc))
     else:
-        names = list(RANK_MATRIX)
-        if args.large:
-            names += sorted(LARGE)
+        names = LABELS + LARGE if args.large else LABELS
     checks = []
     t0 = time.monotonic()
     any_fail = False
     for name in names:
-        for check_id, fn in _suite_checks(name, args.suite, args.large):
+        for check_id, fn in checks_for(name, args.suite):
             start = time.monotonic()
             try:
                 ok, witness = fn()
@@ -240,8 +264,6 @@ def cmd_verify(args) -> int:
             )
             if not ok:
                 any_fail = True
-    if not checks:
-        return _fail(f"suite {args.suite} has no check for {', '.join(names)}")
     report = {
         "suite": args.suite,
         "checks": checks,
@@ -296,10 +318,10 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument(
         "--suite",
         default="all",
-        choices=("presentation", "bernstein", "auto", "appendixA", "all"),
+        choices=(*CHECKS, "all"),
     )
     v.add_argument("--large", action="store_true",
-                   help="include the E7/E8 presentation suites")
+                   help="include the E7/E8 labels")
     v.add_argument("--json", action="store_true")
     v.set_defaults(fn=cmd_verify)
 

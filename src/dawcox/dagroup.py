@@ -68,7 +68,6 @@ class DaweylContext:
         self.wg = WeylGroup(rs)
         self.half_delta = half_delta
         n = rs.n
-        self.nfin = n
         self.zero = vzero(rs.dim)
         self.zero_coords = (0,) * n
         self.s_theta = reflect(rs, rs.theta)
@@ -544,11 +543,21 @@ def verify_bernstein_relations(label) -> dict:
                 sb = ctx.tau(ctx.wg.simples[i - 1].act(b))
                 record(f"xconj i={i}", s[i] * tb * s[i], sb)
 
-    # X_delta central against every generator.
+    # X_delta central against every generator, and of infinite order.
     td = ctx.tau_delta()
     gens = s + [ctx.lam(m) for m in rs.m_basis()] + [ctx.tau(b) for b in simple_cor]
     for j, g in enumerate(gens):
         record(f"center gen={j}", g * td, td * g)
+    torsion = [k for k in range(1, 11) if (td**k).is_identity()]
+    checks.append(("tau_delta non-torsion", not torsion))
+    if torsion:
+        failures.append(
+            {
+                "relation": "tau_delta non-torsion",
+                "lhs_nf": f"tau_delta^{torsion[0]}",
+                "rhs_nf": "1",
+            }
+        )
 
     # Type (0,j) relations, split by the pairing with theta.
     theta = rs.theta
@@ -605,27 +614,6 @@ def verify_bernstein_relations(label) -> dict:
         "relations_checked": len(checks),
         "failures": failures,
     }
-
-
-# ---------------------------------------------------------------------
-# Centrality of tau_delta
-# ---------------------------------------------------------------------
-
-
-def center_contains_tau_delta(label) -> bool:
-    ctx = context(label)
-    rs = ctx.rs
-    td = ctx.tau_delta()
-    gens = [ctx.s(i) for i in range(rs.n + 1)]
-    gens += [ctx.lam(m) for m in rs.m_basis()]
-    gens += [ctx.tau(b) for b in rs.simple_coroots()]
-    for g in gens:
-        if g * td != td * g:
-            return False
-    for k in range(1, 11):
-        if (td**k).is_identity():
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------

@@ -62,10 +62,25 @@ class Presentation:
     central_word: Word
     # words for the distinguished elements (twisted families)
     extra_words: dict = field(default_factory=dict)
+    # derived identities (name, lhs, rhs): checked like the relations,
+    # but not part of the presentation that automorphisms must preserve
+    identities: tuple[tuple[str, Word, Word], ...] = ()
 
 
 def _word_of_indices(indices, letters=None) -> Word:
     return tuple((letters[i] if letters else f"T{i}", 1) for i in indices)
+
+
+# The labelled B2 braid pattern of Theta0, Phi0, Theta', Phi' on the
+# doubly-laced two-affine-node diagrams: the lacing of each pair.
+B2_PATTERN = {
+    ("Phi0", "PhiPrime"): 0,
+    ("Phi0", "ThetaPrime"): 2,
+    ("Theta0", "ThetaPrime"): 0,
+    ("Theta0", "PhiPrime"): 2,
+    ("ThetaPrime", "PhiPrime"): 2,
+    ("Theta0", "Phi0"): 2,
+}
 
 
 def build_presentation(lab: DoubleAffineLabel | str) -> Presentation:
@@ -105,13 +120,26 @@ def build_presentation(lab: DoubleAffineLabel | str) -> Presentation:
     phi_word = _word_of_indices(wg.reduced_word(reflect(rs, phi_fin)))
 
     extra: dict = {}
+    identities: list = []
     if d.label.base_family.startswith("dddot"):
         central = wmul(
             (("Theta01", 1), ("Theta02", 1), ("Theta03", 1)), theta_word
         )
         ell0 = rs.ell0()
+        t = f"T{rs.i_theta()}"
+        if ell0 == 1:
+            # Theta02 expressed through Theta01, Theta03 and the finite
+            # generators (untwisted families with a single lace at the
+            # affine node).
+            word = wmul(
+                (("Theta01", -1), (t, -1), ("Theta01", 1), (t, 1)),
+                winv(theta_word),
+                (("Theta03", -1), (t, 1), ("Theta03", 1)),
+                theta_word,
+                (("Theta01", 1), (t, -1)),
+            )
+            identities.append(("Theta02 expression", word, (("Theta02", 1),)))
         if ell0 == 2:
-            t = f"T{rs.i_theta()}"
             for (i, j) in ((1, 2), (1, 3), (2, 3)):
                 a, b = f"Theta0{i}", f"Theta0{j}"
                 conj = ((t, -1), (b, 1), (t, 1))
@@ -145,6 +173,25 @@ def build_presentation(lab: DoubleAffineLabel | str) -> Presentation:
             theta_word,
             (("Theta0", 1),),
         )
+        theta0, phi0 = (("Theta0", 1),), (("Phi0", 1),)
+        if d.label.base_family == "ddotG2":
+            i_th, i_ph = f"T{rs.i_theta()}", f"T{rs.i_phi()}"
+            rewrite = wmul(phi0, ((i_ph, 1), (i_th, 1), (i_ph, 1), (i_th, 1)), theta0)
+            rewrite_name = "C = (Phi0 Tiph Tith Tiph Tith Theta0)^2"
+        else:
+            words = {
+                "Theta0": theta0,
+                "Phi0": phi0,
+                "ThetaPrime": extra["ThetaPrime"],
+                "PhiPrime": extra["PhiPrime"],
+            }
+            for (a, b), lace in B2_PATTERN.items():
+                lhs, rhs = braid_sides(words[a], words[b], lace)
+                kind = "commute" if lace == 0 else "2-braid"
+                identities.append((f"B2 pattern {a},{b} {kind}", wmul(*lhs), wmul(*rhs)))
+            rewrite = wmul(phi0, extra["ThetaPrime"], extra["PhiPrime"], theta0)
+            rewrite_name = "C = (Phi0 Theta' Phi' Theta0)^2"
+        identities.append((rewrite_name, central, wmul(rewrite, rewrite)))
 
     # Centrality encoded as one commutator per generator.
     for a in names:
@@ -168,6 +215,7 @@ def build_presentation(lab: DoubleAffineLabel | str) -> Presentation:
         phi_word=phi_word,
         central_word=central,
         extra_words=extra,
+        identities=tuple(identities),
     )
 
 
@@ -294,13 +342,13 @@ def psi_words(gd: GeneratorDictionary) -> dict:
 
 
 def verify_presentation(lab) -> dict:
-    """Check every defining relation and the surjectivity round trip in
-    the double affine Weyl group."""
+    """Check every defining relation, every derived identity and the
+    surjectivity round trip in the double affine Weyl group."""
     gd = generator_dictionary(lab)
     pres = gd.presentation
     failures = []
     checked = 0
-    for name, lhs, rhs in pres.relations:
+    for name, lhs, rhs in pres.relations + pres.identities:
         checked += 1
         if name.startswith("star"):
             if name == "star Theta02^2":
@@ -394,92 +442,3 @@ def distinguished_elements(lab) -> dict:
     if failed:
         raise ValueError(f"{lab}: {'; '.join(failed)} fails")
     return out
-
-
-def b2_pattern_check(lab) -> dict:
-    """For doubly-laced two-affine-node diagrams: the images of Theta0,
-    Phi0, Theta', Phi' satisfy the labelled-B2 braid pattern."""
-    gd = generator_dictionary(lab)
-    ctx = gd.ctx
-    rs = ctx.rs
-    wg = ctx.wg
-    theta, phi = wg.theta_phi_finite()
-    s_thp = reflect(rs, vsub(phi, theta))
-    s_php = reflect(rs, vsub(vscale(rs.pairing(phi, theta), theta), phi))
-    els = {
-        "Theta0": gd.images["Theta0"],
-        "Phi0": gd.images["Phi0"],
-        "ThetaPrime": ctx.w(s_thp),
-        "PhiPrime": ctx.w(s_php),
-    }
-    pattern = {
-        ("Phi0", "PhiPrime"): 0,
-        ("Phi0", "ThetaPrime"): 2,
-        ("Theta0", "ThetaPrime"): 0,
-        ("Theta0", "PhiPrime"): 2,
-        ("ThetaPrime", "PhiPrime"): 2,
-        ("Theta0", "Phi0"): 2,
-    }
-    results = {}
-    for (a, b), lace in pattern.items():
-        lhs, rhs = braid_sides(els[a], els[b], lace)
-        kind = "commute" if lace == 0 else "2-braid"
-        results[f"{a},{b} {kind}"] = (
-            dagroup.product(ctx, lhs) == dagroup.product(ctx, rhs)
-        )
-    return results
-
-
-def central_word_rewrites(lab) -> dict:
-    """The doubly-laced and G2 rewritings of the central word."""
-    gd = generator_dictionary(lab)
-    pres = gd.presentation
-    out = {}
-    c = gd.central_image()
-    fam = pres.label.base_family
-    if fam in ("ddotB", "ddotC", "ddotB2", "ddotF4"):
-        word = wmul(
-            (("Phi0", 1),),
-            pres.extra_words["ThetaPrime"],
-            pres.extra_words["PhiPrime"],
-            (("Theta0", 1),),
-        )
-        out["C = (Phi0 Theta' Phi' Theta0)^2"] = gd.evaluate(wmul(word, word)) == c
-    if fam == "ddotG2":
-        ctx = gd.ctx
-        rs = ctx.rs
-        i_th = rs.i_theta()
-        i_ph = rs.i_phi()
-        word = (
-            ("Phi0", 1),
-            (f"T{i_ph}", 1),
-            (f"T{i_th}", 1),
-            (f"T{i_ph}", 1),
-            (f"T{i_th}", 1),
-            ("Theta0", 1),
-        )
-        out["C = (Phi0 Tiph Tith Tiph Tith Theta0)^2"] = (
-            gd.evaluate(wmul(word, word)) == c
-        )
-    return out
-
-
-def theta02_expression_check(lab) -> bool:
-    """The expressed Theta02 word equals the generator image (untwisted
-    families with a single lace at the affine node)."""
-    gd = generator_dictionary(lab)
-    pres = gd.presentation
-    ctx = gd.ctx
-    rs = ctx.rs
-    if rs.is_twisted_proper() or rs.ell0() != 1:
-        raise ValueError("the expression needs an untwisted family with ell0 = 1")
-    t = f"T{rs.i_theta()}"
-    th = pres.theta_word
-    word = wmul(
-        (("Theta01", -1), (t, -1), ("Theta01", 1), (t, 1)),
-        winv(th),
-        (("Theta03", -1), (t, 1), ("Theta03", 1)),
-        th,
-        (("Theta01", 1), (t, -1)),
-    )
-    return gd.evaluate(word) == gd.images["Theta02"]

@@ -5,7 +5,7 @@ import random
 import time
 from fractions import Fraction
 
-from dawcox import autoaction, congruence, dagroup, heckeparams, presentation
+from dawcox import autoaction, cli, congruence, dagroup, diagrams, heckeparams
 from dawcox.congruence import I2, U12, U21, Mat2
 
 
@@ -48,76 +48,53 @@ def test_criterion_2_coset_indices():
             elapsed)
 
 
-PRESENTATION_MATRIX = [
-    "dddotA1", "dddotA2", "dddotA3", "dddotB3", "dddotB4", "dddotC2",
-    "dddotC3", "dddotD4", "dddotD5", "dddotF4", "dddotG2",
-    "dddotC1star", "dddotC2star", "dddotC3star",
-    "ddotB3", "ddotB4", "ddotC3", "ddotC4", "ddotB2", "ddotF4", "ddotG2",
-]
+def _registry_failures(suite):
+    """Run every check of one suite over the `verify` label matrix; the
+    failed check ids with the start of their witnesses."""
+    failures = []
+    for name in cli.LABELS:
+        for check_id, run in cli.checks_for(name, suite):
+            ok, witness = run()
+            if not ok:
+                failures.append((check_id, str(witness)[:300]))
+    return failures
 
 
 def test_criterion_3_presentations():
     t0 = time.perf_counter()
-    failures = []
-    for name in PRESENTATION_MATRIX:
-        rep = presentation.verify_presentation(name)
-        if rep["failures"]:
-            failures.append((name, rep["failures"][:2]))
+    failures = _registry_failures("presentation")
     elapsed = time.perf_counter() - t0
     ok = not failures and elapsed < 30.0
-    _report(3, ok, f"presentations + psi round trips over {len(PRESENTATION_MATRIX)} "
-                   f"labels {failures if failures else ''}", elapsed)
+    _report(3, ok, f"presentations, derived identities + psi round trips over "
+                   f"{len(cli.LABELS)} labels {failures if failures else ''}", elapsed)
 
 
-BERNSTEIN_TYPES = [
-    "A1(1)", "A2(1)", "A3(1)", "B3(1)", "B4(1)", "C2(1)", "C3(1)",
-    "D4(1)", "D5(1)", "F4(1)", "G2(1)",
-    "A2(2)", "A4(2)", "A6(2)", "A3(2)", "A5(2)", "A7(2)",
-    "D3(2)", "D4(2)", "D5(2)", "E6(2)", "D4(3)",
-]
+# No double affine label corresponds to D3(2); its relations are checked
+# on their own.
+EXTRA_BERNSTEIN_TYPES = ["D3(2)"]
 
 
 def test_criterion_4_bernstein_relations():
     t0 = time.perf_counter()
-    failures = []
-    for lab in BERNSTEIN_TYPES:
+    failures = _registry_failures("bernstein")
+    for lab in EXTRA_BERNSTEIN_TYPES:
         rep = dagroup.verify_bernstein_relations(lab)
         if rep["failures"]:
             failures.append((lab, rep["failures"][:2]))
+    types = {str(diagrams.correspondence(diagrams.parse(name))) for name in cli.LABELS}
+    types.update(EXTRA_BERNSTEIN_TYPES)
     elapsed = time.perf_counter() - t0
     ok = not failures
-    _report(4, ok, f"Bernstein-type relations over {len(BERNSTEIN_TYPES)} affine types",
-            elapsed)
-
-
-AUTO_MATRIX = [
-    "dddotA1", "dddotA2", "dddotA3", "dddotB3", "dddotB4", "dddotC2",
-    "dddotC3", "dddotD4", "dddotD5", "dddotF4", "dddotG2",
-    "ddotB3", "ddotB4", "ddotC3", "ddotC4", "ddotB2", "ddotF4", "ddotG2",
-]
+    _report(4, ok, f"Bernstein-type relations over {len(types)} affine types "
+                   f"{failures if failures else ''}", elapsed)
 
 
 def test_criterion_5_automorphisms():
     t0 = time.perf_counter()
-    failures = []
-    for name in AUTO_MATRIX:
-        for maker in (autoaction.a_map, autoaction.b_map, autoaction.e_map):
-            ok, f = autoaction.is_automorphism(maker(name))
-            if not ok:
-                failures.append((name, maker.__name__, f[:1]))
-        braid = autoaction.braid_identity_check(name)
-        if not (braid["braid"] and braid["inverses"]):
-            failures.append((name, "braid identity", braid))
-        central = autoaction.central_element_action(name)
-        if not central["ok"]:
-            failures.append((name, "central action", central))
-    for n in (1, 2):
-        rep = autoaction.cstar_restriction_check(n)
-        if not rep["ok"]:
-            failures.append((f"cstar n={n}", rep))
+    failures = _registry_failures("auto")
     elapsed = time.perf_counter() - t0
     ok = not failures
-    _report(5, ok, f"a/b/e automorphism suite over {len(AUTO_MATRIX)} labels "
+    _report(5, ok, f"a/b/e automorphism suite over {len(cli.LABELS)} labels "
                    f"{failures if failures else ''}", elapsed)
 
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from dawcox import cli, diagrams
 from dawcox.autoaction import (
     CanonMap,
     a_map,
@@ -20,10 +21,8 @@ from dawcox.autoaction import (
 )
 from dawcox.congruence import I2, U21, Mat2, member
 
-FAMILIES = [
-    "dddotA1", "dddotA2", "dddotB3", "dddotC2", "dddotC3", "dddotD4",
-    "dddotF4", "dddotG2", "ddotB3", "ddotC3", "ddotB2", "ddotF4", "ddotG2",
-]
+# the unstarred labels of the `verify` matrix
+FAMILIES = [name for name in cli.LABELS if not diagrams.parse(name).is_star]
 
 SMALL = ["dddotA1", "dddotC2", "ddotB2", "ddotG2", "ddotF4"]
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import dawcox
 from dawcox import dagroup, diagrams, presentation
-from dawcox.cli import RANK_MATRIX, main
+from dawcox.cli import CHECKS, LABELS, LARGE, checks_for, main
 from dawcox.weyl import WeylGroup
 
 
@@ -160,11 +160,28 @@ def test_decompose_determinant_not_one(capsys):
     assert err.startswith("error: determinant must be 1") and "Traceback" not in err
 
 
-def test_verify_selection_without_checks(capsys):
-    # the auto suite has no check for a presentation-only family
-    code, out, err = run(capsys, "verify", "--family", "dddotE6", "--suite", "auto")
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and "no check" in err
+def test_verify_e6_auto_passes(capsys):
+    # the E family runs every suite, not only the presentation suite
+    code, out, err = run(capsys, "verify", "--family", "dddotE6", "--suite", "auto", "--json")
+    assert code == 0 and err == ""
+    assert [(c["id"], c["status"]) for c in json.loads(out)["checks"]] == [
+        ("dddotE6:auto", "pass")
+    ]
+
+
+def test_registry_yields_the_benchmark_ids(monkeypatch):
+    # bench/plan.py keeps its own literal list of the ids each `verify
+    # --family F --suite S` reports; the registry must yield exactly those
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import plan
+
+    for family, suite, expected, _ in plan.verify_pairs():
+        name = str(diagrams.parse(family))
+        assert [check_id for check_id, _ in checks_for(name, suite)] == expected, (family, suite)
+    # and no selection of a registry label is empty
+    for name in LABELS + LARGE:
+        for suite in (*CHECKS, "all"):
+            assert list(checks_for(name, suite)), (name, suite)
 
 
 def test_verify_appendix_reports_corrupted_xy(capsys, monkeypatch):
@@ -179,6 +196,23 @@ def test_verify_appendix_reports_corrupted_xy(capsys, monkeypatch):
     (check,) = json.loads(out)["checks"]
     assert check["status"] == "FAIL"
     assert "x(theta) = theta" in check["witness"]["failures"]
+
+
+def test_verify_presentation_reports_a_broken_identity(capsys, monkeypatch):
+    # swapping the Theta0 and Phi0 images breaks the derived B2 braid
+    # pattern, which the presentation suite checks along with the relations
+    images = presentation.generator_dictionary("ddotB2").images
+    theta0, phi0 = images["Theta0"], images["Phi0"]
+    monkeypatch.setitem(images, "Theta0", phi0)
+    monkeypatch.setitem(images, "Phi0", theta0)
+    code, out, _ = run(
+        capsys, "verify", "--family", "ddotB2", "--suite", "presentation", "--json"
+    )
+    assert code == 1
+    (check,) = json.loads(out)["checks"]
+    assert check["id"] == "ddotB2:presentation" and check["status"] == "FAIL"
+    failed = {f["relation"] for f in check["witness"]["failures"]}
+    assert "B2 pattern Theta0,ThetaPrime commute" in failed
 
 
 _UNDER_O = """
@@ -253,7 +287,7 @@ FAMILIES = sorted(
 GENERATORS = ["T1", "T2", "T3", "Theta01", "Theta02", "Theta03", "Theta0", "Phi0", "C"]
 
 junk = st.text(alphabet="abcdAB0123(),;' -", max_size=8)
-family = st.sampled_from(FAMILIES) | st.sampled_from(RANK_MATRIX) | junk
+family = st.sampled_from(FAMILIES) | st.sampled_from(LABELS) | junk
 rank = st.none() | st.integers(0, 4)
 entry = st.integers(-6, 6)
 SL2 = [
@@ -299,8 +333,8 @@ invocation = st.one_of(
     ),
     st.builds(
         lambda f, s, js: ["verify", "--family", f, "--suite", s] + (["--json"] if js else []),
-        st.sampled_from(["dddotA1", "dddotA2", "dddotC2", "ddotB2", "ddotG2"]) | junk,
-        st.sampled_from(["presentation", "bernstein", "auto", "appendixA", "all", "none"]),
+        st.sampled_from(LABELS) | junk,
+        st.sampled_from([*CHECKS, "all"]) | junk,
         st.booleans(),
     ),
 )

@@ -203,9 +203,22 @@ def test_s0s1_infinite_order_a11(ctxs):
         assert not acc.is_identity()
 
 
+def _bernstein_failures(lab):
+    return {f["relation"] for f in dagroup.verify_bernstein_relations(lab)["failures"]}
+
+
 @pytest.mark.parametrize("lab", LABELS)
-def test_center(ctxs, lab):
-    assert dagroup.center_contains_tau_delta(lab)
+def test_center(ctxs, lab, monkeypatch):
+    # the Bernstein report checks tau_delta central and of infinite order
+    assert _bernstein_failures(lab) == set()
+    with monkeypatch.context() as m:
+        m.setattr(dagroup.DaweylContext, "tau_delta", lambda self, k=1: self.identity())
+        assert _bernstein_failures(lab) == {"tau_delta non-torsion"}
+    with monkeypatch.context() as m:
+        m.setattr(dagroup.DaweylContext, "tau_delta", lambda self, k=1: self.s(1))
+        failed = _bernstein_failures(lab)
+        assert "tau_delta non-torsion" in failed
+        assert any(name.startswith("center gen=") for name in failed)
     ctx = ctxs[lab]
     assert not ctx.tau_delta().is_identity()
     assert ctx.tau_delta() == dagroup.DaweylElement(

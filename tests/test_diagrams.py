@@ -1,6 +1,6 @@
 import pytest
 
-from dawcox import diagrams
+from dawcox import cli, diagrams
 from dawcox.diagrams import (
     braid_relation_list,
     build_diagram,
@@ -14,12 +14,7 @@ from dawcox.diagrams import (
 )
 from dawcox.rootsys import UnknownTypeError, affine_cartan
 
-ALL = [
-    "dddotA1", "dddotA2", "dddotA3", "dddotB3", "dddotB4", "dddotC2",
-    "dddotC3", "dddotD4", "dddotD5", "dddotE6", "dddotE7", "dddotE8",
-    "dddotF4", "dddotG2", "dddotA1star", "dddotC2star", "dddotC3star",
-    "ddotB3", "ddotB4", "ddotC3", "ddotC4", "ddotB2", "ddotF4", "ddotG2",
-]
+ALL = cli.LABELS + cli.LARGE
 
 
 def test_label_validation():

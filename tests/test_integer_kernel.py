@@ -13,8 +13,7 @@ from dawcox.rootsys import vadd, vneg, vscale
 from dawcox.weyl import WeylElement, int_matrix, mat_inv
 
 LABELS = sorted(
-    {str(diagrams.correspondence(diagrams.parse(name))) for name in cli.RANK_MATRIX}
-    | {"E7(1)", "E8(1)"}
+    {str(diagrams.correspondence(diagrams.parse(name))) for name in cli.LABELS + cli.LARGE}
 )
 WORDS = 12
 

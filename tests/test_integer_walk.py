@@ -18,7 +18,7 @@ from dawcox.weyl import mat_vec
 LABELS = sorted(
     {
         str(diagrams.correspondence(diagrams.parse(name)))
-        for name in cli.RANK_MATRIX + sorted(cli.LARGE)
+        for name in cli.LABELS + cli.LARGE
     }
 )
 RANDOM_VECTORS = 2

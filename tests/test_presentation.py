@@ -1,17 +1,10 @@
 import pytest
 
+from dawcox import cli
 from dawcox import presentation as pr
 
-FAMILIES = [
-    "dddotA1", "dddotA2", "dddotA3", "dddotB3", "dddotB4", "dddotC2",
-    "dddotC3", "dddotD4", "dddotF4", "dddotG2",
-    "ddotB3", "ddotB4", "ddotC3", "ddotC4", "ddotB2", "ddotF4", "ddotG2",
-]
 
-STARS = ["dddotC1star", "dddotC2star", "dddotC3star"]
-
-
-@pytest.mark.parametrize("name", FAMILIES + STARS)
+@pytest.mark.parametrize("name", cli.LABELS)
 def test_verify_presentation(name):
     report = pr.verify_presentation(name)
     assert report["failures"] == [], report["failures"][:3]
@@ -75,26 +68,53 @@ def test_superfluous_branch_star_relations():
     assert sq2 == c and sq2.k == 1
 
 
+def _identities(name, prefix):
+    pres = pr.generator_dictionary(name).presentation
+    return [n for n, _, _ in pres.identities if n.startswith(prefix)]
+
+
+def _failures_with_broken(name, identity, monkeypatch):
+    """The failed relations that verify_presentation reports when one
+    derived identity is made false: its right side gains a letter."""
+    pres = pr.generator_dictionary(name).presentation
+    broken = tuple(
+        (n, lhs, rhs + (("T1", 1),) if n == identity else rhs)
+        for n, lhs, rhs in pres.identities
+    )
+    with monkeypatch.context() as m:
+        m.setattr(pres, "identities", broken)
+        return [f["relation"] for f in pr.verify_presentation(name)["failures"]]
+
+
+def _check_identities(name, prefix, count, monkeypatch):
+    assert pr.verify_presentation(name)["failures"] == []
+    names = _identities(name, prefix)
+    assert len(names) == count, names
+    for identity in names:
+        assert _failures_with_broken(name, identity, monkeypatch) == [identity]
+
+
 @pytest.mark.parametrize("name", ["ddotB3", "ddotC3", "ddotB2", "ddotF4"])
-def test_b2_pattern(name):
-    results = pr.b2_pattern_check(name)
-    assert all(results.values()), results
+def test_b2_pattern(name, monkeypatch):
+    _check_identities(name, "B2 pattern", len(pr.B2_PATTERN), monkeypatch)
 
 
 @pytest.mark.parametrize("name", ["ddotB3", "ddotC3", "ddotB2", "ddotF4", "ddotG2"])
-def test_central_word_rewrites(name):
-    out = pr.central_word_rewrites(name)
-    assert out and all(out.values()), out
+def test_central_word_rewrites(name, monkeypatch):
+    _check_identities(name, "C = (Phi0 ", 1, monkeypatch)
 
 
 @pytest.mark.parametrize("name", ["dddotA2", "dddotB3", "dddotD4", "dddotF4", "dddotG2"])
-def test_theta02_expression(name):
-    assert pr.theta02_expression_check(name)
+def test_theta02_expression(name, monkeypatch):
+    _check_identities(name, "Theta02 expression", 1, monkeypatch)
 
 
 def test_theta02_expression_rejects_bad_input():
-    with pytest.raises(ValueError):
-        pr.theta02_expression_check("dddotC2")
+    # the expression needs an untwisted family with a single lace at the
+    # affine node: none for ell0 = 2 or 4, the starred or the ddot labels
+    for name in ("dddotC2", "dddotA1", "dddotC2star", "ddotB2"):
+        assert _identities(name, "Theta02 expression") == []
+    assert _identities("dddotA2", "B2 pattern") == []
 
 
 @pytest.mark.parametrize("name", ["dddotB3", "ddotB3", "ddotG2", "ddotF4"])
