@@ -154,27 +154,29 @@ def b_inv_map(label_name: str) -> EndoMap:
     return e2.compose(a_map(e_partner(label_name))).compose(e_map(label_name))
 
 
-def is_automorphism(m: EndoMap, star: bool = False) -> tuple[bool, list]:
+def is_automorphism(m: EndoMap) -> list[tuple]:
     """Relation preservation in the Weyl quotient, plus an invertibility
-    witness through the e-conjugate inverse."""
+    witness through the e-conjugate inverse, as (name, lhs, rhs) records
+    named after the map; they hold when lhs == rhs.  The starred
+    relations are left out."""
     src_gd = generator_dictionary(m.src)
     dst_gd = generator_dictionary(m.dst)
-    failures = []
-    for name, lhs, rhs in src_gd.presentation.relations:
-        if name.startswith("star") and not star:
-            continue
-        l = dst_gd.evaluate(m.apply_word(lhs))
-        r = dst_gd.evaluate(m.apply_word(rhs))
-        if l != r:
-            failures.append((name, l.describe(), r.describe()))
+    records = [
+        (
+            f"{m.name}: {name}",
+            dst_gd.evaluate(m.apply_word(lhs)),
+            dst_gd.evaluate(m.apply_word(rhs)),
+        )
+        for name, lhs, rhs in src_gd.presentation.relations
+        if not name.startswith("star")
+    ]
     if m.name in ("a", "b"):
         inv = a_inv_map(m.src) if m.name == "a" else b_inv_map(m.src)
         comp = m.compose(inv)
         for g in src_gd.presentation.generators:
             img = dst_gd.evaluate(comp.apply_word(((g, 1),)))
-            if img != dst_gd.images[g]:
-                failures.append((f"inverse witness {g}", img.describe(), ""))
-    return not failures, failures
+            records.append((f"{m.name}: inverse witness {g}", img, dst_gd.images[g]))
+    return records
 
 
 # ---------------------------------------------------------------------
@@ -205,10 +207,7 @@ class CanonMap:
     @classmethod
     def identity(cls, label_name: str) -> "CanonMap":
         gd = generator_dictionary(label_name)
-        ctx = gd.ctx
-        gen_images = {}
-        for sym in gd.psi:
-            gen_images[sym] = ctx.s(0) if sym == "s0" else ctx.generator(sym)
+        gen_images = {sym: gd.ctx.generator(sym) for sym in gd.psi}
         return cls(label_name, label_name, False, gen_images)
 
     def apply(self, g: DaweylElement) -> DaweylElement:
@@ -242,15 +241,15 @@ class CanonMap:
         gen_images = {sym: self.apply(el) for sym, el in other.gen_images.items()}
         return CanonMap(other.src, self.dst, self.anti != other.anti, gen_images)
 
-    def agrees_with(self, other: "CanonMap") -> bool:
+    def records(self, name: str, other: "CanonMap") -> list[tuple]:
+        """`self = other` as one (name, lhs, rhs) record per generator of
+        the source group."""
         if self.src != other.src or self.dst != other.dst:
-            return False
-        return all(
-            self.gen_images[sym] == other.gen_images[sym] for sym in self.gen_images
-        )
-
-    def is_identity_map(self) -> bool:
-        return self.agrees_with(CanonMap.identity(self.src))
+            raise ValueError("canon maps between different groups")
+        return [
+            (f"{name} on {sym}", img, other.gen_images[sym])
+            for sym, img in self.gen_images.items()
+        ]
 
 
 _CANON_CACHE: dict = {}
@@ -286,103 +285,93 @@ def evaluate_braid(word, label_name: str) -> CanonMap:
     return out
 
 
-def braid_identity_check(label_name: str) -> dict:
-    """The level-r braid relation between a and b as automorphisms,
-    checked generator-wise in the Weyl quotient."""
-    r = generator_dictionary(label_name).presentation.label
-    twist = diagrams.correspondence(r).twist
-    lhs, rhs = (
-        reduce(CanonMap.compose, side)
-        for side in braid_sides(canon(label_name, "a"), canon(label_name, "b"), twist)
+def braid_identity_check(label_name: str) -> list[tuple]:
+    """The level-r braid relation between a and b as automorphisms, and
+    a a^-1 = b b^-1 = 1, as records checked generator-wise in the Weyl
+    quotient."""
+    twist = diagrams.correspondence(diagrams.parse(label_name)).twist
+    A, B = canon(label_name, "a"), canon(label_name, "b")
+    lhs, rhs = (reduce(CanonMap.compose, side) for side in braid_sides(A, B, twist))
+    ident = canon(label_name, "id")
+    return (
+        lhs.records(f"braid [{twist}]", rhs)
+        + A.compose(canon(label_name, "a_inv")).records("a a^-1 = 1", ident)
+        + B.compose(canon(label_name, "b_inv")).records("b b^-1 = 1", ident)
     )
-    ok = lhs.agrees_with(rhs)
-    inv_ok = (
-        canon(label_name, "a").compose(canon(label_name, "a_inv")).is_identity_map()
-        and canon(label_name, "b").compose(canon(label_name, "b_inv")).is_identity_map()
-    )
-    return {"braid": ok, "inverses": inv_ok, "level": twist}
 
 
-def central_element_action(label_name: str) -> dict:
+def central_element_action(label_name: str) -> list[tuple]:
     """(ab)^3 (r = 1), (ab)^2 (r = 2), (ab)^3 (r = 3) act by conjugation
-    by w_circ (resp. its square) in the Weyl quotient."""
+    by w_circ (resp. its square) in the Weyl quotient, with (ab)^2 =
+    (ba)^2 (r = 2), and (ab)^3 = (ba)^3 and w_circ^2 = 1 (r = 3); as
+    records."""
     gd = generator_dictionary(label_name)
     twist = diagrams.correspondence(gd.presentation.label).twist
     ctx = gd.ctx
     w0 = ctx.w(ctx.wg.longest_element())
     A, B = canon(label_name, "a"), canon(label_name, "b")
     AB = A.compose(B)
-    out = {"level": twist}
+    gens = list(gd.presentation.generators)
+    records = []
     if twist == 1:
         M = AB.compose(AB).compose(AB)
         conj = w0
-        gens = [g for g in gd.presentation.generators if not _is_finite_gen(g)]
-        out["relation"] = "(ab)^3 = conj(w0) on affine generators"
+        gens = [g for g in gens if not _is_finite_gen(g)]
+        relation = "(ab)^3 = conj(w0)"
     elif twist == 2:
         M = AB.compose(AB)
         conj = w0
-        gens = list(gd.presentation.generators)
-        out["relation"] = "(ab)^2 = conj(w0) on all generators"
+        relation = "(ab)^2 = conj(w0)"
         BA = B.compose(A)
-        out["(ab)^2 = (ba)^2"] = M.agrees_with(BA.compose(BA))
+        records += M.records("(ab)^2 = (ba)^2", BA.compose(BA))
     else:
         M = AB.compose(AB).compose(AB)
         conj = w0 * w0
-        gens = list(gd.presentation.generators)
-        out["relation"] = "(ab)^3 = conj(w0^2) on all generators"
+        relation = "(ab)^3 = conj(w0^2)"
         BA = B.compose(A)
-        out["(ab)^3 = (ba)^3"] = M.agrees_with(BA.compose(BA).compose(BA))
-        out["w0^2 trivial"] = (w0 * w0).is_identity()
-    failures = []
+        records += M.records("(ab)^3 = (ba)^3", BA.compose(BA).compose(BA))
+        records.append(("w0^2 trivial", conj, ctx.identity()))
     for g in gens:
         img = gd.images[g]
-        expect = conj * img * conj.inv()
-        got = M.apply(img)
-        if got != expect:
-            failures.append(g)
-    out["failures"] = failures
-    out["ok"] = not failures and all(
-        v for k, v in out.items() if isinstance(v, bool)
-    )
-    return out
+        records.append((f"{relation} on {g}", M.apply(img), conj * img * conj.inv()))
+    return records
 
 
-def cstar_restriction_check(n: int) -> dict:
-    """b a b^{-1} and b^2 preserve the starred relations; a alone does
-    not (the expected negative), all read in the A_{2n}^(2) quotient."""
+def cstar_restriction_check(n: int) -> list[tuple]:
+    """The identity, b a b^{-1} and b^2 preserve the starred relations;
+    a breaks C = Theta02^2 (the expected negative, recorded as that
+    equality being False); all read in the A_{2n}^(2) quotient."""
     label_name = f"dddotC{n}" if n >= 2 else "dddotA1"
-    star_name = f"dddotC{n}star"
-    gd_star = generator_dictionary(star_name)
-    pres = gd_star.presentation
+    gd_star = generator_dictionary(f"dddotC{n}star")
     a = a_map(label_name)
     b = b_map(label_name)
-    maps = {
-        "identity": identity_map(label_name),
-        "b a b^-1": b.compose(a).compose(b_inv_map(label_name)),
-        "b^2": b.compose(b),
-        "a": a,
-    }
-    c_word = pres.central_word
+    c_word = gd_star.presentation.central_word
     theta02_sq: Word = (("Theta02", 2),)
-    out = {}
-    for name, m in maps.items():
-        lhs = gd_star.evaluate(m.apply_word(c_word))
-        rhs = gd_star.evaluate(m.apply_word(theta02_sq))
-        central_ident = lhs == rhs
-        lhs_c = gd_star.evaluate(m.apply_word(theta02_sq), half=True)
-        square_trivial = lhs_c.is_identity()
-        out[name] = {"central identification preserved": central_ident, "square image trivial": square_trivial}
-    out["expected"] = {
-        "identity": True,
-        "b a b^-1": True,
-        "b^2": True,
-        "a": False,
-    }
-    out["ok"] = all(
-        out[name]["central identification preserved"] == expect
-        for name, expect in out["expected"].items()
-    )
-    return out
+
+    def central(m):
+        return gd_star.evaluate(m.apply_word(c_word)), gd_star.evaluate(m.apply_word(theta02_sq))
+
+    records = []
+    for name, m in (
+        ("identity", identity_map(label_name)),
+        ("b a b^-1", b.compose(a).compose(b_inv_map(label_name))),
+        ("b^2", b.compose(b)),
+    ):
+        records.append((f"{name} preserves C = Theta02^2", *central(m)))
+        square = gd_star.evaluate(m.apply_word(theta02_sq), half=True)
+        records.append((f"{name} preserves Theta02^2 = 1", square, gd_star.cmp.dst_c.identity()))
+    lhs, rhs = central(a)
+    records.append(("a preserves C = Theta02^2", lhs == rhs, False))
+    return records
+
+
+def verify_automorphisms(label_name: str) -> list[tuple]:
+    """The `auto` suite of a label as records: a, b and e preserve the
+    relations, the braid identity, and the central element action."""
+    records = []
+    for maker in (a_map, b_map, e_map):
+        records += is_automorphism(maker(label_name))
+    return records + braid_identity_check(label_name) + central_element_action(label_name)
 
 
 def basic_involution_check(m: Mat2, r: int, label_name: str) -> dict:

@@ -16,10 +16,12 @@ import time
 
 from . import autoaction, congruence, dagroup, diagrams, heckeparams, presentation
 from .rootsys import UnknownTypeError
+from .weyl import WeylElement
 
 # The check registry.  `verify --suite all` runs every check of LABELS;
 # --large adds the E7/E8 labels.  CHECKS maps each suite to its checks
-# (name, applies(label), run(label) -> (ok, witness)); the check id is
+# (name, applies(label), run(label) -> [(name, lhs, rhs), ...]); a check
+# passes when lhs == rhs for each of its records, and its id is
 # "<label name>:<name>".
 LABELS = (
     "dddotA1", "dddotA2", "dddotA3", "dddotA4", "dddotA1star",
@@ -31,49 +33,11 @@ LABELS = (
 LARGE = ("dddotE7", "dddotE8")
 
 
-def _presentation(lab):
-    rep = presentation.verify_presentation(lab)
-    return not rep["failures"], rep
-
-
-def _bernstein(lab):
-    rep = dagroup.verify_bernstein_relations(diagrams.correspondence(lab))
-    return not rep["failures"], rep
-
-
-def _a2n2_comparison(lab):
-    rep = dagroup.A2n2Comparison(lab.rank).report()
-    return all(rep.values()), rep
-
-
-def _auto(lab):
-    name = str(lab)
-    failures = []
-    for maker in (autoaction.a_map, autoaction.b_map, autoaction.e_map):
-        failures.extend(autoaction.is_automorphism(maker(name))[1])
-    braid = autoaction.braid_identity_check(name)
-    central = autoaction.central_element_action(name)
-    ok = not failures and braid["braid"] and braid["inverses"] and central["ok"]
-    return ok, {"failures": failures, "braid": braid, "central": central}
-
-
-def _auto_cstar(lab):
-    rep = autoaction.cstar_restriction_check(lab.rank)
-    return rep["ok"], rep
-
-
 def _appendix_a(lab):
+    """The x, y and primed-reflection identities; none for a
+    simply-laced label, which has no x, y."""
     wg = dagroup.context(diagrams.correspondence(lab)).wg
-    if wg.is_simply_laced():
-        return True, {"skipped": "simply-laced"}
-    x, y = wg.xy_candidates()
-    failures = wg.xy_failures(x, y)
-    witness = {
-        "x": list(wg.reduced_word(x)),
-        "y": list(wg.reduced_word(y)),
-        "failures": failures,
-    }
-    return not failures, witness
+    return [] if wg.is_simply_laced() else wg.xy_identities()
 
 
 def _every(lab) -> bool:
@@ -89,12 +53,16 @@ def _plain(lab) -> bool:
 
 
 CHECKS = {
-    "presentation": (("presentation", _every, _presentation),),
+    "presentation": (("presentation", _every, presentation.verify_presentation),),
     "bernstein": (
-        ("bernstein", _every, _bernstein),
-        ("a2n2-comparison", _star, _a2n2_comparison),
+        ("bernstein", _every,
+         lambda lab: dagroup.verify_bernstein_relations(diagrams.correspondence(lab))),
+        ("a2n2-comparison", _star, lambda lab: dagroup.A2n2Comparison(lab.rank).report()),
     ),
-    "auto": (("auto", _plain, _auto), ("auto-cstar", _star, _auto_cstar)),
+    "auto": (
+        ("auto", _plain, lambda lab: autoaction.verify_automorphisms(str(lab))),
+        ("auto-cstar", _star, lambda lab: autoaction.cstar_restriction_check(lab.rank)),
+    ),
     "appendixA": (("appendixA", _every, _appendix_a),),
 }
 
@@ -108,6 +76,25 @@ def checks_for(name: str, suite: str):
             for check, applies, run in table:
                 if applies(lab):
                     yield f"{name}:{check}", functools.partial(run, lab)
+
+
+def _nf(value):
+    """A record side as a witness prints it: the normal form of a group
+    element, the matrix of a Weyl element, anything else as it is."""
+    if isinstance(value, WeylElement):
+        return value.matrix
+    return value.describe() if hasattr(value, "describe") else value
+
+
+def _witness(records) -> dict | None:
+    """None when every record holds; otherwise the records that differ,
+    with their two sides."""
+    failures = [
+        {"relation": name, "lhs_nf": _nf(lhs), "rhs_nf": _nf(rhs)}
+        for name, lhs, rhs in records
+        if lhs != rhs
+    ]
+    return {"failures": failures} if failures else None
 
 
 def _fail(msg: str) -> int:
@@ -243,27 +230,21 @@ def cmd_verify(args) -> int:
         for check_id, fn in checks_for(name, args.suite):
             start = time.monotonic()
             try:
-                ok, witness = fn()
+                records = fn()
+                witness = _witness(records)
             except Exception as exc:  # surface, don't swallow
-                ok, witness = False, {"exception": repr(exc)}
-            elapsed = int((time.monotonic() - start) * 1000)
-            status = "pass" if ok else "FAIL"
-            if witness.get("skipped"):
-                status = f"skipped ({witness['skipped']})"
-            checks.append(
-                {
-                    "id": check_id,
-                    "status": status,
-                    "elapsed_ms": elapsed,
-                    **(
-                        {"witness": witness}
-                        if not ok and not witness.get("skipped")
-                        else {}
-                    ),
-                }
-            )
-            if not ok:
+                records, witness = None, {"exception": repr(exc)}
+            check = {
+                "id": check_id,
+                "status": "FAIL" if witness else "pass",
+                "elapsed_ms": int((time.monotonic() - start) * 1000),
+            }
+            if records == []:  # appendixA on a simply-laced label checks nothing
+                check["status"] = "skipped (simply-laced)"
+            if witness:
+                check["witness"] = witness
                 any_fail = True
+            checks.append(check)
     report = {
         "suite": args.suite,
         "checks": checks,

@@ -11,7 +11,7 @@ affine nodes come last, in the fixed order Theta01, Theta02, Theta03
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cache
 
@@ -272,6 +272,16 @@ def build_diagram(lab: DoubleAffineLabel | str) -> CoxeterDiagram:
     return diagram
 
 
+# Partner types of ddotB2, ddotF4, ddotG2 whose node order must be
+# permuted so that the partner 0-node attaches where Phi0 does: the order
+# lists the partner node at each position.
+_PERMUTED_PARTNERS = {
+    "ddotB2": ("A3(2)", (0, 2, 1)),  # the square is symmetric: swap T1, T2
+    "ddotF4": ("E6(2)", (0, 4, 3, 2, 1)),  # reverse the chain: Phi0 attaches to T4
+    "ddotG2": ("D4(3)", (0, 2, 1)),
+}
+
+
 def _partner_cartan(lab: DoubleAffineLabel):
     """Affine Cartan data whose 0-node matches Phi0's connectivity."""
     f, n = lab.family, lab.rank
@@ -279,41 +289,12 @@ def _partner_cartan(lab: DoubleAffineLabel):
         return affine_cartan(parse_label(f"A{2 * n - 1}(2)"))
     if f == "ddotC":
         return affine_cartan(parse_label(f"D{n + 1}(2)"))
-    if f == "ddotB2":
-        # the square is symmetric: the partner is A_3^(2) with the two
-        # finite nodes swapped; node 0 of the partner attaches to T1.
-        swapped = affine_cartan(parse_label("A3(2)"))
-        # Build a relabeled view: partner 0-node laces to finite node 1.
-        import copy
-
-        m = [list(r) for r in swapped.cartan]
-        # swap finite indices 1 and 2
-        order = [0, 2, 1]
-        m2 = [[m[order[i]][order[j]] for j in range(3)] for i in range(3)]
-        out = copy.copy(swapped)
-        object.__setattr__(out, "cartan", tuple(tuple(r) for r in m2))
-        return out
-    if f == "ddotF4":
-        e62 = affine_cartan(parse_label("E6(2)"))
-        m = [list(r) for r in e62.cartan]
-        order = [0, 4, 3, 2, 1]  # reverse the chain: Phi0 attaches to T4
-        m2 = [[m[order[i]][order[j]] for j in range(5)] for i in range(5)]
-        import copy
-
-        out = copy.copy(e62)
-        object.__setattr__(out, "cartan", tuple(tuple(r) for r in m2))
-        return out
-    if f == "ddotG2":
-        d43 = affine_cartan(parse_label("D4(3)"))
-        m = [list(r) for r in d43.cartan]
-        order = [0, 2, 1]
-        m2 = [[m[order[i]][order[j]] for j in range(3)] for i in range(3)]
-        import copy
-
-        out = copy.copy(d43)
-        object.__setattr__(out, "cartan", tuple(tuple(r) for r in m2))
-        return out
-    raise UnknownTypeError(str(lab))
+    if f not in _PERMUTED_PARTNERS:
+        raise UnknownTypeError(str(lab))
+    partner, order = _PERMUTED_PARTNERS[f]
+    data = affine_cartan(parse_label(partner))
+    m = data.cartan
+    return replace(data, cartan=tuple(tuple(m[i][j] for j in order) for i in order))
 
 
 def one_connected_components(d: CoxeterDiagram) -> list[frozenset]:

@@ -19,7 +19,7 @@ from functools import cache, cached_property
 from . import dagroup, diagrams
 from .dagroup import A2n2Comparison, DaweylContext, DaweylElement, lam_word, tau_word
 from .diagrams import CoxeterDiagram, DoubleAffineLabel, build_diagram, correspondence
-from .rootsys import vneg, vsub, vscale
+from .rootsys import vneg
 from .weyl import braid_sides, reflect
 
 Word = tuple
@@ -156,8 +156,7 @@ def build_presentation(lab: DoubleAffineLabel | str) -> Presentation:
         y_word = _word_of_indices(wg.reduced_word(y))
         psi_word = wmul(winv(x_word), winv(y_word))
         psi_rev_word = wmul(winv(y_word), winv(x_word))
-        theta_prime = vsub(phi_fin, theta_fin)
-        phi_prime = vsub(vscale(rs.pairing(phi_fin, theta_fin), theta_fin), phi_fin)
+        theta_prime, phi_prime = rs.primed(theta_fin, phi_fin)
         extra["Psi"] = psi_word
         extra["PsiRev"] = psi_rev_word
         extra["ThetaPrime"] = _word_of_indices(
@@ -341,104 +340,30 @@ def psi_words(gd: GeneratorDictionary) -> dict:
     return out
 
 
-def verify_presentation(lab) -> dict:
-    """Check every defining relation, every derived identity and the
-    surjectivity round trip in the double affine Weyl group."""
+def verify_presentation(lab) -> list[tuple]:
+    """Every defining relation, every derived identity and the
+    surjectivity round trip as (name, lhs, rhs) records of normal forms
+    in the double affine Weyl group; they hold when lhs == rhs."""
     gd = generator_dictionary(lab)
     pres = gd.presentation
-    failures = []
-    checked = 0
+    records = []
     for name, lhs, rhs in pres.relations + pres.identities:
-        checked += 1
-        if name.startswith("star"):
-            if name == "star Theta02^2":
-                l = gd.evaluate(lhs, half=True)
-                r = gd.evaluate(rhs, half=True)
-            else:  # C = Theta02^2 in the plain A_{2n}^(2) quotient
-                l = gd.evaluate(lhs, half=False)
-                r = gd.evaluate(rhs, half=False)
-        else:
-            l = gd.evaluate(lhs)
-            r = gd.evaluate(rhs)
-            if gd.star:
-                lc = gd.evaluate(lhs, half=True)
-                rc = gd.evaluate(rhs, half=True)
-                if lc != rc:
-                    failures.append(
-                        {
-                            "relation": name + " (half-delta)",
-                            "lhs_nf": lc.describe(),
-                            "rhs_nf": rc.describe(),
-                        }
-                    )
-        if l != r:
-            failures.append(
-                {"relation": name, "lhs_nf": l.describe(), "rhs_nf": r.describe()}
+        if name == "star Theta02^2":  # holds in the half-delta quotient only
+            records.append((name, gd.evaluate(lhs, half=True), gd.evaluate(rhs, half=True)))
+            continue
+        # Every other relation holds in the plain quotient, and for a
+        # starred label all but "star C=Theta02^2" in the half-delta one.
+        records.append((name, gd.evaluate(lhs), gd.evaluate(rhs)))
+        if gd.star and not name.startswith("star"):
+            records.append(
+                (name + " (half-delta)", gd.evaluate(lhs, half=True), gd.evaluate(rhs, half=True))
             )
 
     # Central element maps to tau_delta (to tau_{delta/2} in the starred
     # half-delta quotient, where X_delta of C_n^(1) is the half shift).
-    c_img = gd.central_image()
-    checked += 1
-    if not (c_img.is_central_power() and c_img.k == 1):
-        failures.append(
-            {"relation": "C -> tau_delta", "lhs_nf": c_img.describe(), "rhs_nf": ""}
-        )
+    records.append(("C -> tau_delta", gd.central_image(), gd.ctx.tau_delta()))
 
     # Surjectivity round trip.
     for sym, word in gd.psi.items():
-        checked += 1
-        expected = gd.ctx.generator(sym) if sym != "s0" else gd.ctx.s(0)
-        got = gd.evaluate(word)
-        if got != expected:
-            failures.append(
-                {
-                    "relation": f"psi round trip {sym}",
-                    "lhs_nf": got.describe(),
-                    "rhs_nf": expected.describe(),
-                }
-            )
-
-    return {
-        "label": str(pres.label),
-        "relations_checked": checked,
-        "failures": failures,
-    }
-
-
-def distinguished_elements(lab) -> dict:
-    """Weyl-level map of Theta, Phi, Theta', Phi', Psi, reversed Psi,
-    w_circ plus the identities they satisfy."""
-    if isinstance(lab, str):
-        lab = diagrams.parse(lab)
-    ctx = dagroup.context(correspondence(lab))
-    wg = ctx.wg
-    rs = ctx.rs
-    out = {"w0": wg.longest_element()}
-    if wg.is_simply_laced():
-        s_th = reflect(rs, rs.theta)
-        out["Theta"] = out["Phi"] = s_th
-        out["Psi"] = wg.id
-        return out
-    theta, phi = wg.theta_phi_finite()
-    s_th, s_ph = reflect(rs, theta), reflect(rs, phi)
-    s_thp = reflect(rs, vsub(phi, theta))
-    s_php = reflect(rs, vsub(vscale(rs.pairing(phi, theta), theta), phi))
-    out["Theta"], out["Phi"] = s_th, s_ph
-    out["ThetaPrime"], out["PhiPrime"] = s_thp, s_php
-    out["Psi"] = (s_ph * s_th).inv()
-    out["PsiRev"] = (s_th * s_ph).inv()
-    # Weyl-level identities tying the primed reflections together.
-    identities = {
-        "s_theta' s_theta = s_phi s_phi'": s_thp * s_th == s_ph * s_php,
-        "s_phi' s_phi = s_theta s_theta'": s_php * s_ph == s_th * s_thp,
-    }
-    if rs.bilinear(phi, phi) == 2 * rs.bilinear(theta, theta):
-        a, b = s_thp, s_php
-        identities["s_theta = s_phi' s_theta' s_phi'"] = s_th == b * a * b
-        identities["s_phi = s_theta' s_phi' s_theta'"] = s_ph == a * b * a
-        identities["2-braid of s_theta', s_phi'"] = a * b * a * b == b * a * b * a
-    failed = [name for name, ok in identities.items() if not ok]
-    if failed:
-        raise ValueError(f"{lab}: {'; '.join(failed)} fails")
-    return out
+        records.append((f"psi round trip {sym}", gd.evaluate(word), gd.ctx.generator(sym)))
+    return records

@@ -331,16 +331,10 @@ class RootSystemData:
     def _simple_coroots(self) -> tuple[Vec, ...]:
         return tuple(self.coroot(a) for a in self.simple_roots)
 
-    @property
-    def theta_prime(self) -> Vec:
-        """phi - theta (zero in the untwisted / A_{2n}^(2) cases)."""
-        return vsub(self.phi, self.theta)
-
-    @property
-    def phi_prime(self) -> Vec:
-        """The long root -s_theta(phi); its coroot is theta^v - phi^v."""
-        x = self.pairing(self.phi, self.theta)
-        return vsub(vscale(x, self.theta), self.phi)
+    def primed(self, theta: Vec, phi: Vec) -> tuple[Vec, Vec]:
+        """theta' = phi - theta and phi' = (phi, theta^v) theta - phi =
+        -s_theta(phi), whose coroot is theta^v - phi^v."""
+        return vsub(phi, theta), vsub(vscale(self.pairing(phi, theta), theta), phi)
 
     def is_twisted_proper(self) -> bool:
         """Twisted and not A_{2n}^(2): theta short, phi long, distinct."""

@@ -326,49 +326,61 @@ class WeylGroup:
         vw = self.longest_in_stabilizer([theta, phi]) * self.longest_element()
         return reflect(rs, theta) * vw, reflect(rs, phi) * vw
 
-    def xy_failures(self, x: WeylElement, y: WeylElement) -> list[str]:
-        """The identities i) - vi) of the structural lemma that x, y
-        violate; empty when all hold."""
+    def xy_identities(self) -> list[tuple]:
+        """The identities i) - vi) of the structural lemma for the
+        candidates x, y, and the identities tying the primed reflections
+        together, as (name, lhs, rhs) records; they hold when lhs == rhs
+        for each record."""
         rs = self.rs
         n = rs.n
+        x, y = self.xy_candidates()
         theta, phi = self.theta_phi_finite()
-        theta_prime = vsub(phi, theta)
-        phi_prime = vsub(vscale(rs.pairing(phi, theta), theta), phi)
+        theta_prime, phi_prime = rs.primed(theta, phi)
         s_th, s_ph = reflect(rs, theta), reflect(rs, phi)
         s_thp, s_php = reflect(rs, theta_prime), reflect(rs, phi_prime)
+        th, ph = (tuple(int(c) for c in r[:n]) for r in (theta, phi))
         php_v = rs.coroot(phi_prime)
         zero2 = (_F0, _F0)
-        checks = {
-            "x^2 = y^2 = 1": (x * x).is_identity() and (y * y).is_identity(),
-            "x(theta) = theta": x.act_finite(theta[:n]) == theta[:n],
-            "y(phi) = phi": y.act_finite(phi[:n]) == phi[:n],
-            "s_phi s_theta = y x": s_ph * s_th == y * x,
-            "l(s_phi s_theta) = l(y) + l(x)":
-                self.length(s_ph * s_th) == self.length(y) + self.length(x),
-            "s_theta = y s_theta' y": s_th == y * s_thp * y,
-            "s_phi = x s_phi' x": s_ph == x * s_php * x,
-            "l(s_theta) = 2 l(y) + l(s_theta')":
-                self.length(s_th) == 2 * self.length(y) + self.length(s_thp),
-            "l(s_phi) = 2 l(x) + l(s_phi')":
-                self.length(s_ph) == 2 * self.length(x) + self.length(s_php),
-            # v), vi): inversion-set pairing bounds.
-            "(theta', b^v) = -1 on Pi(y)": all(
-                rs.pairing(theta_prime, b + zero2) == -1 for b in self.inversion_set(y)
-            ),
-            "(phi'^v, b) = -1 on Pi(x)": all(
-                rs.bilinear(php_v, b + zero2) == -1 for b in self.inversion_set(x)
-            ),
-        }
-        return [name for name, ok in checks.items() if not ok]
+        records = [
+            ("x^2 = 1", x * x, self.id),
+            ("y^2 = 1", y * y, self.id),
+            ("x(theta) = theta", x.act_finite(th), th),
+            ("y(phi) = phi", y.act_finite(ph), ph),
+            ("s_phi s_theta = y x", s_ph * s_th, y * x),
+            ("l(s_phi s_theta) = l(y) + l(x)",
+             self.length(s_ph * s_th), self.length(y) + self.length(x)),
+            ("s_theta = y s_theta' y", s_th, y * s_thp * y),
+            ("s_phi = x s_phi' x", s_ph, x * s_php * x),
+            ("l(s_theta) = 2 l(y) + l(s_theta')",
+             self.length(s_th), 2 * self.length(y) + self.length(s_thp)),
+            ("l(s_phi) = 2 l(x) + l(s_phi')",
+             self.length(s_ph), 2 * self.length(x) + self.length(s_php)),
+            # v), vi): inversion-set pairing bounds, as the roots that break them.
+            ("(theta', b^v) = -1 on Pi(y)", sorted(
+                r for r in self.inversion_set(y) if rs.pairing(theta_prime, r + zero2) != -1
+            ), []),
+            ("(phi'^v, b) = -1 on Pi(x)", sorted(
+                r for r in self.inversion_set(x) if rs.bilinear(php_v, r + zero2) != -1
+            ), []),
+            ("s_theta' s_theta = s_phi s_phi'", s_thp * s_th, s_ph * s_php),
+            ("s_phi' s_phi = s_theta s_theta'", s_php * s_ph, s_th * s_thp),
+        ]
+        if rs.bilinear(phi, phi) == 2 * rs.bilinear(theta, theta):
+            a, b = s_thp, s_php
+            records += [
+                ("s_theta = s_phi' s_theta' s_phi'", s_th, b * a * b),
+                ("s_phi = s_theta' s_phi' s_theta'", s_ph, a * b * a),
+                ("2-braid of s_theta', s_phi'", a * b * a * b, b * a * b * a),
+            ]
+        return records
 
     def compute_xy(self) -> tuple[WeylElement, WeylElement]:
         """The order-two elements x, y with v_circ w_circ = s_theta x =
         s_phi y; ValueError unless they satisfy the structural lemma."""
-        x, y = self.xy_candidates()
-        failures = self.xy_failures(x, y)
-        if failures:
-            raise ValueError(f"structural lemma fails: {', '.join(failures)}")
-        return x, y
+        failed = [name for name, lhs, rhs in self.xy_identities() if lhs != rhs]
+        if failed:
+            raise ValueError(f"structural lemma fails: {', '.join(failed)}")
+        return self.xy_candidates()
 
     def acts_as_minus_identity(self, w: WeylElement) -> bool:
         n = self.rs.n

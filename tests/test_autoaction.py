@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from dawcox import cli, diagrams
+from dawcox import autoaction, cli, diagrams
 from dawcox.autoaction import (
     CanonMap,
     a_map,
@@ -27,6 +27,10 @@ FAMILIES = [name for name in cli.LABELS if not diagrams.parse(name).is_star]
 SMALL = ["dddotA1", "dddotC2", "ddotB2", "ddotG2", "ddotF4"]
 
 
+def _failed(records):
+    return [name for name, lhs, rhs in records if lhs != rhs]
+
+
 def test_a_fixes_theta03_and_b_fixes_theta01():
     a = a_map("dddotC2")
     assert a.images["Theta03"] == (("Theta03", 1),)
@@ -37,8 +41,17 @@ def test_a_fixes_theta03_and_b_fixes_theta01():
 @pytest.mark.parametrize("name", FAMILIES)
 def test_maps_are_automorphisms(name):
     for maker in (a_map, b_map, e_map, identity_map):
-        ok, failures = is_automorphism(maker(name))
-        assert ok, (maker.__name__, failures[:3])
+        records = is_automorphism(maker(name))
+        assert records and _failed(records) == [], maker.__name__
+
+
+def test_is_automorphism_names_a_broken_relation():
+    # b with Theta01 -> Theta02 no longer preserves the relations
+    m = b_map("dddotC2")
+    assert _failed(is_automorphism(m)) == []
+    m.images["Theta01"] = (("Theta02", 1),)
+    failed = _failed(is_automorphism(m))
+    assert failed and all(name.startswith("b: ") for name in failed)
 
 
 @pytest.mark.parametrize("name", SMALL)
@@ -78,15 +91,16 @@ def test_aba_equals_theta03_image():
 
 @pytest.mark.parametrize("name", FAMILIES)
 def test_braid_identity(name):
-    out = braid_identity_check(name)
-    assert out["braid"], name
-    assert out["inverses"], name
+    records = braid_identity_check(name)
+    assert _failed(records) == []
+    for kind in ("braid", "a a^-1 = 1", "b b^-1 = 1"):
+        assert any(n.startswith(kind) for n, _, _ in records), kind
 
 
 @pytest.mark.parametrize("name", FAMILIES)
 def test_central_element_action(name):
-    out = central_element_action(name)
-    assert out["ok"], out
+    records = central_element_action(name)
+    assert records and _failed(records) == []
 
 
 def test_w0_minus_id_families():
@@ -99,10 +113,17 @@ def test_w0_minus_id_families():
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_cstar_restriction(n):
-    out = cstar_restriction_check(n)
-    assert out["ok"], out
-    assert not out["a"]["central identification preserved"]  # the expected negative
+def test_cstar_restriction(n, monkeypatch):
+    records = cstar_restriction_check(n)
+    assert _failed(records) == []
+    # the expected negative: a breaks C = Theta02^2
+    assert ("a preserves C = Theta02^2", False, False) in records
+    # an a that preserved it would fail the check (b^-1 = e a e keeps the
+    # real a)
+    b_inv = autoaction.b_inv_map("dddotA1" if n == 1 else f"dddotC{n}")
+    monkeypatch.setattr(autoaction, "b_inv_map", lambda name: b_inv)
+    monkeypatch.setattr(autoaction, "a_map", autoaction.identity_map)
+    assert _failed(cstar_restriction_check(n)) == ["a preserves C = Theta02^2"]
 
 
 def test_homomorphism_property_random_words():
@@ -114,7 +135,7 @@ def test_homomorphism_property_random_words():
         w = [rng.choice(letters) for _ in range(rng.randint(0, 3))]
         lhs = evaluate_braid(v + w, name)
         rhs = evaluate_braid(v, name).compose(evaluate_braid(w, name))
-        assert lhs.agrees_with(rhs)
+        assert lhs.gen_images == rhs.gen_images
 
 
 def test_matrix_kernel_words_act_as_central_powers():
@@ -153,7 +174,7 @@ def test_matrix_kernel_words_act_as_central_powers():
     for word, is_plus in hits:
         M = evaluate_braid(list(word), name)
         if is_plus:
-            assert M.is_identity_map(), word
+            assert M.gen_images == canon(name, "id").gen_images, word
         else:
             for g, img in gd.images.items():
                 assert M.apply(img) == w0 * img * w0.inv(), (word, g)

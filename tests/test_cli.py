@@ -8,11 +8,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dawcox
-from dawcox import dagroup, diagrams, presentation
+from dawcox import autoaction, dagroup, diagrams, presentation
 from dawcox.cli import CHECKS, LABELS, LARGE, checks_for, main
 from dawcox.weyl import WeylGroup
 
@@ -195,7 +196,7 @@ def test_verify_appendix_reports_corrupted_xy(capsys, monkeypatch):
     assert code == 1
     (check,) = json.loads(out)["checks"]
     assert check["status"] == "FAIL"
-    assert "x(theta) = theta" in check["witness"]["failures"]
+    assert "x(theta) = theta" in {f["relation"] for f in check["witness"]["failures"]}
 
 
 def test_verify_presentation_reports_a_broken_identity(capsys, monkeypatch):
@@ -213,6 +214,86 @@ def test_verify_presentation_reports_a_broken_identity(capsys, monkeypatch):
     assert check["id"] == "ddotB2:presentation" and check["status"] == "FAIL"
     failed = {f["relation"] for f in check["witness"]["failures"]}
     assert "B2 pattern Theta0,ThetaPrime commute" in failed
+
+
+def _swap_theta0_phi0(monkeypatch):
+    images = presentation.generator_dictionary("ddotB2").images
+    monkeypatch.setitem(images, "Theta0", images["Phi0"])
+    monkeypatch.setitem(images, "Phi0", images["Theta0"])
+
+
+def _torsion_tau_delta(monkeypatch):
+    monkeypatch.setattr(dagroup.DaweylContext, "tau_delta", lambda self, k=1: self.identity())
+
+
+def _nontrivial_kernel(monkeypatch):
+    monkeypatch.setattr(
+        dagroup.A2n2Comparison, "kernel_image_ii", lambda self: self.dst_c.tau_delta(1)
+    )
+
+
+def _wrong_b_image(monkeypatch):
+    b = autoaction.canon("ddotB2", "b")
+    images = {**b.gen_images, "s1": b.gen_images["s1"] * b.gen_images["tau_delta"]}
+    wrong = autoaction.CanonMap("ddotB2", "ddotB2", False, images)
+    monkeypatch.setitem(autoaction._CANON_CACHE, ("ddotB2", "b"), wrong)
+
+
+def _a_preserving_star_relations(monkeypatch):
+    b_inv = autoaction.b_inv_map("dddotC2")
+    monkeypatch.setattr(autoaction, "b_inv_map", lambda name: b_inv)
+    monkeypatch.setattr(autoaction, "a_map", autoaction.identity_map)
+
+
+def _swapped_xy(monkeypatch):
+    real = WeylGroup.xy_candidates
+    monkeypatch.setattr(WeylGroup, "xy_candidates", lambda self: real(self)[::-1])
+
+
+# check name -> (label, suite, corruption, a record the corruption breaks)
+CORRUPTIONS = {
+    "presentation": ("ddotB2", "presentation", _swap_theta0_phi0,
+                     "B2 pattern Theta0,ThetaPrime commute"),
+    "bernstein": ("dddotC2", "bernstein", _torsion_tau_delta, "tau_delta non-torsion"),
+    "a2n2-comparison": ("dddotC2star", "bernstein", _nontrivial_kernel,
+                        "kernel generator ii trivial"),
+    "auto": ("ddotB2", "auto", _wrong_b_image, "b b^-1 = 1 on s1"),
+    "auto-cstar": ("dddotC2star", "auto", _a_preserving_star_relations,
+                   "a preserves C = Theta02^2"),
+    "appendixA": ("ddotB2", "appendixA", _swapped_xy, "x(theta) = theta"),
+}
+
+
+@pytest.mark.parametrize("check", sorted({c for table in CHECKS.values() for c, _, _ in table}))
+def test_verify_names_the_broken_record(capsys, monkeypatch, check):
+    label, suite, corrupt, relation = CORRUPTIONS[check]
+    argv = ("verify", "--family", label, "--suite", suite, "--json")
+    assert run(capsys, *argv)[0] == 0
+    corrupt(monkeypatch)
+    (code, first, _), (_, second, _) = (run(capsys, *argv) for _ in range(2))
+    assert code == 1
+    (report,) = (c for c in json.loads(first)["checks"] if c["id"] == f"{label}:{check}")
+    assert report["status"] == "FAIL"
+    (failures,) = report["witness"].values()
+    assert relation in [f["relation"] for f in failures]
+    assert all(set(f) == {"relation", "lhs_nf", "rhs_nf"} for f in failures)
+    mask = functools.partial(re.sub, r'"elapsed_ms": \d+', "")
+    assert mask(first) == mask(second)
+
+
+def _simply_laced(name):
+    return dagroup.context(diagrams.correspondence(diagrams.parse(name))).wg.is_simply_laced()
+
+
+def test_every_check_returns_named_records():
+    for name in LABELS:
+        for check_id, run_check in checks_for(name, "all"):
+            records = run_check()
+            assert isinstance(records, list), check_id
+            assert all(len(r) == 3 and isinstance(r[0], str) for r in records), check_id
+            # only appendixA on a simply-laced label checks nothing
+            skipped = check_id.endswith(":appendixA") and _simply_laced(name)
+            assert bool(records) != skipped, check_id
 
 
 _UNDER_O = """
@@ -240,7 +321,8 @@ def test_appendix_a_checks_under_python_O():
     good, bad = (json.loads(line) for line in proc.stdout.splitlines())
     assert [c["status"] for c in good["checks"]] == ["pass"]
     assert [c["status"] for c in bad["checks"]] == ["FAIL"]
-    assert "s_phi s_theta = y x" in bad["checks"][0]["witness"]["failures"]
+    failed = {f["relation"] for f in bad["checks"][0]["witness"]["failures"]}
+    assert "s_phi s_theta = y x" in failed
 
 
 def test_verify_enumerates_a_weyl_group_once(capsys, monkeypatch):

@@ -203,8 +203,12 @@ def test_s0s1_infinite_order_a11(ctxs):
         assert not acc.is_identity()
 
 
+def _failed(records):
+    return [name for name, lhs, rhs in records if lhs != rhs]
+
+
 def _bernstein_failures(lab):
-    return {f["relation"] for f in dagroup.verify_bernstein_relations(lab)["failures"]}
+    return set(_failed(dagroup.verify_bernstein_relations(lab)))
 
 
 @pytest.mark.parametrize("lab", LABELS)
@@ -214,6 +218,9 @@ def test_center(ctxs, lab, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(dagroup.DaweylContext, "tau_delta", lambda self, k=1: self.identity())
         assert _bernstein_failures(lab) == {"tau_delta non-torsion"}
+        (torsion,) = (lhs for name, lhs, _ in dagroup.verify_bernstein_relations(lab)
+                      if name == "tau_delta non-torsion")
+        assert torsion == list(range(1, 11))
     with monkeypatch.context() as m:
         m.setattr(dagroup.DaweylContext, "tau_delta", lambda self, k=1: self.s(1))
         failed = _bernstein_failures(lab)
@@ -268,23 +275,34 @@ def test_alcove_walk_roundtrips(ctxs, lab):
 
 @pytest.mark.parametrize("lab", LABELS)
 def test_bernstein_relations(ctxs, lab):
-    report = dagroup.verify_bernstein_relations(lab)
-    assert report["failures"] == []
-    assert report["relations_checked"] > 0
+    records = dagroup.verify_bernstein_relations(lab)
+    assert _failed(records) == []
+    assert all(isinstance(name, str) for name, _, _ in records)
+    assert any(name.startswith("center gen=") for name, _, _ in records)
 
 
 def test_pairing_two_relation_presence():
-    # covered inside verify_bernstein_relations; spot-check the two sides
-    r1 = dagroup.verify_bernstein_relations("C2(1)")
-    r2 = dagroup.verify_bernstein_relations("B3(1)")
-    assert r1["failures"] == [] and r2["failures"] == []
+    # the pairing-2 relation appears for C2(1) and not for B3(1), and
+    # the presence record says so
+    presence = "pairing-2 relation present iff C-family"
+    for lab, present in (("C2(1)", True), ("B3(1)", False)):
+        records = dagroup.verify_bernstein_relations(lab)
+        assert _failed(records) == []
+        assert (presence, present, present) in records
+        assert any(name.startswith("t0-comm-long") for name, _, _ in records) == present
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_a2n2_comparison(n):
-    cmp = A2n2Comparison(n)
-    rep = cmp.report()
-    assert all(rep.values()), {k: v for k, v in rep.items() if not v}
+def test_a2n2_comparison(n, monkeypatch):
+    records = A2n2Comparison(n).report()
+    assert _failed(records) == []
+    names = [name for name, _, _ in records]
+    assert {"kernel generator i trivial", "kernel generator ii trivial"} <= set(names)
+    # a kernel generator that does not vanish is reported by name
+    monkeypatch.setattr(
+        A2n2Comparison, "kernel_image_ii", lambda self: self.dst_c.tau_delta(Fraction(1, 2))
+    )
+    assert _failed(A2n2Comparison(n).report()) == ["kernel generator ii trivial"]
 
 
 def test_half_delta_context():

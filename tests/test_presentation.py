@@ -1,19 +1,24 @@
 import pytest
 
-from dawcox import cli
+from dawcox import cli, dagroup, diagrams
 from dawcox import presentation as pr
+from dawcox.weyl import WeylGroup
+
+
+def _failed(records):
+    return [name for name, lhs, rhs in records if lhs != rhs]
 
 
 @pytest.mark.parametrize("name", cli.LABELS)
 def test_verify_presentation(name):
-    report = pr.verify_presentation(name)
-    assert report["failures"] == [], report["failures"][:3]
-    assert report["relations_checked"] > 0
+    records = pr.verify_presentation(name)
+    assert _failed(records) == []
+    pres = pr.generator_dictionary(name).presentation
+    assert len(records) > len(pres.relations) + len(pres.identities)
 
 
 def test_verify_presentation_e6():
-    report = pr.verify_presentation("dddotE6")
-    assert report["failures"] == []
+    assert _failed(pr.verify_presentation("dddotE6")) == []
 
 
 def test_elliptic_relations_only_for_ell0_2():
@@ -83,11 +88,11 @@ def _failures_with_broken(name, identity, monkeypatch):
     )
     with monkeypatch.context() as m:
         m.setattr(pres, "identities", broken)
-        return [f["relation"] for f in pr.verify_presentation(name)["failures"]]
+        return _failed(pr.verify_presentation(name))
 
 
 def _check_identities(name, prefix, count, monkeypatch):
-    assert pr.verify_presentation(name)["failures"] == []
+    assert _failed(pr.verify_presentation(name)) == []
     names = _identities(name, prefix)
     assert len(names) == count, names
     for identity in names:
@@ -117,18 +122,52 @@ def test_theta02_expression_rejects_bad_input():
     assert _identities("dddotA2", "B2 pattern") == []
 
 
+PRIMED = [
+    "s_theta' s_theta = s_phi s_phi'",
+    "s_phi' s_phi = s_theta s_theta'",
+]
+# the three more identities that hold when |phi|^2 = 2 |theta|^2
+PRIMED_DOUBLY_LACED = [
+    "s_theta = s_phi' s_theta' s_phi'",
+    "s_phi = s_theta' s_phi' s_theta'",
+    "2-braid of s_theta', s_phi'",
+]
+
+
+def _appendix_a(name):
+    (run,) = (run for _, run in cli.checks_for(name, "appendixA"))
+    return run()
+
+
 @pytest.mark.parametrize("name", ["dddotB3", "ddotB3", "ddotG2", "ddotF4"])
-def test_distinguished_elements(name):
-    els = pr.distinguished_elements(name)
-    assert "w0" in els
-    if "ThetaPrime" in els:
-        assert els["Psi"] == (els["Phi"] * els["Theta"]).inv()
+def test_distinguished_elements(name, monkeypatch):
+    # appendixA checks the identities that tie the primed reflections
+    # together, next to the structural lemma for x, y
+    records = _appendix_a(name)
+    assert _failed(records) == []
+    names = [n for n, _, _ in records]
+    expected = PRIMED + (PRIMED_DOUBLY_LACED if name != "ddotG2" else [])
+    assert [n for n in names if n in PRIMED + PRIMED_DOUBLY_LACED] == expected
+    # break one identity at a time (its right side gains a reflection):
+    # exactly that record fails
+    real = WeylGroup.xy_identities
+    for identity in expected:
+        def broken(self, identity=identity):
+            return [
+                (n, lhs, rhs * self.simples[0] if n == identity else rhs)
+                for n, lhs, rhs in real(self)
+            ]
+
+        with monkeypatch.context() as m:
+            m.setattr(WeylGroup, "xy_identities", broken)
+            assert _failed(_appendix_a(name)) == [identity]
 
 
 def test_distinguished_simply_laced():
-    els = pr.distinguished_elements("dddotA2")
-    assert els["Psi"].is_identity()
-    assert els["Theta"] == els["Phi"]
+    # no x, y and no primed reflections: appendixA has nothing to check
+    assert _appendix_a("dddotA2") == []
+    wg = dagroup.context(diagrams.correspondence(diagrams.parse("dddotA2"))).wg
+    assert wg.is_simply_laced()
 
 
 def test_psi_untwisted_theta_word():

@@ -98,14 +98,15 @@ def test_theta_phi(systems, lab):
         assert rs.pairing(rs.theta, rs.phi) == 1
         # theta'/phi' orthogonality holds in the doubly-laced cases; for
         # the triply-laced system (theta', theta) = r - 2 instead.
+        theta_prime, phi_prime = rs.primed(rs.theta, rs.phi)
         if rs.twist == 2:
-            assert rs.bilinear(rs.theta_prime, rs.theta) == 0
-            assert rs.bilinear(rs.phi_prime, rs.phi) == 0
+            assert rs.bilinear(theta_prime, rs.theta) == 0
+            assert rs.bilinear(phi_prime, rs.phi) == 0
         else:
-            assert rs.bilinear(rs.theta_prime, rs.theta) == rs.twist - 2
-        assert rs.coroot(rs.phi_prime) == vsub(rs.coroot(rs.theta), rs.coroot(rs.phi))
-        assert rs.theta_prime in rs.root_set
-        assert rs.phi_prime in rs.root_set
+            assert rs.bilinear(theta_prime, rs.theta) == rs.twist - 2
+        assert rs.coroot(phi_prime) == vsub(rs.coroot(rs.theta), rs.coroot(rs.phi))
+        assert theta_prime in rs.root_set
+        assert phi_prime in rs.root_set
     for a in rs.simple_roots:
         assert rs.bilinear(rs.theta, a) >= 0
         assert rs.bilinear(rs.phi, a) >= 0
