@@ -4,14 +4,17 @@
 mu lives in the lattice M (spanned by A_i = e_i alpha_i), beta in the
 nu-image of the finite coroot lattice, and k is the central tau_delta
 exponent (a half-integer only in the central extension used for the
-A_{2n}^(2) comparison).  An element stores w as an integer matrix, mu
-and beta as their integer coordinates in the bases A_i and
-nu(alpha_i^v), and k as an int whenever it is integral.  Multiplication
-moves factors into this order using the semidirect relations, with w
-acting on the coordinates by the integer matrices of WeylElement; the
-commutation of lam and tau picks up the cocycle tau_delta^{(beta, mu)},
-read from the root system's integer pairing table.  The ambient vectors
-mu and beta are formed on demand.
+A_{2n}^(2) comparison).  An element is built from, and stores, w as an
+integer matrix, mu and beta as their integer coordinates in the bases
+A_i and nu(alpha_i^v), and k as an int whenever it is integral: one
+constructor, DaweylElement(ctx, w, mu_coords, beta_coords, k).  Ambient
+vectors enter only through DaweylContext.lam and DaweylContext.tau,
+which raise ValueError off the lattice; the ambient mu and beta are
+formed on demand.  Multiplication moves factors into this order using
+the semidirect relations, with w acting on the coordinates by the
+integer matrices of WeylElement; the commutation of lam and tau picks up
+the cocycle tau_delta^{(beta, mu)}, read from the root system's integer
+pairing table.
 
 The defining affine action on the weight space is implemented
 independently of the multiplication and serves as its oracle: the linear
@@ -21,8 +24,12 @@ standard formula
     lam_mu(x) = x + (x, delta) mu - ((x, mu) + (mu, mu)/2 (x, delta)) delta
 
 while tau_beta is the honest translation by beta.
-"""
 
+The comparison morphism from C_n^(1) into the half-delta extension of
+A_{2n}^(2) is the identity on Weyl matrices and lattice coordinates and
+halves k: its epsilon dictionary is half the identity in simple-root
+coordinates, and the A_{2n}^(2) lattice bases are half the C_n^(1) ones.
+"""
 from __future__ import annotations
 
 import math
@@ -49,15 +56,9 @@ from .weyl import (
     WeylGroup,
     braid_sides,
     frac_sum,
-    int_matrix,
-    mat_mul,
     mat_vec,
     reflect,
 )
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-
 
 class DaweylContext:
     """A root system together with its Weyl group caches and the data
@@ -92,10 +93,18 @@ class DaweylContext:
         """The alcove walk over <t_0, s_1..s_n>, built once per context."""
         return AffineWalk(self, "tau")
 
-    def identity(self) -> "DaweylElement":
-        return DaweylElement.from_coords(
-            self, self.wg.id, self.zero_coords, self.zero_coords, 0
+    @cached_property
+    def theta_v_coords(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The coordinates of nu(theta^v) in M and in nu(Q^v), which s_0
+        and tau_alpha0 read."""
+        rs = self.rs
+        return (
+            self.coords(self.nu_theta_v, rs.m_basis()),
+            self.coords(self.nu_theta_v, rs.qcheck_basis()),
         )
+
+    def identity(self) -> "DaweylElement":
+        return DaweylElement(self, self.wg.id, self.zero_coords, self.zero_coords, 0)
 
     def coords(self, x: Vec, basis) -> tuple[int, ...]:
         """Integer coordinates of x in a lattice basis; ValueError if x is
@@ -114,32 +123,28 @@ class DaweylContext:
         if not 0 <= i <= self.n:
             raise ValueError(f"no simple reflection s{i} at rank {self.n}")
         if i == 0:
-            return DaweylElement(
-                self, self.s_theta, vneg(self.nu_theta_v), self.zero, _F0
-            )
-        return DaweylElement(self, self.wg.simples[i - 1], self.zero, self.zero, _F0)
+            mu = tuple(-c for c in self.theta_v_coords[0])
+            return DaweylElement(self, self.s_theta, mu, self.zero_coords, 0)
+        return self.w(self.wg.simples[i - 1])
 
     def lam(self, mu: Vec) -> "DaweylElement":
-        return DaweylElement(self, self.wg.id, mu, self.zero, _F0)
+        mu_coords = self.coords(mu, self.rs.m_basis())
+        return DaweylElement(self, self.wg.id, mu_coords, self.zero_coords, 0)
 
     def tau(self, beta: Vec) -> "DaweylElement":
-        return DaweylElement(self, self.wg.id, self.zero, beta, _F0)
+        beta_coords = self.coords(beta, self.rs.qcheck_basis())
+        return DaweylElement(self, self.wg.id, self.zero_coords, beta_coords, 0)
 
     def tau_delta(self, k=1) -> "DaweylElement":
-        return DaweylElement(self, self.wg.id, self.zero, self.zero, Fraction(k))
+        return DaweylElement(self, self.wg.id, self.zero_coords, self.zero_coords, k)
 
     def tau_alpha0(self) -> "DaweylElement":
         """tau_{alpha_0^v}: nu(alpha_0^v) = delta - a_0 nu(theta^v)."""
-        return DaweylElement(
-            self,
-            self.wg.id,
-            self.zero,
-            vneg(vscale(self.rs.a0, self.nu_theta_v)),
-            _F1,
-        )
+        beta = tuple(-self.rs.a0 * c for c in self.theta_v_coords[1])
+        return DaweylElement(self, self.wg.id, self.zero_coords, beta, 1)
 
     def w(self, el: WeylElement) -> "DaweylElement":
-        return DaweylElement(self, el, self.zero, self.zero, _F0)
+        return DaweylElement(self, el, self.zero_coords, self.zero_coords, 0)
 
     def generator(self, symbol: str) -> "DaweylElement":
         """Symbols: s0..sn, lam_A1.., tau_a1.., tau_alpha0, tau_delta."""
@@ -157,7 +162,7 @@ class DaweylContext:
             unit = tuple(int(j == i - 1) for j in range(self.n))
             zero = self.zero_coords
             mu, beta = (unit, zero) if symbol[0] == "l" else (zero, unit)
-            return DaweylElement.from_coords(self, self.wg.id, mu, beta, 0)
+            return DaweylElement(self, self.wg.id, mu, beta, 0)
         raise ValueError(f"unknown generator symbol {symbol!r}")
 
     # -- linear action of translation elements of W --------------------
@@ -205,27 +210,17 @@ def _exponent(k):
 
 
 class DaweylElement:
-    """w lam_mu tau_beta tau_delta^k.  DaweylElement(ctx, w, mu, beta, k)
-    takes mu and beta as ambient vectors and raises ValueError unless they
-    lie in M and nu(Q^v); from_coords takes their lattice coordinates."""
+    """w lam_mu tau_beta tau_delta^k, from the integer coordinates of mu
+    in the basis A_i of M and of beta in the basis nu(alpha_i^v) of
+    nu(Q^v); k is kept as an int whenever it is integral.  Ambient
+    vectors enter through DaweylContext.lam and DaweylContext.tau."""
 
-    def __init__(self, ctx: DaweylContext, w: WeylElement, mu: Vec, beta: Vec, k):
-        rs = ctx.rs
+    def __init__(self, ctx: DaweylContext, w: WeylElement, mu_coords, beta_coords, k):
         self.ctx = ctx
         self.w = w
-        self.mu_coords = ctx.coords(mu, rs.m_basis())
-        self.beta_coords = ctx.coords(beta, rs.qcheck_basis())
-        self.k = _exponent(k)
-
-    @classmethod
-    def from_coords(cls, ctx, w, mu_coords, beta_coords, k) -> "DaweylElement":
-        g = cls.__new__(cls)
-        g.ctx = ctx
-        g.w = w
-        g.mu_coords = mu_coords
-        g.beta_coords = beta_coords
-        g.k = k
-        return g
+        self.mu_coords = mu_coords
+        self.beta_coords = beta_coords
+        self.k = k if k.__class__ is int else _exponent(k)
 
     @cached_property
     def mu(self) -> Vec:
@@ -254,9 +249,7 @@ class DaweylElement:
                 beta1 = mat_vec(w2inv.qcheck_matrix, self.beta_coords)
                 k += ctx.pairing_int(beta1, other.mu_coords)
                 beta = tuple(map(add, beta1, beta))
-        if k.__class__ is not int:
-            k = _exponent(k)
-        return DaweylElement.from_coords(ctx, self.w * other.w, mu, beta, k)
+        return DaweylElement(ctx, self.w * other.w, mu, beta, k)
 
     def inv(self) -> "DaweylElement":
         return self._inverse
@@ -269,7 +262,7 @@ class DaweylElement:
         mu = tuple(-c for c in mat_vec(w.m_matrix, self.mu_coords))
         beta = tuple(-c for c in mat_vec(w.qcheck_matrix, self.beta_coords))
         k = -self.k + self.ctx.pairing_int(self.beta_coords, self.mu_coords)
-        inverse = DaweylElement.from_coords(self.ctx, w.inv(), mu, beta, k)
+        inverse = DaweylElement(self.ctx, w.inv(), mu, beta, k)
         inverse.__dict__["_inverse"] = self
         return inverse
 
@@ -596,36 +589,6 @@ def verify_bernstein_relations(label) -> list[tuple]:
 # ---------------------------------------------------------------------
 
 
-def _epsilon_matrix_c(ctx: DaweylContext):
-    """Coordinates of scaled-epsilon basis vectors (sqrt2 * eps_i) of the
-    C_n^(1) realization in terms of the simple-root basis."""
-    n = ctx.n
-    # sqrt2 eps_i = sum_{j>=i} 2 alpha_j - alpha_n  (alpha_j = (e_j - e_{j+1})/sqrt2,
-    # alpha_n = sqrt2 e_n): sqrt2 eps_i = 2(alpha_i + ... + alpha_{n-1}) + alpha_n.
-    cols = []
-    for i in range(1, n + 1):
-        v = [_F0] * (n + 2)
-        for j in range(i, n):
-            v[j - 1] = Fraction(2)
-        v[n - 1] = _F1
-        cols.append(tuple(v))
-    return cols
-
-
-def _epsilon_matrix_a(ctx: DaweylContext):
-    """Coordinates of eps_i of the A_{2n}^(2) realization in the
-    simple-root basis: alpha_i = eps_i - eps_{i+1}, alpha_n = 2 eps_n."""
-    n = ctx.n
-    cols = []
-    for i in range(1, n + 1):
-        v = [_F0] * (n + 2)
-        for j in range(i, n):
-            v[j - 1] = _F1
-        v[n - 1] = Fraction(1, 2)
-        cols.append(tuple(v))
-    return cols
-
-
 class A2n2Comparison:
     """Weyl-level shadows of the two comparison morphisms from the
     C_n^(1) group to the A_{2n}^(2) group (and its half-delta central
@@ -637,57 +600,37 @@ class A2n2Comparison:
         self.src = context(src_label)
         self.dst = context(f"A{2 * n}(2)")
         self.dst_c = context(f"A{2 * n}(2)", half_delta=True)
-        self.eps_c = _epsilon_matrix_c(self.src)
-        self.eps_a = _epsilon_matrix_a(self.dst)
-        # Consistency of the epsilon dictionaries.
+        # The epsilon dictionary sqrt2 eps_i -> eps_i is half the identity
+        # in simple-root coordinates: sqrt2 eps_i = 2(alpha_i + ... +
+        # alpha_{n-1}) + alpha_n in C_n^(1) and eps_i = alpha_i + ... +
+        # alpha_{n-1} + alpha_n / 2 in A_{2n}^(2).  The two realizations
+        # share the finite Cartan matrix, so Weyl matrices carry over
+        # unchanged, and the A_{2n}^(2) bases of M and nu(Q^v) are half the
+        # C_n^(1) ones, so lattice coordinates carry over too.
         rs_c, rs_a = self.src.rs, self.dst.rs
-        for i, v in enumerate(self.eps_c):
-            for j, w in enumerate(self.eps_a):
-                if (
-                    rs_c.bilinear(v, self.eps_c[j]) != 2 * (i == j)
-                    or rs_a.bilinear(self.eps_a[i], w) != (i == j)
-                ):
-                    raise ValueError("inconsistent epsilon dictionaries")
+        half = Fraction(1, 2)
+        if rs_c.finite_cartan != rs_a.finite_cartan or any(
+            a != vscale(half, c)
+            for basis in ("m_basis", "qcheck_basis")
+            for a, c in zip(getattr(rs_a, basis)(), getattr(rs_c, basis)())
+        ):
+            raise ValueError("the epsilon dictionary is not half the identity")
 
-    def finite_map(self, v: Vec) -> Vec:
-        """sqrt2 eps_i -> eps_i on the finite parts (delta forbidden)."""
-        n = self.n
-        if any(v[n:]):
-            raise ValueError("finite vectors only")
-        coeffs = self._eps_coords_c(v)
-        out = vzero(self.dst.rs.dim)
-        for c, w in zip(coeffs, self.eps_a):
-            out = vadd(out, vscale(c, w))
-        return out
-
-    def _eps_coords_c(self, v: Vec):
-        n = self.n
-        mat = [[self.eps_c[j][i] for j in range(n)] for i in range(n)]
-        return mat_vec(mat_inv(mat), v[:n])
+    def tau_eps1(self, ctx: DaweylContext) -> DaweylElement:
+        """tau_{eps_1} in an A_{2n}^(2) context: eps_1 = sum_i nu(alpha_i^v)."""
+        return DaweylElement(ctx, ctx.wg.id, ctx.zero_coords, (1,) * self.n, 0)
 
     def map_weyl(self, w: WeylElement) -> WeylElement:
         """Transport a finite Weyl element through the epsilon dictionary:
-        T w T^{-1} where T is the linear map sqrt2 eps_i -> eps_i."""
-        n = self.n
-        tmat = tuple(
-            tuple(self.finite_map(
-                tuple(_F1 if t == j else _F0 for t in range(n)) + (_F0, _F0)
-            )[i] for j in range(n))
-            for i in range(n)
-        )
-        m = mat_mul(mat_mul(tmat, w.matrix), mat_inv(tmat))
-        return WeylElement(self.dst.rs, int_matrix(m))
+        T w T^{-1} = w, as T is a scalar."""
+        return WeylElement(self.dst.rs, w.matrix)
 
     def map_ii(self, g: DaweylElement) -> DaweylElement:
         """The coordinate morphism into the half-delta extension (X_delta
         -> X_{delta/2}), defined on normal forms and a homomorphism there:
-        the finite map conjugates w, and mu and beta map linearly."""
+        w and the lattice coordinates of mu and beta are kept, k halves."""
         return DaweylElement(
-            self.dst_c,
-            self.map_weyl(g.w),
-            self.finite_map(g.mu),
-            self.finite_map(g.beta),
-            Fraction(g.k, 2),
+            self.dst_c, self.map_weyl(g.w), g.mu_coords, g.beta_coords, Fraction(g.k, 2)
         )
 
     def images_i(self) -> dict:
@@ -697,7 +640,7 @@ class A2n2Comparison:
         out = {}
         for i in range(self.n + 1):
             out[f"s{i}"] = self.dst.s(i)
-        out["tau_eps1"] = self.dst.tau(self.eps_a[0])
+        out["tau_eps1"] = self.tau_eps1(self.dst)
         out["tau_delta"] = self.dst.tau_delta()
         return out
 
@@ -715,7 +658,7 @@ class A2n2Comparison:
         extension: X_{alpha_0^v} -> X_{delta/2} X_{-eps_1}."""
         ctx = self.dst_c
         half = ctx.tau_delta(Fraction(1, 2))
-        x = half * ctx.tau(vneg(self.eps_a[0]))
+        x = half * self.tau_eps1(ctx).inv()
         w = ctx.s(0).inv() * x
         return w * w
 
@@ -747,6 +690,6 @@ class A2n2Comparison:
         # The tau_delta^{-1} shift: without the central half-delta factor
         # the square is exactly tau_delta^{-1}.
         ctx = self.dst_c
-        w = ctx.s(0).inv() * ctx.tau(vneg(self.eps_a[0]))
+        w = ctx.s(0).inv() * self.tau_eps1(ctx).inv()
         records.append(("square is tau_delta^{-1}", w * w, ctx.tau_delta(-1)))
         return records

@@ -19,7 +19,6 @@ from functools import cache, cached_property
 from . import dagroup, diagrams
 from .dagroup import A2n2Comparison, DaweylContext, DaweylElement, lam_word, tau_word
 from .diagrams import CoxeterDiagram, DoubleAffineLabel, build_diagram, correspondence
-from .rootsys import vneg
 from .weyl import braid_sides, reflect
 
 Word = tuple
@@ -259,14 +258,13 @@ class GeneratorDictionary:
 
     def _star_images(self, cmp: A2n2Comparison, half: bool):
         ctx = cmp.dst_c if half else cmp.dst
-        eps1 = cmp.eps_a[0]
         out = {}
         for i in range(1, ctx.n + 1):
             out[f"T{i}"] = ctx.s(i)
         out["Theta01"] = ctx.s(0)
         x_delta = ctx.tau_delta(Fraction(1, 2) if half else 1)
-        out["Theta02"] = ctx.s(0) * x_delta * ctx.tau(vneg(eps1))
-        out["Theta03"] = ctx.tau(eps1) * ctx.w(ctx.s_theta)
+        out["Theta02"] = ctx.s(0) * x_delta * cmp.tau_eps1(ctx).inv()
+        out["Theta03"] = cmp.tau_eps1(ctx) * ctx.w(ctx.s_theta)
         return out
 
     def evaluate(self, word: Word, half: bool = False) -> DaweylElement:
@@ -302,6 +300,13 @@ def _affine_letter(pres: Presentation, kind: str) -> str:
     return "Theta0" if kind == "lam" else "Phi0"
 
 
+def _walk_letters(indices, affine_letter: str) -> Word:
+    """A walk word as presentation letters: index 0 is the affine letter
+    (whose dictionary image is the walk's affine generator, s_0 or
+    tau_{c^v} s_c), index i the finite T_i."""
+    return tuple(((affine_letter if i == 0 else f"T{i}"), 1) for i in indices)
+
+
 def psi_words(gd: GeneratorDictionary) -> dict:
     """Words over the presentation generators for every generator of the
     double affine Weyl group (the surjectivity certificate)."""
@@ -315,28 +320,10 @@ def psi_words(gd: GeneratorDictionary) -> dict:
     for i in range(1, ctx.n + 1):
         out[f"s{i}"] = ((f"T{i}", 1),)
     out["tau_delta"] = pres.central_word
-    theta_w = pres.theta_word if not rs.is_twisted_proper() else None
-
-    def lam_letters(indices):
-        return tuple(
-            ((lam_letter, 1) if i == 0 else (f"T{i}", 1)) for i in indices
-        )
-
-    def tau_letters(indices):
-        word: list = []
-        for i in indices:
-            if i == 0:
-                word.append((tau_letter, 1))
-                # the walk's affine generator is tau_{c^v} s_c; the
-                # dictionary image of the tau_letter is exactly that.
-            else:
-                word.append((f"T{i}", 1))
-        return tuple(word)
-
     for i, mu in enumerate(rs.m_basis(), start=1):
-        out[f"lam_A{i}"] = lam_letters(lam_word(ctx, mu))
+        out[f"lam_A{i}"] = _walk_letters(lam_word(ctx, mu), lam_letter)
     for i, beta in enumerate(rs.simple_coroots(), start=1):
-        out[f"tau_a{i}"] = tau_letters(tau_word(ctx, beta))
+        out[f"tau_a{i}"] = _walk_letters(tau_word(ctx, beta), tau_letter)
     return out
 
 
@@ -362,6 +349,12 @@ def verify_presentation(lab) -> list[tuple]:
     # Central element maps to tau_delta (to tau_{delta/2} in the starred
     # half-delta quotient, where X_delta of C_n^(1) is the half shift).
     records.append(("C -> tau_delta", gd.central_image(), gd.ctx.tau_delta()))
+    if gd.star:
+        records.append((
+            "C -> tau_{delta/2} (half-delta)",
+            gd.central_image(half=True),
+            gd.cmp.dst_c.tau_delta(Fraction(1, 2)),
+        ))
 
     # Surjectivity round trip.
     for sym, word in gd.psi.items():

@@ -5,7 +5,9 @@ part of the weight space (the span of alpha_1..alpha_n); comparison is
 by matrix equality.  Each element also acts on the lattices M and
 nu(Q^v) by integer matrices in their bases, derived from its matrix and
 the lattices' integer scales.  Reduced words are advisory caches
-extracted by greedy descent on inversion sets.
+extracted by greedy descent on inversion sets; longest elements, of the
+group and of root stabilizers, come from greedy ascent in a parabolic
+subgroup, with no enumeration of the group.
 """
 
 from __future__ import annotations
@@ -237,18 +239,23 @@ class WeylGroup:
             raise ValueError("Pi-containment criterion violated")
         return additive
 
-    def longest_element(self) -> WeylElement:
-        """w_circ via greedy ascent; no group enumeration needed."""
+    def _longest_in_parabolic(self, indices) -> WeylElement:
+        """Longest element of the parabolic subgroup generated by s_j for
+        j in indices (1-based): multiply by s_j while w(alpha_j), column j
+        of the matrix, is positive, that is, while s_j lengthens w."""
         w = self.id
-        n = self.rs.n
-        npos = len(self.rs.pos_roots)
-        while self.length(w) < npos:
-            for i in range(1, n + 1):
-                a = self.rs.simple_roots[i - 1][:n]
-                if w.act_finite(a) in self.pos_set:
-                    w = w * self.simples[i - 1]
+        while True:
+            cols = tuple(zip(*w.matrix))
+            for j in indices:
+                if min(cols[j - 1]) >= 0:
+                    w = w * self.simples[j - 1]
                     break
-        return w
+            else:
+                return w
+
+    def longest_element(self) -> WeylElement:
+        """w_circ by parabolic ascent over every simple reflection."""
+        return self._longest_in_parabolic(range(1, self.rs.n + 1))
 
     def enumerate(self) -> list[WeylElement]:
         """All elements, BFS by right multiplication."""
@@ -266,24 +273,19 @@ class WeylGroup:
         return list(seen.values())
 
     def longest_in_stabilizer(self, roots_to_fix) -> WeylElement:
-        """Longest element of {w : w(r) = r for all listed roots}.
-
-        Computed by exhaustive enumeration of the stabilizer subgroup,
-        which is feasible at our rank bound.
-        """
-        n = self.rs.n
-        fixed = [r[:n] for r in roots_to_fix]
-
-        def stab(w):
-            return all(w.act_finite(r) == r for r in fixed)
-
-        best, best_len = self.id, 0
-        for w in self.enumerate():
-            if stab(w):
-                lw = self.length(w)
-                if lw > best_len:
-                    best, best_len = w, lw
-        return best
+        """Longest element of {w : w(r) = r for all listed roots}, which
+        must be dominant: their common stabilizer is the parabolic
+        subgroup of the simple roots orthogonal to all of them
+        (Chevalley), so no group enumeration is needed."""
+        rs = self.rs
+        simple = rs.simple_roots
+        pairings = [[rs.bilinear(r, a) for a in simple] for r in roots_to_fix]
+        if any(p < 0 for row in pairings for p in row):
+            raise ValueError("longest_in_stabilizer expects dominant roots")
+        orthogonal = [
+            j for j in range(1, rs.n + 1) if not any(row[j - 1] for row in pairings)
+        ]
+        return self._longest_in_parabolic(orthogonal)
 
     def is_simply_laced(self) -> bool:
         return len({self.rs.bilinear(r, r) for r in self.rs.pos_roots}) == 1

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dawcox
-from dawcox import autoaction, dagroup, diagrams, presentation
+from dawcox import autoaction, congruence, dagroup, diagrams, presentation
 from dawcox.cli import CHECKS, LABELS, LARGE, checks_for, main
 from dawcox.weyl import WeylGroup
 
@@ -93,6 +94,16 @@ def test_decompose_s_matrix(capsys):
 def test_decompose_nonmember(capsys):
     code, _, err = run(capsys, "decompose", "--matrix", "1,0;1,1", "--level", "2")
     assert code == 1
+
+
+def test_decompose_reports_a_failed_round_trip(capsys, monkeypatch):
+    # a free reduction that drops a letter makes decompose's own round-trip
+    # check fail; the CLI reports it as an error, with no traceback
+    monkeypatch.setattr(congruence, "free_reduce", lambda word: tuple(word)[1:])
+    code, out, err = run(capsys, "decompose", "--matrix", "0,-1;1,0", "--level", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: decompose: the word for")
+    assert "does not evaluate to it" in err and "Traceback" not in err
 
 
 def test_involution_identity(capsys):
@@ -216,6 +227,26 @@ def test_verify_presentation_reports_a_broken_identity(capsys, monkeypatch):
     assert "B2 pattern Theta0,ThetaPrime commute" in failed
 
 
+@pytest.mark.parametrize("family", ["dddotA1star", "dddotC1star", "dddotC2star", "dddotC3star"])
+def test_verify_presentation_checks_the_half_delta_central_image(capsys, monkeypatch, family):
+    # X_delta sent to tau_delta instead of tau_{delta/2} in the half-delta
+    # dictionary: Theta02 picks up a central tau_{delta/2}, so C maps to
+    # tau_delta there, and the half-delta central record must fail
+    argv = ("verify", "--family", family, "--suite", "presentation", "--json")
+    assert run(capsys, *argv)[0] == 0
+    # --family names the label as it prints: dddotC1star as dddotA1star
+    gd = presentation.generator_dictionary(str(diagrams.parse(family)))
+    half = gd.cmp.dst_c.tau_delta(Fraction(1, 2))
+    monkeypatch.setitem(gd.images_c, "Theta02", gd.images_c["Theta02"] * half)
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    (check,) = json.loads(out)["checks"]
+    assert check["status"] == "FAIL"
+    failures = {f["relation"]: f for f in check["witness"]["failures"]}
+    record = failures["C -> tau_{delta/2} (half-delta)"]
+    assert record["lhs_nf"].endswith("k=1") and record["rhs_nf"].endswith("k=1/2")
+
+
 def _swap_theta0_phi0(monkeypatch):
     images = presentation.generator_dictionary("ddotB2").images
     monkeypatch.setitem(images, "Theta0", images["Phi0"])
@@ -325,24 +356,27 @@ def test_appendix_a_checks_under_python_O():
     assert "s_phi s_theta = y x" in failed
 
 
-def test_verify_enumerates_a_weyl_group_once(capsys, monkeypatch):
+def test_verify_computes_xy_once_and_never_enumerates(capsys, monkeypatch):
     # fresh per-label caches for this test; monkeypatch restores the
     # process-wide ones afterwards
     for module, name in ((dagroup, "_context"), (presentation, "_generator_dictionary")):
         fresh = functools.cache(getattr(module, name).__wrapped__)
         monkeypatch.setattr(module, name, fresh)
-    calls = []
-    real = WeylGroup.enumerate
+    calls = {"enumerate": [], "longest_in_stabilizer": []}
+    for method in calls:
+        real = getattr(WeylGroup, method)
 
-    def counting(self):
-        calls.append(self)
-        return real(self)
+        def counting(self, *args, _real=real, _calls=calls[method]):
+            _calls.append(self)
+            return _real(self, *args)
 
-    monkeypatch.setattr(WeylGroup, "enumerate", counting)
+        monkeypatch.setattr(WeylGroup, method, counting)
+    # the presentation and the appendixA suites both read x, y of F4
     for suite in ("presentation", "appendixA"):
         code, _, _ = run(capsys, "verify", "--family", "ddotF4", "--suite", suite)
         assert code == 0
-    assert len(calls) == 1
+    assert len(calls["longest_in_stabilizer"]) == 1
+    assert calls["enumerate"] == []
 
 
 def _strip_elapsed(report):

@@ -5,7 +5,8 @@ import pytest
 
 from dawcox import dagroup
 from dawcox.dagroup import A2n2Comparison, context, lam_word, tau_word
-from dawcox.rootsys import build, parse_label, vadd, vneg, vscale, vsub
+from dawcox.rootsys import build, mat_inv, parse_label, vadd, vneg, vscale, vsub
+from dawcox.weyl import mat_mul, mat_vec
 
 LABELS = ["A1(1)", "C2(1)", "A2(2)", "D3(2)", "G2(1)", "D4(3)", "B3(1)", "E6(2)"]
 
@@ -100,7 +101,7 @@ def test_conjugation_relations(ctxs, lab):
         img = s0.act(beta)  # the linear action on the root
         k = img[ctx.n]
         finite = img[: ctx.n] + (Fraction(0), Fraction(0))
-        expect = dagroup.DaweylElement(ctx, ctx.wg.id, ctx.zero, finite, k)
+        expect = ctx.tau(finite) * ctx.tau_delta(k)
         assert s0.conj(ctx.tau(beta)) == expect
 
 
@@ -190,7 +191,7 @@ def test_lam_linear_matches_reflection_composition(ctxs):
             for k in (Fraction(-2), Fraction(1, 2), Fraction(3)):
                 shifted = vadd(p, vscale(k, rs.delta))
                 assert ctx.tau_delta(k).act(p) == shifted
-                g = dagroup.DaweylElement(ctx, ctx.wg.id, lam.mu, ctx.zero, k)
+                g = ctx.lam(lam.mu) * ctx.tau_delta(k)
                 assert g.act(p) == lam_reference(rs, lam.mu, shifted)
 
 
@@ -228,9 +229,12 @@ def test_center(ctxs, lab, monkeypatch):
         assert any(name.startswith("center gen=") for name in failed)
     ctx = ctxs[lab]
     assert not ctx.tau_delta().is_identity()
-    assert ctx.tau_delta() == dagroup.DaweylElement(
-        ctx, ctx.wg.id, ctx.zero, ctx.zero, Fraction(1)
+    # tau_delta is the normal form (1, 0, 0, k = 1), with k an int
+    td = ctx.tau_delta()
+    assert (td.w, td.mu_coords, td.beta_coords, td.k) == (
+        ctx.wg.id, ctx.zero_coords, ctx.zero_coords, 1
     )
+    assert type(td.k) is int and ctx.tau_delta(Fraction(1)) == td
 
 
 @pytest.mark.parametrize("lab", LABELS)
@@ -303,6 +307,87 @@ def test_a2n2_comparison(n, monkeypatch):
         A2n2Comparison, "kernel_image_ii", lambda self: self.dst_c.tau_delta(Fraction(1, 2))
     )
     assert _failed(A2n2Comparison(n).report()) == ["kernel generator ii trivial"]
+
+
+# -- The epsilon dictionaries of the A_{2n}^(2) comparison, kept here as
+# the Fraction reference for its identity on lattice coordinates: T maps
+# sqrt2 eps_i of C_n^(1) to eps_i of A_{2n}^(2), in simple-root coordinates.
+
+
+def _epsilon_matrix_c(n):
+    """sqrt2 eps_i = 2(alpha_i + ... + alpha_{n-1}) + alpha_n (alpha_j =
+    (e_j - e_{j+1}) / sqrt2, alpha_n = sqrt2 e_n), as columns."""
+    return [
+        tuple(Fraction(2 if i <= j < n else int(j == n)) for j in range(1, n + 1))
+        for i in range(1, n + 1)
+    ]
+
+
+def _epsilon_matrix_a(n):
+    """eps_i = alpha_i + ... + alpha_{n-1} + alpha_n / 2 (alpha_i = eps_i -
+    eps_{i+1}, alpha_n = 2 eps_n), as columns."""
+    return [
+        tuple(Fraction(1) if i <= j < n else Fraction(j == n, 2) for j in range(1, n + 1))
+        for i in range(1, n + 1)
+    ]
+
+
+def _epsilon_map(n):
+    """The matrix of T: the A-columns times the inverse of the C-columns."""
+    eps_c, eps_a = _epsilon_matrix_c(n), _epsilon_matrix_a(n)
+    cols_c = [[eps_c[j][i] for j in range(n)] for i in range(n)]
+    cols_a = [[eps_a[j][i] for j in range(n)] for i in range(n)]
+    return mat_mul(cols_a, mat_inv(cols_c))
+
+
+def _finite(v, n):
+    return tuple(v[:n]) + (Fraction(0), Fraction(0))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_a2n2_comparison_matches_the_epsilon_reference(n):
+    cmp = A2n2Comparison(n)
+    rs_c, rs_a = cmp.src.rs, cmp.dst.rs
+    eps_c, eps_a = _epsilon_matrix_c(n), _epsilon_matrix_a(n)
+    # the dictionaries are orthonormal: (sqrt2 eps_i, sqrt2 eps_j) = 2 delta_ij
+    # in C_n^(1) and (eps_i, eps_j) = delta_ij in A_{2n}^(2)
+    for i in range(n):
+        for j in range(n):
+            assert rs_c.bilinear(_finite(eps_c[i], n), _finite(eps_c[j], n)) == 2 * (i == j)
+            assert rs_a.bilinear(_finite(eps_a[i], n), _finite(eps_a[j], n)) == (i == j)
+    t = _epsilon_map(n)
+    t_inv = mat_inv(t)
+    assert t == tuple(tuple(Fraction(i == j, 2) for j in range(n)) for i in range(n))
+    rng = random.Random(n)
+    for _ in range(30):
+        g = random_element(cmp.src, rng, size=3)
+        w = mat_mul(mat_mul(t, g.w.matrix), t_inv)
+        assert cmp.map_weyl(g.w).matrix == w
+        image = cmp.map_ii(g)
+        assert image.ctx is cmp.dst_c and image.w.matrix == w
+        assert image.mu == _finite(mat_vec(t, g.mu[:n]), n)
+        assert image.beta == _finite(mat_vec(t, g.beta[:n]), n)
+        assert image.k == Fraction(g.k, 2)
+        # and a homomorphism on products
+        h = random_element(cmp.src, rng)
+        assert cmp.map_ii(g * h) == image * cmp.map_ii(h)
+    # eps_1 = sum_i nu(alpha_i^v)
+    assert cmp.tau_eps1(cmp.dst).beta == _finite(eps_a[0], n)
+
+
+def test_a2n2_comparison_rejects_a_basis_that_is_not_halved(monkeypatch):
+    real = type(context("C2(1)").rs).m_basis
+
+    def doubled(rs):
+        basis = real(rs)
+        if rs.label.letter == "A" and rs.twist == 2:
+            basis = tuple(vscale(2, b) for b in basis)
+        return basis
+
+    assert A2n2Comparison(2).report()
+    monkeypatch.setattr(type(context("C2(1)").rs), "m_basis", doubled)
+    with pytest.raises(ValueError, match="half the identity"):
+        A2n2Comparison(2)
 
 
 def test_half_delta_context():

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from dawcox import cli, diagrams
-from dawcox.dagroup import DaweylElement, context
+from dawcox.dagroup import context
 from dawcox.rootsys import vadd, vneg, vscale
 from dawcox.weyl import WeylElement, int_matrix, mat_inv
 
@@ -119,8 +119,8 @@ def test_product_and_inverse_match_reference_and_action(label):
             assert all(type(x) is int for row in g.w.matrix for x in row)
             assert all(type(c) is int for c in g.mu_coords + g.beta_coords)
             assert type(g.k) is int or (ctx.half_delta and g.k.denominator == 2)
-            # round trip through the ambient constructor
-            assert DaweylElement(ctx, g.w, g.mu, g.beta, g.k) == g
+            # round trip through the ambient entry points lam and tau
+            assert ctx.w(g.w) * ctx.lam(g.mu) * ctx.tau(g.beta) * ctx.tau_delta(g.k) == g
             # against the action oracle
             h = g * gens[rng.randrange(len(gens))]
             for p in pts:
@@ -157,9 +157,9 @@ def test_off_lattice_input_raises(label):
     rs = ctx.rs
     half = vscale(Fraction(1, 2), rs.m_basis()[0])
     with pytest.raises(ValueError):
-        DaweylElement(ctx, ctx.wg.id, half, ctx.zero, 0)
-    with pytest.raises(ValueError):
         ctx.lam(half)
+    with pytest.raises(ValueError):
+        ctx.tau(vscale(Fraction(1, 2), rs.qcheck_basis()[0]))
     with pytest.raises(ValueError):
         ctx.tau(vscale(Fraction(1, 3), rs.qcheck_basis()[0]))
     with pytest.raises(ValueError):  # mu must be finite

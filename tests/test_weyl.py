@@ -1,6 +1,8 @@
 import random
 import pytest
 
+from dawcox import dagroup, diagrams
+from dawcox.cli import LABELS, LARGE
 from dawcox.rootsys import build
 from dawcox.weyl import WeylGroup, listed_w0_central_claim, reflect
 
@@ -179,3 +181,55 @@ def test_enumerate_sizes(groups):
     assert len(groups["B2"].enumerate()) == 8
     assert len(groups["G2"].enumerate()) == 12
     assert len(groups["B3"].enumerate()) == 48
+
+
+def _stabilized_root_sets(g):
+    """The root sets whose stabilizers the program takes longest elements
+    of: none, theta, and for non-simply-laced data theta, phi and both."""
+    if g.is_simply_laced():
+        return [[], [g.rs.theta]]
+    theta, phi = g.theta_phi_finite()
+    return [[], [theta], [phi], [theta, phi]]
+
+
+def _fixes(w, roots):
+    n = w.rs.n
+    return all(w.act_finite(r[:n]) == r[:n] for r in roots)
+
+
+@pytest.mark.parametrize("label", LABELS + LARGE)
+def test_longest_elements_match_the_references(label):
+    g = dagroup.context(diagrams.correspondence(diagrams.parse(label))).wg
+    rs = g.rs
+    positive = frozenset(g.pos_int)
+    root_sets = _stabilized_root_sets(g)
+    # Every label: the longest element of a stabilizer is the element of
+    # the group whose inversion set is the positive roots orthogonal to
+    # the fixed roots; inversion sets determine elements.
+    for roots in root_sets:
+        v = g.longest_in_stabilizer(roots)
+        orthogonal = frozenset(
+            r for r, full in zip(g.pos_int, rs.pos_roots)
+            if all(rs.bilinear(full, x) == 0 for x in roots)
+        )
+        assert _fixes(v, roots)
+        assert g.inversion_set(v) == orthogonal
+    assert g.inversion_set(g.longest_element()) == positive
+    # Enumerating the group is the reference where it is cheap: every
+    # finite type here but E6 (51 840 elements, about 10 s), E7 and E8,
+    # which have 36, 63 and 120 positive roots; the others have at most 24.
+    if len(positive) >= 36:
+        return
+    elements = g.enumerate()
+    assert g.longest_element() == max(elements, key=g.length)
+    for roots in root_sets:
+        stabilizer = [w for w in elements if _fixes(w, roots)]
+        assert g.longest_in_stabilizer(roots) == max(stabilizer, key=g.length)
+
+
+def test_longest_in_stabilizer_rejects_a_non_dominant_root(groups):
+    g = groups["B3"]
+    with pytest.raises(ValueError, match="dominant"):
+        g.longest_in_stabilizer([g.rs.simple_roots[0]])
+    with pytest.raises(ValueError, match="dominant"):
+        g.longest_in_stabilizer([tuple(-c for c in g.rs.theta)])
