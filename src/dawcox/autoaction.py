@@ -74,7 +74,7 @@ def _fixing_finite(pres) -> dict:
 def a_map(label_name: str) -> EndoMap:
     pres = generator_dictionary(label_name).presentation
     images = _fixing_finite(pres)
-    if pres.label.base_family.startswith("dddot"):
+    if pres.label.is_triple:
         images["Theta01"] = (("Theta02", 1),)
         images["Theta02"] = (("Theta02", -1), ("Theta01", 1), ("Theta02", 1))
         images["Theta03"] = (("Theta03", 1),)
@@ -90,7 +90,7 @@ def a_map(label_name: str) -> EndoMap:
 def b_map(label_name: str) -> EndoMap:
     pres = generator_dictionary(label_name).presentation
     images = _fixing_finite(pres)
-    if pres.label.base_family.startswith("dddot"):
+    if pres.label.is_triple:
         images["Theta01"] = (("Theta01", 1),)
         images["Theta02"] = (("Theta03", 1),)
         images["Theta03"] = (("Theta03", -1), ("Theta02", 1), ("Theta03", 1))
@@ -103,55 +103,42 @@ def b_map(label_name: str) -> EndoMap:
     return EndoMap("b", label_name, label_name, images)
 
 
-_E_FINITE_PERM = {
-    "ddotB2": {1: 2, 2: 1},
-    "ddotG2": {1: 2, 2: 1},
-    "ddotF4": {1: 4, 2: 3, 3: 2, 4: 1},
-}
-
-
-def e_partner(label_name: str) -> str:
-    lab = diagrams.parse(label_name)
-    if lab.family == "ddotB":
-        return f"ddotC{lab.rank}"
-    if lab.family == "ddotC":
-        return f"ddotB{lab.rank}"
-    return label_name
-
-
 def e_map(label_name: str) -> EndoMap:
     """The anti-involution: swaps Theta01 <-> Theta03 (triple-node case)
     or the two labelled affine nodes (two-node case, possibly crossing to
     the partner labeling)."""
     pres = generator_dictionary(label_name).presentation
     lab = pres.label
+    partner = diagrams.partner(lab)
+    # keep the caller's spelling when e stays in the group, so that e
+    # composes with the a, b maps built under the same name
+    dst = label_name if partner == lab else str(partner)
     images: dict = {}
-    if lab.base_family.startswith("dddot"):
-        dst = label_name
+    if lab.is_triple:
         for g in pres.generators:
             images[g] = ((g, 1),)
         images["Theta01"] = (("Theta03", 1),)
         images["Theta03"] = (("Theta01", 1),)
     else:
-        dst = e_partner(label_name)
-        perm = _E_FINITE_PERM.get(label_name, {})
+        # T_i goes to the partner's T_i, seen in the order Phi0 sees it
+        order = diagrams.FAMILIES[lab.family].order
         for g in pres.generators:
             if _is_finite_gen(g):
                 i = int(g[1:])
-                images[g] = ((f"T{perm.get(i, i)}", 1),)
+                images[g] = ((f"T{order[i] if order else i}", 1),)
         images["Theta0"] = (("Phi0", 1),)
         images["Phi0"] = (("Theta0", 1),)
     return EndoMap("e", label_name, dst, images, anti=True)
 
 
 def a_inv_map(label_name: str) -> EndoMap:
-    e2 = e_map(e_partner(label_name))
-    return e2.compose(b_map(e_partner(label_name))).compose(e_map(label_name))
+    e = e_map(label_name)
+    return e_map(e.dst).compose(b_map(e.dst)).compose(e)
 
 
 def b_inv_map(label_name: str) -> EndoMap:
-    e2 = e_map(e_partner(label_name))
-    return e2.compose(a_map(e_partner(label_name))).compose(e_map(label_name))
+    e = e_map(label_name)
+    return e_map(e.dst).compose(a_map(e.dst)).compose(e)
 
 
 def is_automorphism(m: EndoMap) -> list[tuple]:

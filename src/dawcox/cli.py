@@ -148,7 +148,8 @@ def cmd_nf(args) -> int:
         return _fail(str(exc))
     word = []
     for tok in args.word.split():
-        name = tok.rstrip("'")
+        # one trailing prime inverts; "T1''" names no generator
+        name = tok[:-1] if tok.endswith("'") else tok
         e = -1 if tok.endswith("'") else 1
         if name == "C":
             word.extend(
@@ -216,6 +217,8 @@ def cmd_involution(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.rank is not None and not args.family:
+        return _fail("--rank needs --family")
     if args.family:
         try:
             names = [str(_label(args))]

@@ -282,6 +282,7 @@ class DaweylElement:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, DaweylElement)
+            and self.ctx is other.ctx
             and self.k == other.k
             and self.mu_coords == other.mu_coords
             and self.beta_coords == other.beta_coords

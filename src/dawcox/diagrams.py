@@ -6,16 +6,26 @@ finite diagram) and the two-affine-node diagrams.  Finite nodes carry
 the conventional numbering of the corresponding affine Dynkin diagram;
 affine nodes come last, in the fixed order Theta01, Theta02, Theta03
 (or Theta0, Phi0).
+
+FAMILIES is the one table of double affine labels: each family's affine
+Dynkin type at rank n, its admissible ranks, its e-partner and the
+partner's node order as Phi0 sees it.  The ranks are n >= 1 for dddotA,
+n >= 3 for dddotB, ddotB and ddotC, n >= 2 for dddotC and dddotCstar
+(rank 1 of each aliases dddotA1 and dddotA1star), n >= 4 for dddotD,
+6, 7, 8 for dddotE and one fixed rank for the rest.  Labels, parsing,
+the correspondence with affine types (both ways) and the two-node
+diagrams all read the table.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cache
+from functools import cache, cached_property
 
-from .rootsys import AffineLabel, UnknownTypeError, affine_cartan, parse_label
+from .rootsys import AffineLabel, UnknownTypeError, affine_cartan
 
 
 class NodeKind(Enum):
@@ -30,28 +40,69 @@ class NodeId:
     label: str  # "T1".."Tn", "Theta01".."Theta03", "Theta0", "Phi0"
 
 
-TRIPLE_FAMILIES = {
-    "dddotA": ("A", 1),
-    "dddotB": ("B", 3),
-    "dddotC": ("C", 1),   # dddotC1 aliases dddotA1
-    "dddotD": ("D", 4),
-    "dddotE": ("E", 6),
-    "dddotF": ("F", 4),
-    "dddotG": ("G", 2),
+# "A{2n-1}(2)" (linear in the rank n) or "E6(2)" (fixed)
+_KAC = re.compile(r"([A-G])(?:\{(\d*)n([+-]\d+)?\}|(\d+))\((\d)\)")
+
+
+@dataclass(frozen=True)
+class Family:
+    """One row of FAMILIES: the affine type `kac` at rank n, admissible
+    for least <= n <= most (most None: no bound), the e-partner family
+    (None: the family itself), and the partner node at each position
+    0..n as Phi0 sees it (empty: in order)."""
+
+    kac: str
+    least: int
+    most: int | None = None
+    partner: str | None = None
+    order: tuple[int, ...] = ()
+
+    @cached_property
+    def _form(self) -> tuple[str, int, int, int]:
+        """(X, a, b, r) for the affine type X_{an+b}^(r)."""
+        letter, a, b, fixed, twist = _KAC.fullmatch(self.kac).groups()
+        if fixed:
+            return letter, 0, int(fixed), int(twist)
+        return letter, int(a or 1), int(b or 0), int(twist)
+
+    def admits(self, rank) -> bool:
+        return self.least <= rank and (self.most is None or rank <= self.most)
+
+    def affine(self, n: int) -> AffineLabel:
+        letter, a, b, twist = self._form
+        return AffineLabel(letter, a * n + b, twist)
+
+    def rank_of(self, aff: AffineLabel) -> int | None:
+        """The rank, admissible or not, at which this family has type aff."""
+        letter, a, b, twist = self._form
+        if (aff.letter, aff.twist) != (letter, twist):
+            return None
+        if a == 0:
+            return self.least if aff.N == b else None
+        n, rest = divmod(aff.N - b, a)
+        return None if rest else n
+
+
+FAMILIES = {
+    "dddotA": Family("A{n}(1)", 1),
+    "dddotB": Family("B{n}(1)", 3),
+    "dddotC": Family("C{n}(1)", 2),
+    "dddotD": Family("D{n}(1)", 4),
+    "dddotE": Family("E{n}(1)", 6, 8),
+    "dddotF": Family("F{n}(1)", 4, 4),
+    "dddotG": Family("G{n}(1)", 2, 2),
+    "dddotAstar": Family("A2(2)", 1, 1),
+    "dddotCstar": Family("A{2n}(2)", 2),
+    "ddotB": Family("D{n+1}(2)", 3, partner="ddotC"),
+    "ddotC": Family("A{2n-1}(2)", 3, partner="ddotB"),
+    # The partner order attaches the partner 0-node where Phi0 attaches.
+    "ddotB2": Family("A3(2)", 2, 2, order=(0, 2, 1)),  # the square is symmetric: swap T1, T2
+    "ddotF4": Family("E6(2)", 4, 4, order=(0, 4, 3, 2, 1)),  # reverse the chain: Phi0 at T4
+    "ddotG2": Family("D4(3)", 2, 2, order=(0, 2, 1)),
 }
 
-STAR_FAMILIES = {"dddotAstar": 1, "dddotCstar": 1}
-
-DDOT_FAMILIES = {
-    "ddotB": 3,
-    "ddotC": 3,
-    "ddotB2": 2,
-    "ddotF4": 4,
-    "ddotG2": 2,
-}
-
-FIXED_RANK = {"dddotF": 4, "dddotG": 2, "dddotE": None,
-              "ddotB2": 2, "ddotF4": 4, "ddotG2": 2}
+# Rank-1 labels stored under another family.
+_ALIASES = {("dddotC", 1): "dddotA", ("dddotCstar", 1): "dddotAstar"}
 
 
 @dataclass(frozen=True)
@@ -63,60 +114,48 @@ class DoubleAffineLabel:
     alias_of: str | None = None
 
     def __str__(self) -> str:
-        if self.family in ("ddotB2", "ddotF4", "ddotG2"):
+        if self.family[-1].isdigit():  # ddotB2, ddotF4, ddotG2 name their rank
             return self.family
-        if self.family.endswith("star"):
+        if self.is_star:
             return f"{self.family[:-4]}{self.rank}star"
         return f"{self.family}{self.rank}"
 
     @property
     def is_star(self) -> bool:
-        return self.family in STAR_FAMILIES
+        return self.family.endswith("star")
 
     @property
-    def base_family(self) -> str:
-        """The family whose diagram carries this label (stars reuse it)."""
-        if self.family == "dddotAstar":
-            return "dddotA"
-        if self.family == "dddotCstar":
-            return "dddotC" if self.rank >= 2 else "dddotA"
-        return self.family
+    def is_triple(self) -> bool:
+        """Three affine nodes Theta01..Theta03 (starred labels too), not
+        the two nodes Theta0, Phi0."""
+        return self.family.startswith("dddot")
+
+
+def _fixed_rank(family: str) -> int | None:
+    """The rank a family takes when none is given: its one admissible
+    rank, except for a starred family, whose name carries its rank."""
+    row = FAMILIES.get(family)
+    if row is None or row.least != row.most or family.endswith("star"):
+        return None
+    return row.least
 
 
 def label(family: str, rank: int | None = None) -> DoubleAffineLabel:
     """Validate and normalize a (family, rank) pair."""
-    if family in FIXED_RANK and FIXED_RANK[family] is not None:
-        if rank not in (None, FIXED_RANK[family]):
-            raise UnknownTypeError(f"{family} has fixed rank {FIXED_RANK[family]}")
-        rank = FIXED_RANK[family]
+    row = FAMILIES.get(family)
+    fixed = _fixed_rank(family)
+    if fixed is not None:
+        if rank not in (None, fixed):
+            raise UnknownTypeError(f"{family} has fixed rank {fixed}")
+        rank = fixed
     if rank is None:
         raise UnknownTypeError(f"{family} needs a rank")
-    if family == "dddotA" and rank >= 1:
+    if (family, rank) in _ALIASES:
+        return DoubleAffineLabel(_ALIASES[family, rank], rank, alias_of=family)
+    if row is not None and row.admits(rank):
         return DoubleAffineLabel(family, rank)
-    if family == "dddotAstar":
-        if rank != 1:
-            raise UnknownTypeError("dddotAstar exists at rank 1 only")
-        return DoubleAffineLabel(family, 1)
-    if family == "dddotB" and rank >= 3:
-        return DoubleAffineLabel(family, rank)
-    if family == "dddotC":
-        if rank == 1:
-            return DoubleAffineLabel("dddotA", 1, alias_of="dddotC")
-        if rank >= 2:
-            return DoubleAffineLabel(family, rank)
-    if family == "dddotCstar":
-        if rank == 1:
-            return DoubleAffineLabel("dddotAstar", 1, alias_of="dddotCstar")
-        if rank >= 2:
-            return DoubleAffineLabel(family, rank)
-    if family == "dddotD" and rank >= 4:
-        return DoubleAffineLabel(family, rank)
-    if family == "dddotE" and rank in (6, 7, 8):
-        return DoubleAffineLabel(family, rank)
-    if family in ("dddotF", "dddotG", "ddotB2", "ddotF4", "ddotG2"):
-        return DoubleAffineLabel(family, FIXED_RANK[family])
-    if family in ("ddotB", "ddotC") and rank >= 3:
-        return DoubleAffineLabel(family, rank)
+    if row is not None and row.least == row.most:
+        raise UnknownTypeError(f"{family} exists at rank {row.least} only")
     raise UnknownTypeError(f"invalid family/rank: {family} {rank}")
 
 
@@ -125,71 +164,40 @@ def parse(text: str) -> DoubleAffineLabel:
     """Parse e.g. 'dddotC3', 'dddotC2star', 'ddotB4', 'ddotG2'.  Memoized:
     the per-label factories look labels up by name on every call."""
     text = text.strip()
-    for fam in sorted(
-        list(TRIPLE_FAMILIES) + list(STAR_FAMILIES) + list(DDOT_FAMILIES),
-        key=len,
-        reverse=True,
-    ):
-        if fam in FIXED_RANK and FIXED_RANK[fam] is not None and text == fam:
+    for fam in sorted(FAMILIES, key=len, reverse=True):
+        if text == fam and _fixed_rank(fam) is not None:
             return label(fam)
         if text.startswith(fam):
             rest = text[len(fam):]
             if rest.isdigit():
                 return label(fam, int(rest))
-            if rest.endswith("star") and rest[:-4].isdigit() and fam in (
-                "dddotA", "dddotC"
-            ):
+            if rest.endswith("star") and rest[:-4].isdigit() and fam + "star" in FAMILIES:
                 return label(fam + "star", int(rest[:-4]))
     raise UnknownTypeError(f"cannot parse double affine label {text!r}")
 
 
 def correspondence(lab: DoubleAffineLabel) -> AffineLabel:
     """The affine Dynkin type isomorphic to the double affine group."""
-    f, n = lab.family, lab.rank
-    if f == "dddotA" and n == 1 and lab.alias_of == "dddotC":
-        return parse_label("A1(1)")
-    if f in ("dddotA", "dddotB", "dddotC", "dddotD", "dddotE", "dddotF", "dddotG"):
-        letter = f[-1]
-        return parse_label(f"{letter}{n}(1)")
-    if f == "dddotAstar":
-        return parse_label("A2(2)")
-    if f == "dddotCstar":
-        return parse_label(f"A{2 * n}(2)")
-    if f == "ddotB" and n >= 3:
-        return parse_label(f"D{n + 1}(2)")
-    if f == "ddotC" and n >= 3:
-        return parse_label(f"A{2 * n - 1}(2)")
-    if f == "ddotB2":
-        return parse_label("A3(2)")
-    if f == "ddotF4":
-        return parse_label("E6(2)")
-    if f == "ddotG2":
-        return parse_label("D4(3)")
-    raise UnknownTypeError(str(lab))
+    row = FAMILIES.get(lab.family)
+    if row is None:
+        raise UnknownTypeError(str(lab))
+    return row.affine(lab.rank)
 
 
 def correspondence_inverse(aff: AffineLabel) -> DoubleAffineLabel:
-    """The double affine Coxeter label for an affine Dynkin type."""
-    L, N, r = aff.letter, aff.N, aff.twist
-    if r == 1:
-        fam = "dddot" + L
-        return label(fam, N)
-    if r == 2:
-        if L == "A" and N == 2:
-            return label("dddotAstar", 1)
-        if L == "A" and N % 2 == 0:
-            return label("dddotCstar", N // 2)
-        if L == "A" and N == 3:
-            return label("ddotB2")
-        if L == "A":
-            return label("ddotC", (N + 1) // 2)
-        if L == "D":
-            return label("ddotB", N - 1)
-        if L == "E" and N == 6:
-            return label("ddotF4")
-    if r == 3 and L == "D" and N == 4:
-        return label("ddotG2")
-    raise UnknownTypeError(str(aff))
+    """The double affine Coxeter label for an affine Dynkin type: the
+    family that has type aff at an admissible rank, or else the one that
+    has it at some other rank, which label() then reports."""
+    hits = [(fam, n) for fam, row in FAMILIES.items() if (n := row.rank_of(aff)) is not None]
+    if not hits:
+        raise UnknownTypeError(str(aff))
+    return label(*min(hits, key=lambda hit: not FAMILIES[hit[0]].admits(hit[1])))
+
+
+def partner(lab: DoubleAffineLabel) -> DoubleAffineLabel:
+    """The label that the anti-involution e carries lab to."""
+    fam = FAMILIES[lab.family].partner
+    return lab if fam is None else label(fam, lab.rank)
 
 
 @dataclass
@@ -227,7 +235,6 @@ def build_diagram(lab: DoubleAffineLabel | str) -> CoxeterDiagram:
     cartan = affine_cartan(aff)
     n = cartan.n
     a = cartan.cartan
-    fam = lab.base_family
 
     finite = [NodeId(i, NodeKind.FINITE, f"T{i}") for i in range(1, n + 1)]
     mult: dict = {}
@@ -240,7 +247,7 @@ def build_diagram(lab: DoubleAffineLabel | str) -> CoxeterDiagram:
         for j in range(i + 1, n + 1):
             put(f"T{i}", f"T{j}", a[i][j] * a[j][i])
 
-    if fam.startswith("dddot"):
+    if lab.is_triple:
         affine = [NodeId(n + k, NodeKind.AFFINE, f"Theta0{k}") for k in (1, 2, 3)]
         for p in (1, 2, 3):
             for q in range(p + 1, 4):
@@ -257,8 +264,7 @@ def build_diagram(lab: DoubleAffineLabel | str) -> CoxeterDiagram:
         # Phi0 attaches like the 0-node of the companion labeling: its
         # braid relations are those of X_{phi^v} Phi^{-1}, read off from
         # the affine diagram of the partner type.
-        partner = _partner_cartan(lab)
-        pa = partner.cartan
+        pa = _partner_cartan(lab).cartan
         for i in range(1, n + 1):
             put("Phi0", f"T{i}", pa[0][i] * pa[i][0])
         put("Theta0", "Phi0", {2: 2, 3: 3}[cartan.twist])
@@ -267,32 +273,18 @@ def build_diagram(lab: DoubleAffineLabel | str) -> CoxeterDiagram:
         label=lab,
         nodes=tuple(finite + affine),
         mult=mult,
-        specialized="Theta02" if lab.is_star or (lab.alias_of == "dddotCstar") else None,
+        specialized="Theta02" if lab.is_star else None,
     )
     return diagram
 
 
-# Partner types of ddotB2, ddotF4, ddotG2 whose node order must be
-# permuted so that the partner 0-node attaches where Phi0 does: the order
-# lists the partner node at each position.
-_PERMUTED_PARTNERS = {
-    "ddotB2": ("A3(2)", (0, 2, 1)),  # the square is symmetric: swap T1, T2
-    "ddotF4": ("E6(2)", (0, 4, 3, 2, 1)),  # reverse the chain: Phi0 attaches to T4
-    "ddotG2": ("D4(3)", (0, 2, 1)),
-}
-
-
 def _partner_cartan(lab: DoubleAffineLabel):
-    """Affine Cartan data whose 0-node matches Phi0's connectivity."""
-    f, n = lab.family, lab.rank
-    if f == "ddotB":
-        return affine_cartan(parse_label(f"A{2 * n - 1}(2)"))
-    if f == "ddotC":
-        return affine_cartan(parse_label(f"D{n + 1}(2)"))
-    if f not in _PERMUTED_PARTNERS:
-        raise UnknownTypeError(str(lab))
-    partner, order = _PERMUTED_PARTNERS[f]
-    data = affine_cartan(parse_label(partner))
+    """Affine Cartan data whose 0-node matches Phi0's connectivity: the
+    e-partner's, its nodes in the order Phi0 sees them."""
+    data = affine_cartan(correspondence(partner(lab)))
+    order = FAMILIES[lab.family].order
+    if not order:
+        return data
     m = data.cartan
     return replace(data, cartan=tuple(tuple(m[i][j] for j in order) for i in order))
 

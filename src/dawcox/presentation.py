@@ -120,7 +120,7 @@ def build_presentation(lab: DoubleAffineLabel | str) -> Presentation:
 
     extra: dict = {}
     identities: list = []
-    if d.label.base_family.startswith("dddot"):
+    if d.label.is_triple:
         central = wmul(
             (("Theta01", 1), ("Theta02", 1), ("Theta03", 1)), theta_word
         )
@@ -172,7 +172,7 @@ def build_presentation(lab: DoubleAffineLabel | str) -> Presentation:
             (("Theta0", 1),),
         )
         theta0, phi0 = (("Theta0", 1),), (("Phi0", 1),)
-        if d.label.base_family == "ddotG2":
+        if d.label.family == "ddotG2":
             i_th, i_ph = f"T{rs.i_theta()}", f"T{rs.i_phi()}"
             rewrite = wmul(phi0, ((i_ph, 1), (i_th, 1), (i_ph, 1), (i_th, 1)), theta0)
             rewrite_name = "C = (Phi0 Tiph Tith Tiph Tith Theta0)^2"
@@ -246,8 +246,7 @@ class GeneratorDictionary:
         out = {}
         for i in range(1, ctx.n + 1):
             out[f"T{i}"] = ctx.s(i)
-        fam = self.presentation.label.base_family
-        if fam.startswith("dddot"):
+        if self.presentation.label.is_triple:
             out["Theta01"] = ctx.s(0)
             out["Theta02"] = ctx.s(0) * ctx.tau_alpha0()
             out["Theta03"] = ctx.tau(rs.coroot(rs.theta)) * ctx.w(ctx.s_theta)
@@ -295,7 +294,7 @@ def _generator_dictionary(lab: DoubleAffineLabel) -> GeneratorDictionary:
 
 
 def _affine_letter(pres: Presentation, kind: str) -> str:
-    if pres.label.base_family.startswith("dddot"):
+    if pres.label.is_triple:
         return "Theta01" if kind == "lam" else "Theta03"
     return "Theta0" if kind == "lam" else "Phi0"
 

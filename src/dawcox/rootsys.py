@@ -139,20 +139,6 @@ class AffineLabel:
     def __str__(self) -> str:
         return f"{self.letter}{self.N}({self.twist})"
 
-    @property
-    def rank(self) -> int:
-        if self.twist == 1:
-            return self.N
-        if self.letter == "A":
-            return self.N // 2 if self.N % 2 == 0 else (self.N + 1) // 2
-        if self.letter == "D" and self.twist == 2:
-            return self.N - 1
-        if self.letter == "E":
-            return 4
-        if self.letter == "D" and self.twist == 3:
-            return 2
-        raise UnknownTypeError(str(self))
-
 
 def parse_label(text: str) -> AffineLabel:
     text = text.strip().replace(" ", "")

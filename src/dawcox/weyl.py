@@ -121,7 +121,11 @@ class WeylElement:
         return _rescale(self.matrix, self.rs.qcheck_scales)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, WeylElement) and self.matrix == other.matrix
+        return (
+            isinstance(other, WeylElement)
+            and self.rs is other.rs
+            and self.matrix == other.matrix
+        )
 
     def __hash__(self) -> int:
         return hash(self.matrix)

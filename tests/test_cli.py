@@ -79,6 +79,16 @@ def test_nf_bad_word(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("tok", ["T1''", "C''", "Theta01'''"])
+def test_nf_rejects_more_than_one_prime(capsys, tok):
+    code, out, err = run(capsys, "nf", "--family", "dddotA", "--rank", "1", "--word", f"T1 {tok}")
+    assert code == 2 and out == ""
+    assert err == f"error: unknown generator {tok!r}\n"
+    # one prime is the inverse
+    code, out, _ = run(capsys, "nf", "--family", "dddotA", "--rank", "1", "--word", "T1 T1'")
+    assert code == 0 and out.strip() == "w=[] mu=[0] beta=[0] k=0"
+
+
 def test_decompose_identity(capsys):
     code, out, _ = run(capsys, "decompose", "--matrix", "1,0;0,1", "--level", "1")
     assert code == 0 and "(empty word)" in out
@@ -157,6 +167,12 @@ def test_verify_appendix_skips_simply_laced(capsys):
 def test_verify_unknown_family(capsys):
     code, _, err = run(capsys, "verify", "--family", "dddotZ", "--rank", "1")
     assert code == 2
+
+
+def test_verify_rank_needs_a_family(capsys):
+    code, out, err = run(capsys, "verify", "--rank", "3", "--suite", "appendixA")
+    assert code == 2 and out == ""
+    assert err == "error: --rank needs --family\n"
 
 
 def test_verify_bernstein_instance(capsys):
@@ -397,9 +413,7 @@ def test_verify_report_does_not_depend_on_warm_caches(capsys):
 # The CLI contract on arbitrary input: exit code 0, 1 or 2, no traceback,
 # and the same output for the same invocation.
 
-FAMILIES = sorted(
-    set(diagrams.TRIPLE_FAMILIES) | set(diagrams.STAR_FAMILIES) | set(diagrams.DDOT_FAMILIES)
-)
+FAMILIES = sorted(diagrams.FAMILIES)
 GENERATORS = ["T1", "T2", "T3", "Theta01", "Theta02", "Theta03", "Theta0", "Phi0", "C"]
 
 junk = st.text(alphabet="abcdAB0123(),;' -", max_size=8)

@@ -405,3 +405,17 @@ def test_contexts_share_one_root_system():
     assert context(parse_label("B3(1)")) is a
     assert context("B3(1)", half_delta=True) is b
     assert a.lam_walk is a.lam_walk and a.tau_walk is not b.tau_walk
+
+
+def test_elements_of_different_groups_are_unequal():
+    """B3(1) and C3(1) share their normal-form shapes, so equal integer
+    coordinates must not make elements of the two groups equal."""
+    b3, c3 = context("B3(1)"), context("C3(1)")
+    assert b3.identity().describe() == c3.identity().describe()
+    assert b3.identity() != c3.identity() and b3.s(1) != c3.s(1)
+    assert b3.s(1).w.matrix == c3.s(1).w.matrix and b3.s(1).w != c3.s(1).w
+    assert b3.identity() == b3.s(1) * b3.s(1) and b3.s(1).w == b3.s(1).w
+    # The half-delta extension shares its root system with A4(2).
+    a4, a4_half = context("A4(2)"), context("A4(2)", half_delta=True)
+    assert a4.rs is a4_half.rs and a4.s(1).w == a4_half.s(1).w
+    assert a4.identity() != a4_half.identity() and a4.s(1) != a4_half.s(1)

@@ -1,7 +1,11 @@
+import re
+
 import pytest
 
 from dawcox import cli, diagrams
 from dawcox.diagrams import (
+    FAMILIES,
+    DoubleAffineLabel,
     braid_relation_list,
     build_diagram,
     correspondence,
@@ -10,11 +14,38 @@ from dawcox.diagrams import (
     label,
     one_connected_components,
     parse,
+    partner,
     to_json,
 )
-from dawcox.rootsys import UnknownTypeError, affine_cartan
+from dawcox.rootsys import UnknownTypeError, affine_cartan, parse_label
 
 ALL = cli.LABELS + cli.LARGE
+
+# The admissible ranks of every family up to 11, as the README states
+# them; rank 1 of dddotC and dddotCstar is an alias, not a rank of theirs.
+ADMISSIBLE = {
+    "dddotA": range(1, 12),
+    "dddotB": range(3, 12),
+    "dddotC": range(2, 12),
+    "dddotD": range(4, 12),
+    "dddotE": (6, 7, 8),
+    "dddotF": (4,),
+    "dddotG": (2,),
+    "dddotAstar": (1,),
+    "dddotCstar": range(2, 12),
+    "ddotB": range(3, 12),
+    "ddotC": range(3, 12),
+    "ddotB2": (2,),
+    "ddotF4": (4,),
+    "ddotG2": (2,),
+}
+ALIASES = {("dddotC", 1): "dddotA", ("dddotCstar", 1): "dddotAstar"}
+# Every family at every admissible rank up to 9, and the two aliases, by
+# name: dddotC1, ..., dddotA1star, ..., ddotB2, ...
+TABLE = sorted(
+    {str(DoubleAffineLabel(f, n)) for f, ranks in ADMISSIBLE.items() for n in ranks if n <= 9}
+    | {str(DoubleAffineLabel(f, n)) for f, n in ALIASES}
+)
 
 
 def test_label_validation():
@@ -42,7 +73,44 @@ def test_parse_names():
         parse("dddotH3")
 
 
-@pytest.mark.parametrize("name", ALL)
+def test_table_names_cover_the_verify_labels():
+    assert set(ADMISSIBLE) == set(FAMILIES)
+    assert set(ALL) <= set(TABLE)
+
+
+@pytest.mark.parametrize("family", sorted(ADMISSIBLE))
+def test_label_admits_exactly_the_admissible_ranks(family):
+    for n in range(-1, 12):
+        if (family, n) in ALIASES:
+            expected = (ALIASES[family, n], n, family)
+        elif n in ADMISSIBLE[family]:
+            expected = (family, n, None)
+        else:
+            with pytest.raises(UnknownTypeError):
+                label(family, n)
+            continue
+        lab = label(family, n)
+        assert (lab.family, lab.rank, lab.alias_of) == expected
+
+
+def test_label_keeps_its_error_messages():
+    messages = {
+        ("dddotF", 5): "dddotF has fixed rank 4",
+        ("dddotAstar", 2): "dddotAstar exists at rank 1 only",
+        ("dddotAstar", None): "dddotAstar needs a rank",
+        ("dddotE", None): "dddotE needs a rank",
+        ("ddotB", 2): "invalid family/rank: ddotB 2",
+    }
+    for (family, rank), message in messages.items():
+        with pytest.raises(UnknownTypeError, match=f"^{message}$"):
+            label(family, rank)
+    # a starred name carries its rank; the fixed-rank names may drop it
+    with pytest.raises(UnknownTypeError, match="cannot parse"):
+        parse("dddotAstar")
+    assert str(parse("dddotG")) == "dddotG2" and str(parse("ddotF4")) == "ddotF4"
+
+
+@pytest.mark.parametrize("name", TABLE)
 def test_str_roundtrips_through_parse(name):
     lab = parse(name)
     again = parse(str(lab))
@@ -142,7 +210,7 @@ def test_erasing_all_but_one_affine_gives_affine_diagram(name):
     aff = correspondence(d.label)
     cartan = affine_cartan(aff).cartan
     n = len(cartan) - 1
-    keep = "Theta01" if d.label.base_family.startswith("dddot") else "Theta0"
+    keep = "Theta01" if d.label.is_triple else "Theta0"
     names = {0: keep, **{i: f"T{i}" for i in range(1, n + 1)}}
     for i in range(n + 1):
         for j in range(i + 1, n + 1):
@@ -202,15 +270,45 @@ def test_correspondence_table():
     assert str(correspondence(parse("dddotA1star"))) == "A2(2)"
 
 
-@pytest.mark.parametrize("name", ALL)
+@pytest.mark.parametrize("name", TABLE)
 def test_correspondence_roundtrip(name):
     lab = parse(name)
-    if lab.alias_of:
-        return
     aff = correspondence(lab)
     back = correspondence_inverse(aff)
     assert back.family == lab.family and back.rank == lab.rank
     assert str(correspondence(back)) == str(aff)
+
+
+def test_correspondence_inverse_reports_types_without_a_label():
+    for text, message in (
+        ("D3(2)", "invalid family/rank: ddotB 2"),
+        ("B2(1)", "invalid family/rank: dddotB 2"),
+        ("E7(2)", "E7(2)"),
+        ("C3(3)", "C3(3)"),
+    ):
+        with pytest.raises(UnknownTypeError, match=rf"^{re.escape(message)}$"):
+            correspondence_inverse(parse_label(text))
+    # A2(2) is dddotA1star itself, not the alias dddotC1star
+    assert correspondence_inverse(parse_label("A2(2)")) == DoubleAffineLabel("dddotAstar", 1)
+    assert correspondence_inverse(parse_label("C1(1)")) == label("dddotC", 1)
+
+
+@pytest.mark.parametrize("name", TABLE)
+def test_partner_is_an_involution_of_the_same_twist(name):
+    lab = parse(name)
+    other = partner(lab)
+    assert partner(other) == lab
+    assert other.rank == lab.rank and other.is_triple == lab.is_triple
+    assert correspondence(other).twist == correspondence(lab).twist
+    assert (other == lab) == (lab.family not in ("ddotB", "ddotC"))
+
+
+def test_partner_orders_are_permutations_fixing_node_0():
+    permuted = {family: row for family, row in FAMILIES.items() if row.order}
+    assert sorted(permuted) == ["ddotB2", "ddotF4", "ddotG2"]
+    for row in permuted.values():
+        assert row.least == row.most == len(row.order) - 1
+        assert sorted(row.order) == list(range(len(row.order))) and row.order[0] == 0
 
 
 def test_braid_relation_list_values():
