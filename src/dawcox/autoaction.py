@@ -9,6 +9,11 @@ quotient, stored through its images of the double-affine-Weyl-group
 generators; composites of many letters stay cheap because elements are
 decomposed structurally (finite part by reduced word, lattice parts by
 coordinates) instead of by word substitution.
+
+basic_involution_check takes every label: a starred label's matrices
+come from Gamma1(2)' and act through their level-one lift on the
+presentation of its unstarred host (diagrams.host), through the same
+check as the Gamma1(r) matrices of every other label.
 """
 
 from __future__ import annotations
@@ -16,10 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 
-from . import congruence, diagrams
+from . import diagrams
 from .congruence import Mat2, braid_lift, decompose, decompose_gamma12_prime, member
 from .dagroup import DaweylContext, DaweylElement, product
 from .presentation import Word, free_reduce, generator_dictionary, winv, wmul
+from .rootsys import AffineLabel
 from .weyl import braid_sides
 
 
@@ -144,8 +150,7 @@ def b_inv_map(label_name: str) -> EndoMap:
 def is_automorphism(m: EndoMap) -> list[tuple]:
     """Relation preservation in the Weyl quotient, plus an invertibility
     witness through the e-conjugate inverse, as (name, lhs, rhs) records
-    named after the map; they hold when lhs == rhs.  The starred
-    relations are left out."""
+    named after the map; they hold when lhs == rhs."""
     src_gd = generator_dictionary(m.src)
     dst_gd = generator_dictionary(m.dst)
     records = [
@@ -155,7 +160,6 @@ def is_automorphism(m: EndoMap) -> list[tuple]:
             dst_gd.evaluate(m.apply_word(rhs)),
         )
         for name, lhs, rhs in src_gd.presentation.relations
-        if not name.startswith("star")
     ]
     if m.name in ("a", "b"):
         inv = a_inv_map(m.src) if m.name == "a" else b_inv_map(m.src)
@@ -324,12 +328,13 @@ def central_element_action(label_name: str) -> list[tuple]:
     return records
 
 
-def cstar_restriction_check(n: int) -> list[tuple]:
-    """The identity, b a b^{-1} and b^2 preserve the starred relations;
-    a breaks C = Theta02^2 (the expected negative, recorded as that
-    equality being False); all read in the A_{2n}^(2) quotient."""
-    label_name = f"dddotC{n}" if n >= 2 else "dddotA1"
-    gd_star = generator_dictionary(f"dddotC{n}star")
+def cstar_restriction_check(star_name: str) -> list[tuple]:
+    """The identity, b a b^{-1} and b^2 of the host preserve the starred
+    relations of a starred label; a breaks C = Theta02^2 (the expected
+    negative, recorded as that equality being False); all read in the
+    A_{2n}^(2) quotient."""
+    gd_star = generator_dictionary(star_name)
+    label_name = str(diagrams.host(gd_star.label))
     a = a_map(label_name)
     b = b_map(label_name)
     c_word = gd_star.presentation.central_word
@@ -364,55 +369,41 @@ def verify_automorphisms(label_name: str) -> list[tuple]:
 def basic_involution_check(m: Mat2, r: int, label_name: str) -> dict:
     """Lift a congruence matrix to a braid word, compose with e, and test
     whether the resulting anti-morphism squares to the identity on every
-    generator in the Weyl quotient."""
-    gd = generator_dictionary(label_name)
-    lab = gd.presentation.label
+    generator in the Weyl quotient.  A matrix of a starred label is taken
+    from Gamma1(2)' and acts through its level-one lift on the host."""
+    lab = diagrams.parse(label_name)
     twist = diagrams.correspondence(lab).twist
     if r != twist:
         raise ValueError(f"{label_name} has level {twist}, not {r}")
-    if not member(m, "Gamma1", r):
-        raise congruence.NotInGroupError(f"matrix is not in Gamma1({r})")
-    word = decompose(m, r)
-    lifted = braid_lift(word, r)
-    gamma = evaluate_braid(lifted, label_name)
-    M = canon(label_name, "e").compose(gamma)
-    # For the B_n/C_n pair, e crosses to the partner labeling; the square
-    # composes with the partner's copy of the same map so that it lands
-    # back in the source presentation.
-    partner = M.dst
-    if partner != label_name:
-        gamma2 = evaluate_braid(lifted, partner)
-        Mback = canon(partner, "e").compose(gamma2)
-        M2 = Mback.compose(M)
+    if lab.is_star:
+        word, upsilon = decompose_gamma12_prime(m), "Upsilon1'"
     else:
-        M2 = M.compose(M)
-    ok = all(M2.apply(img) == img for img in gd.images.values())
+        word, upsilon = decompose(m, r), "Upsilon1"
+    lifted = braid_lift(word)
+    host = str(diagrams.host(lab))
+    # e may cross to the partner labeling (the B_n/C_n pair); the square
+    # composes with the partner's copy of e.gamma so that it lands back
+    # in the host, and the two copies are one when e stays in the group.
+    partner = canon(host, "e").dst
+    e_gamma = {
+        name: canon(name, "e").compose(evaluate_braid(lifted, name))
+        for name in {host, partner}
+    }
+    M2 = e_gamma[partner].compose(e_gamma[host])
+    images = generator_dictionary(host).images
     return {
         "matrix": str(m),
-        "upsilon_member": member(m, "Upsilon1", r),
-        "involution": ok,
+        "upsilon_member": member(m, upsilon, r),
+        "involution": all(M2.apply(img) == img for img in images.values()),
         "word_letters": sum(abs(e) for _, e in lifted),
     }
 
 
 def basic_involution_check_cstar(m: Mat2, n: int) -> dict:
-    """The starred variant: matrices from Gamma1(2)' act through their
-    level-one lift on the C-family presentation."""
-    label_name = f"dddotC{n}" if n >= 2 else "dddotA1"
-    if not member(m, "Gamma1'", 2):
-        raise congruence.NotInGroupError("matrix is not in Gamma1(2)'")
-    word = decompose_gamma12_prime(m)
-    lifted = braid_lift(word, 1)
-    gamma = evaluate_braid(lifted, label_name)
-    M = canon(label_name, "e").compose(gamma)
-    M2 = M.compose(M)
-    images = generator_dictionary(label_name).images
-    ok = all(M2.apply(img) == img for img in images.values())
-    return {
-        "matrix": str(m),
-        "upsilon_member": member(m, "Upsilon1'", 2),
-        "involution": ok,
-    }
+    """basic_involution_check on the starred label of rank n, the double
+    affine label of type A_{2n}^(2)."""
+    star = diagrams.correspondence_inverse(AffineLabel("A", 2 * n, 2))
+    return basic_involution_check(m, 2, str(star))
 
 
 def upsilon_samples(r: int, count: int, bound: int = 30, seed: int = 0):

@@ -61,7 +61,7 @@ CHECKS = {
     ),
     "auto": (
         ("auto", _plain, lambda lab: autoaction.verify_automorphisms(str(lab))),
-        ("auto-cstar", _star, lambda lab: autoaction.cstar_restriction_check(lab.rank)),
+        ("auto-cstar", _star, lambda lab: autoaction.cstar_restriction_check(str(lab))),
     ),
     "appendixA": (("appendixA", _every, _appendix_a),),
 }
@@ -197,13 +197,9 @@ def cmd_involution(args) -> int:
         lab = _label(args)
     except (ValueError, UnknownTypeError) as exc:
         return _fail(str(exc))
-    name = str(lab)
     try:
-        if lab.is_star:
-            out = autoaction.basic_involution_check_cstar(m, lab.rank)
-        else:
-            r = diagrams.correspondence(lab).twist
-            out = autoaction.basic_involution_check(m, r, name)
+        r = diagrams.correspondence(lab).twist
+        out = autoaction.basic_involution_check(m, r, str(lab))
     except (congruence.NotInGroupError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -217,9 +213,9 @@ def cmd_involution(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.rank is not None and not args.family:
+    if args.rank is not None and args.family is None:
         return _fail("--rank needs --family")
-    if args.family:
+    if args.family is not None:
         try:
             names = [str(_label(args))]
         except UnknownTypeError as exc:

@@ -290,7 +290,7 @@ def text_to_word(text: str) -> Word:
     return list(free_reduce(word))
 
 
-def braid_lift(word: Iterable, r: int) -> list:
+def braid_lift(word: Iterable) -> list:
     """Lift a u-word to the rank-two braid letters: u12 -> a, u21^r -> b.
 
     This is the section with no central padding; the result is a list of

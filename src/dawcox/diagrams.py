@@ -169,9 +169,9 @@ def parse(text: str) -> DoubleAffineLabel:
             return label(fam)
         if text.startswith(fam):
             rest = text[len(fam):]
-            if rest.isdigit():
+            if rest.isdecimal():
                 return label(fam, int(rest))
-            if rest.endswith("star") and rest[:-4].isdigit() and fam + "star" in FAMILIES:
+            if rest.endswith("star") and rest[:-4].isdecimal() and fam + "star" in FAMILIES:
                 return label(fam + "star", int(rest[:-4]))
     raise UnknownTypeError(f"cannot parse double affine label {text!r}")
 
@@ -198,6 +198,13 @@ def partner(lab: DoubleAffineLabel) -> DoubleAffineLabel:
     """The label that the anti-involution e carries lab to."""
     fam = FAMILIES[lab.family].partner
     return lab if fam is None else label(fam, lab.rank)
+
+
+def host(lab: DoubleAffineLabel) -> DoubleAffineLabel:
+    """The label whose presentation the congruence matrices of lab act
+    on: lab itself, or for a starred label its unstarred family at the
+    same rank, on which Gamma1(2)' acts through the level-one lift."""
+    return label(lab.family.removesuffix("star"), lab.rank) if lab.is_star else lab
 
 
 @dataclass

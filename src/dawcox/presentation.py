@@ -12,7 +12,7 @@ becomes visible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 
@@ -59,11 +59,13 @@ class Presentation:
     theta_word: Word
     phi_word: Word
     central_word: Word
-    # words for the distinguished elements (twisted families)
-    extra_words: dict = field(default_factory=dict)
     # derived identities (name, lhs, rhs): checked like the relations,
     # but not part of the presentation that automorphisms must preserve
     identities: tuple[tuple[str, Word, Word], ...] = ()
+    # the starred specialization (name, lhs, rhs, half): each relation
+    # holds in one quotient only, the half-delta one when half is True
+    # and the A_{2n}^(2) one otherwise
+    starred: tuple[tuple[str, Word, Word, bool], ...] = ()
 
 
 def _word_of_indices(indices, letters=None) -> Word:
@@ -118,7 +120,6 @@ def build_presentation(lab: DoubleAffineLabel | str) -> Presentation:
     theta_word = _word_of_indices(wg.reduced_word(reflect(rs, theta_fin)))
     phi_word = _word_of_indices(wg.reduced_word(reflect(rs, phi_fin)))
 
-    extra: dict = {}
     identities: list = []
     if d.label.is_triple:
         central = wmul(
@@ -154,14 +155,6 @@ def build_presentation(lab: DoubleAffineLabel | str) -> Presentation:
         x_word = _word_of_indices(wg.reduced_word(x))
         y_word = _word_of_indices(wg.reduced_word(y))
         psi_word = wmul(winv(x_word), winv(y_word))
-        psi_rev_word = wmul(winv(y_word), winv(x_word))
-        theta_prime, phi_prime = rs.primed(theta_fin, phi_fin)
-        extra["Psi"] = psi_word
-        extra["PsiRev"] = psi_rev_word
-        extra["ThetaPrime"] = _word_of_indices(
-            wg.reduced_word(reflect(rs, theta_prime))
-        )
-        extra["PhiPrime"] = _word_of_indices(wg.reduced_word(reflect(rs, phi_prime)))
         central = wmul(
             (("Phi0", 1),),
             phi_word,
@@ -177,17 +170,21 @@ def build_presentation(lab: DoubleAffineLabel | str) -> Presentation:
             rewrite = wmul(phi0, ((i_ph, 1), (i_th, 1), (i_ph, 1), (i_th, 1)), theta0)
             rewrite_name = "C = (Phi0 Tiph Tith Tiph Tith Theta0)^2"
         else:
+            theta_prime, phi_prime = (
+                _word_of_indices(wg.reduced_word(reflect(rs, v)))
+                for v in rs.primed(theta_fin, phi_fin)
+            )
             words = {
                 "Theta0": theta0,
                 "Phi0": phi0,
-                "ThetaPrime": extra["ThetaPrime"],
-                "PhiPrime": extra["PhiPrime"],
+                "ThetaPrime": theta_prime,
+                "PhiPrime": phi_prime,
             }
             for (a, b), lace in B2_PATTERN.items():
                 lhs, rhs = braid_sides(words[a], words[b], lace)
                 kind = "commute" if lace == 0 else "2-braid"
                 identities.append((f"B2 pattern {a},{b} {kind}", wmul(*lhs), wmul(*rhs)))
-            rewrite = wmul(phi0, extra["ThetaPrime"], extra["PhiPrime"], theta0)
+            rewrite = wmul(phi0, theta_prime, phi_prime, theta0)
             rewrite_name = "C = (Phi0 Theta' Phi' Theta0)^2"
         identities.append((rewrite_name, central, wmul(rewrite, rewrite)))
 
@@ -198,11 +195,11 @@ def build_presentation(lab: DoubleAffineLabel | str) -> Presentation:
         )
 
     # The starred specialization: Theta02^2 = 1 in the half-delta Weyl
-    # quotient and C = Theta02^2 in the A_{2n}^(2) quotient; recorded as
-    # a relation pair handled by the starred dictionary.
-    if d.specialized:
-        relations.append(("star Theta02^2", (("Theta02", 2),), ()))
-        relations.append(("star C=Theta02^2", central, (("Theta02", 2),)))
+    # quotient and C = Theta02^2 in the A_{2n}^(2) quotient.
+    starred = (
+        ("star Theta02^2", (("Theta02", 2),), (), True),
+        ("star C=Theta02^2", central, (("Theta02", 2),), False),
+    ) if d.specialized else ()
 
     return Presentation(
         label=d.label,
@@ -212,8 +209,8 @@ def build_presentation(lab: DoubleAffineLabel | str) -> Presentation:
         theta_word=theta_word,
         phi_word=phi_word,
         central_word=central,
-        extra_words=extra,
         identities=tuple(identities),
+        starred=starred,
     )
 
 
@@ -333,17 +330,17 @@ def verify_presentation(lab) -> list[tuple]:
     gd = generator_dictionary(lab)
     pres = gd.presentation
     records = []
+    # Every relation and identity holds in the plain quotient, and for a
+    # starred label in the half-delta one too; each starred relation
+    # holds in the one quotient it names.
     for name, lhs, rhs in pres.relations + pres.identities:
-        if name == "star Theta02^2":  # holds in the half-delta quotient only
-            records.append((name, gd.evaluate(lhs, half=True), gd.evaluate(rhs, half=True)))
-            continue
-        # Every other relation holds in the plain quotient, and for a
-        # starred label all but "star C=Theta02^2" in the half-delta one.
         records.append((name, gd.evaluate(lhs), gd.evaluate(rhs)))
-        if gd.star and not name.startswith("star"):
+        if gd.star:
             records.append(
                 (name + " (half-delta)", gd.evaluate(lhs, half=True), gd.evaluate(rhs, half=True))
             )
+    for name, lhs, rhs, half in pres.starred:
+        records.append((name, gd.evaluate(lhs, half=half), gd.evaluate(rhs, half=half)))
 
     # Central element maps to tau_delta (to tau_{delta/2} in the starred
     # half-delta quotient, where X_delta of C_n^(1) is the half shift).

@@ -147,7 +147,7 @@ def parse_label(text: str) -> AffineLabel:
         if text.endswith(suffix):
             body = text[: -len(suffix)]
             letter, num = body[0], body[1:]
-            if letter in "ABCDEFG" and num.isdigit():
+            if letter in "ABCDEFG" and num.isdecimal():
                 return AffineLabel(letter, int(num), twist)
     raise UnknownTypeError(f"cannot parse affine label {text!r}")
 

@@ -19,7 +19,7 @@ from dawcox.autoaction import (
     is_automorphism,
     upsilon_samples,
 )
-from dawcox.congruence import I2, U21, Mat2, member
+from dawcox.congruence import I2, U21, Mat2, NotInGroupError, decompose_gamma12_prime, member
 
 # the unstarred labels of the `verify` matrix
 FAMILIES = [name for name in cli.LABELS if not diagrams.parse(name).is_star]
@@ -114,7 +114,7 @@ def test_w0_minus_id_families():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_cstar_restriction(n, monkeypatch):
-    records = cstar_restriction_check(n)
+    records = cstar_restriction_check(f"dddotC{n}star")
     assert _failed(records) == []
     # the expected negative: a breaks C = Theta02^2
     assert ("a preserves C = Theta02^2", False, False) in records
@@ -123,7 +123,7 @@ def test_cstar_restriction(n, monkeypatch):
     b_inv = autoaction.b_inv_map("dddotA1" if n == 1 else f"dddotC{n}")
     monkeypatch.setattr(autoaction, "b_inv_map", lambda name: b_inv)
     monkeypatch.setattr(autoaction, "a_map", autoaction.identity_map)
-    assert _failed(cstar_restriction_check(n)) == ["a preserves C = Theta02^2"]
+    assert _failed(cstar_restriction_check(f"dddotC{n}star")) == ["a preserves C = Theta02^2"]
 
 
 def test_homomorphism_property_random_words():
@@ -241,3 +241,33 @@ def test_cstar_involutions():
 def test_level_mismatch_rejected():
     with pytest.raises(ValueError):
         basic_involution_check(I2, 2, "dddotA1")
+    # a starred label has level 2
+    for r in (1, 3):
+        with pytest.raises(ValueError, match=f"^dddotC2star has level 2, not {r}$"):
+            basic_involution_check(I2, r, "dddotC2star")
+
+
+# every Upsilon_1(2)' member with entries <= 4: [[a, b], [-b, d]], a + d even
+UPSILON_PRIME_BOX = [
+    m
+    for m in (Mat2(a, b, -b, d) for a in range(-4, 5) for b in range(-4, 5) for d in range(-4, 5))
+    if m.det() == 1 and member(m, "Upsilon1'", 2)
+]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_starred_labels_take_the_common_check(n):
+    assert len(UPSILON_PRIME_BOX) == 36
+    for m in UPSILON_PRIME_BOX:
+        out = basic_involution_check(m, 2, f"dddotC{n}star")
+        assert out == basic_involution_check_cstar(m, n)
+        assert out["upsilon_member"] and out["involution"], str(m)
+        assert out["word_letters"] == sum(abs(e) for _, e in decompose_gamma12_prime(m))
+
+
+def test_starred_label_rejects_a_matrix_outside_gamma12_prime():
+    # u21 has b + c odd
+    with pytest.raises(NotInGroupError, match=r"^matrix is not in Gamma1\(2\)'$"):
+        basic_involution_check(U21, 2, "dddotC2star")
+    with pytest.raises(NotInGroupError, match=r"^matrix is not in Gamma1\(2\)'$"):
+        basic_involution_check_cstar(U21, 1)

@@ -132,6 +132,22 @@ def test_involution_negative(capsys):
     assert "member: no, involution: no" in out
 
 
+def test_involution_starred_json_reports_word_letters(capsys):
+    code, out, _ = run(
+        capsys, "involution", "--matrix", "1,2;-2,-3", "--family", "dddotC2star", "--json"
+    )
+    assert code == 0
+    verdict, line = out.splitlines()
+    assert verdict == "member: yes, involution: yes"
+    word = congruence.decompose_gamma12_prime(congruence.Mat2(1, 2, -2, -3))
+    assert json.loads(line) == {
+        "involution": True,
+        "matrix": "1,2;-2,-3",
+        "upsilon_member": True,
+        "word_letters": sum(abs(e) for _, e in word),
+    }
+
+
 def test_decompose_negative_matrix_space_separated(capsys):
     # a value that starts with a minus sign is not taken for an option
     spaced = run(capsys, "decompose", "--matrix", "-1,1;-6,5", "--level", "1")
@@ -167,6 +183,20 @@ def test_verify_appendix_skips_simply_laced(capsys):
 def test_verify_unknown_family(capsys):
     code, _, err = run(capsys, "verify", "--family", "dddotZ", "--rank", "1")
     assert code == 2
+
+
+def test_verify_empty_family_is_an_error(capsys):
+    code, out, err = run(capsys, "verify", "--family", "", "--suite", "appendixA")
+    assert code == 2 and out == ""
+    assert err == "error: cannot parse double affine label ''\n"
+
+
+@pytest.mark.parametrize("family", ["dddotA²", "dddotC²star"])
+def test_lookalike_digit_rank_is_not_a_label(capsys, family):
+    # "²" is a digit to str.isdigit that int() rejects
+    code, out, err = run(capsys, "diagram", "--family", family)
+    assert code == 2 and out == ""
+    assert err == f"error: cannot parse double affine label {family!r}\n"
 
 
 def test_verify_rank_needs_a_family(capsys):
@@ -416,8 +446,18 @@ def test_verify_report_does_not_depend_on_warm_caches(capsys):
 FAMILIES = sorted(diagrams.FAMILIES)
 GENERATORS = ["T1", "T2", "T3", "Theta01", "Theta02", "Theta03", "Theta0", "Phi0", "C"]
 
-junk = st.text(alphabet="abcdAB0123(),;' -", max_size=8)
-family = st.sampled_from(FAMILIES) | st.sampled_from(LABELS) | junk
+# "²" is a digit to str.isdigit that int() rejects; "٣" is a decimal
+# digit that int() reads as 3
+junk = st.text(alphabet="abcdAB0123²٣(),;' -", max_size=8)
+# a real family name with a rank of digits and lookalikes, or with junk,
+# appended; at most one decimal digit keeps any rank it spells below 10
+tail = (st.text(alphabet="1²٣", min_size=1, max_size=2) | junk).filter(
+    lambda text: sum(map(str.isdecimal, text)) <= 1
+)
+family = (
+    st.sampled_from(FAMILIES) | st.sampled_from(LABELS) | junk
+    | st.builds(str.__add__, st.sampled_from(FAMILIES), tail)
+)
 rank = st.none() | st.integers(0, 4)
 entry = st.integers(-6, 6)
 SL2 = [

@@ -182,9 +182,9 @@ def test_word_text_roundtrip():
 
 
 def test_braid_lift():
-    assert braid_lift([], 1) == []
+    assert braid_lift([]) == []
     w = decompose((U12 * U21) ** 3, 1)
-    lifted = braid_lift(w, 1)
+    lifted = braid_lift(w)
     assert eval_word(w, 1) == -I2
     # the lift of the central matrix word has total letter count 6
     assert sum(abs(e) for _, e in lifted) >= 6 or lifted == []

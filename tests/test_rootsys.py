@@ -26,6 +26,9 @@ def test_parse_roundtrip():
     assert str(lab) == "A4(2)"
     with pytest.raises(rootsys.UnknownTypeError):
         parse_label("H3(1)")
+    # "²" is a digit to str.isdigit but no rank
+    with pytest.raises(rootsys.UnknownTypeError, match="cannot parse affine label 'A²\\(1\\)'"):
+        parse_label("A²(1)")
     with pytest.raises(rootsys.UnknownTypeError):
         build("B2(1)")
 
