@@ -331,14 +331,15 @@ def central_element_action(label_name: str) -> list[tuple]:
 def cstar_restriction_check(star_name: str) -> list[tuple]:
     """The identity, b a b^{-1} and b^2 of the host preserve the starred
     relations of a starred label; a breaks C = Theta02^2 (the expected
-    negative, recorded as that equality being False); all read in the
-    A_{2n}^(2) quotient."""
+    negative, recorded as that equality being False).  C = Theta02^2 is
+    read in the A_{2n}^(2) quotient, Theta02^2 = 1 in its half-delta one."""
     gd_star = generator_dictionary(star_name)
     label_name = str(diagrams.host(gd_star.label))
     a = a_map(label_name)
     b = b_map(label_name)
     c_word = gd_star.presentation.central_word
     theta02_sq: Word = (("Theta02", 2),)
+    half_ctx = gd_star.quotient(half=True).ctx
 
     def central(m):
         return gd_star.evaluate(m.apply_word(c_word)), gd_star.evaluate(m.apply_word(theta02_sq))
@@ -351,7 +352,7 @@ def cstar_restriction_check(star_name: str) -> list[tuple]:
     ):
         records.append((f"{name} preserves C = Theta02^2", *central(m)))
         square = gd_star.evaluate(m.apply_word(theta02_sq), half=True)
-        records.append((f"{name} preserves Theta02^2 = 1", square, gd_star.cmp.dst_c.identity()))
+        records.append((f"{name} preserves Theta02^2 = 1", square, half_ctx.identity()))
     lhs, rhs = central(a)
     records.append(("a preserves C = Theta02^2", lhs == rhs, False))
     return records

@@ -64,11 +64,12 @@ U21 = Mat2(1, 0, 1, 1)
 
 
 def parse_matrix(text: str) -> Mat2:
-    """Parse the CLI syntax 'a,b;c,d'."""
-    rows = text.strip().split(";")
-    if len(rows) != 2:
-        raise ValueError("matrix syntax is 'a,b;c,d'")
-    (a, b), (c, d) = (tuple(int(x) for x in row.split(",")) for row in rows)
+    """Parse the CLI syntax 'a,b;c,d'; ValueError naming that syntax on
+    any other text."""
+    try:
+        (a, b), (c, d) = (map(int, row.split(",")) for row in text.strip().split(";"))
+    except ValueError:
+        raise ValueError("matrix syntax is 'a,b;c,d'") from None
     return Mat2(a, b, c, d)
 
 

@@ -43,6 +43,7 @@ from .rootsys import (
     Vec,
     as_int,
     build,
+    diagonal_scales,
     mat_inv,
     parse_label,
     vadd,
@@ -106,15 +107,28 @@ class DaweylContext:
     def identity(self) -> "DaweylElement":
         return DaweylElement(self, self.wg.id, self.zero_coords, self.zero_coords, 0)
 
+    @cached_property
+    def _kernel_bases(self) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+        """The bases of M and nu(Q^v), checked diagonal once here."""
+        bases = self.rs.m_basis(), self.rs.qcheck_basis()
+        for basis in bases:
+            diagonal_scales(basis)
+        return bases
+
     def coords(self, x: Vec, basis) -> tuple[int, ...]:
-        """Integer coordinates of x in a lattice basis; ValueError if x is
-        not in the lattice."""
+        """Integer coordinates of x in a diagonal lattice basis b_i = c_i
+        alpha_i, as the bases of M and nu(Q^v) are; ValueError if x is not
+        in the lattice or the basis is not diagonal."""
         if not any(x):
             return self.zero_coords
-        c = self.rs.lattice_coords(x, basis)
-        if c is None:
+        m, q = self._kernel_bases
+        if basis is not m and basis is not q:
+            diagonal_scales(basis)
+        n = self.n
+        coords = [Fraction(x[i], basis[i][i]) for i in range(n)]
+        if any(x[n:]) or any(c.denominator != 1 for c in coords):
             raise ValueError(f"{[str(t) for t in x]} is not in the lattice")
-        return c
+        return tuple(int(c) for c in coords)
 
     # -- generators ----------------------------------------------------
 

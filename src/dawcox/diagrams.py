@@ -296,10 +296,10 @@ def _partner_cartan(lab: DoubleAffineLabel):
     return replace(data, cartan=tuple(tuple(m[i][j] for j in order) for i in order))
 
 
-def one_connected_components(d: CoxeterDiagram) -> list[frozenset]:
-    """Components after erasing all edges of multiplicity >= 2."""
-    names = [nd.label for nd in d.nodes]
-    parent = {x: x for x in names}
+def union_find(items, pairs):
+    """The class representative function of the items after joining each
+    pair (union-find with path halving)."""
+    parent = {x: x for x in items}
 
     def find(x):
         while parent[x] != x:
@@ -307,10 +307,15 @@ def one_connected_components(d: CoxeterDiagram) -> list[frozenset]:
             x = parent[x]
         return x
 
-    for key, m in d.mult.items():
-        if m == 1:
-            x, y = tuple(key)
-            parent[find(x)] = find(y)
+    for x, y in pairs:
+        parent[find(x)] = find(y)
+    return find
+
+
+def one_connected_components(d: CoxeterDiagram) -> list[frozenset]:
+    """Components after erasing all edges of multiplicity >= 2."""
+    names = [nd.label for nd in d.nodes]
+    find = union_find(names, (tuple(key) for key, m in d.mult.items() if m == 1))
     groups: dict = {}
     for x in names:
         groups.setdefault(find(x), set()).add(x)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import diagrams
-from .diagrams import DoubleAffineLabel, build_diagram, one_connected_components
+from .diagrams import DoubleAffineLabel, build_diagram, one_connected_components, union_find
 from .rootsys import UnknownTypeError
 
 
@@ -143,26 +143,13 @@ def specialize(system: str, n: int | None = None) -> SpecializationRule:
     def sub(node: str) -> str:
         return node.replace("Tn", f"T{lab.rank}")
 
-    merges = []
-    parent: dict = {s: s for s in symbol_of.values()}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for x, y in idents:
-        sx, sy = symbol_of[sub(x)], symbol_of[sub(y)]
-        merges.append((sx, sy))
-        parent.setdefault(sx, sx)
-        parent.setdefault(sy, sy)
-        if find(sx) != find(sy):
-            parent[find(sx)] = find(sy)
-    final = {find(s) for s in symbol_of.values() if s != "1"}
+    symbols = set(symbol_of.values())
+    merges = [(symbol_of[sub(x)], symbol_of[sub(y)]) for x, y in idents]
+    find = union_find(symbols, merges)
+    final = {find(s) for s in symbols if s != "1"}
     # pinning to the constant never counts as a parameter
-    final = {f for f in final if find(f) != find("1")} if "1" in parent else final
-    generic = len({s for s in symbol_of.values() if s != "1"})
+    final = {f for f in final if find(f) != find("1")} if "1" in symbols else final
+    generic = len(symbols - {"1"})
     return SpecializationRule(
         system=key,
         algebra=str(lab),

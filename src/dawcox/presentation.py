@@ -4,10 +4,11 @@ verification suites (relations plus the surjectivity round trip).
 
 Words are tuples of (generator name, exponent).  All equalities are
 decided in the double affine Weyl group through the generator
-dictionary, built once per label by generator_dictionary; for
-the starred C-family the dictionary composes with the comparison
-morphism into the A_{2n}^(2) group, where the extra central relation
-becomes visible.
+dictionary, built once per label by generator_dictionary.  Every label
+has one image formula.  A starred C-family label is read in two
+quotients of type A_{2n}^(2), the plain one and its half-delta central
+extension, where the extra central relation becomes visible; the
+comparison morphism from C_n^(1) is a check of its own (dagroup).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 
 from . import dagroup, diagrams
-from .dagroup import A2n2Comparison, DaweylContext, DaweylElement, lam_word, tau_word
+from .dagroup import DaweylContext, DaweylElement, lam_word, tau_word
 from .diagrams import CoxeterDiagram, DoubleAffineLabel, build_diagram, correspondence
 from .weyl import braid_sides, reflect
 
@@ -214,59 +215,71 @@ def build_presentation(lab: DoubleAffineLabel | str) -> Presentation:
     )
 
 
+@dataclass(frozen=True)
+class Quotient:
+    """One quotient a label's presentation is read in: its context, the
+    power k of tau_delta that X_delta maps to, and the generator images."""
+
+    ctx: DaweylContext
+    k: int | Fraction
+    images: dict
+
+    @property
+    def half(self) -> bool:
+        return self.ctx.half_delta
+
+    @property
+    def suffix(self) -> str:
+        """The suffix of the names of records checked in this quotient."""
+        return " (half-delta)" if self.half else ""
+
+
 class GeneratorDictionary:
-    """Images of the presentation generators in a double affine Weyl
-    group (or, for starred labels, in the A_{2n}^(2) group and its
-    half-delta extension)."""
+    """Images of the presentation generators in the double affine Weyl
+    group of the label.  A plain label is read in that one quotient; a
+    starred label in the A_{2n}^(2) group (X_delta -> tau_delta) and in
+    its half-delta extension (X_delta -> tau_{delta/2}), through the same
+    image formula."""
 
     def __init__(self, lab: DoubleAffineLabel | str):
         if isinstance(lab, str):
             lab = diagrams.parse(lab)
         self.label = lab
         self.presentation = build_presentation(lab)
-        star = self.presentation.diagram.specialized is not None
-        self.star = star
-        base_ctx = dagroup.context(correspondence(lab))
-        if not star:
-            self.ctx = base_ctx
-            self.images = self._plain_images(base_ctx)
-            self.images_c = None
-        else:
-            n = lab.rank
-            self.cmp = A2n2Comparison(n)
-            self.ctx = self.cmp.dst
-            self.images = self._star_images(self.cmp, half=False)
-            self.images_c = self._star_images(self.cmp, half=True)
+        aff = correspondence(lab)
+        read_in = [(dagroup.context(aff), 1)]
+        if lab.is_star:
+            read_in.append((dagroup.context(aff, half_delta=True), Fraction(1, 2)))
+        self.quotients = tuple(Quotient(ctx, k, self._images(ctx, k)) for ctx, k in read_in)
+        self.ctx = self.quotients[0].ctx
+        self.images = self.quotients[0].images
 
-    def _plain_images(self, ctx: DaweylContext):
-        rs = ctx.rs
-        out = {}
-        for i in range(1, ctx.n + 1):
-            out[f"T{i}"] = ctx.s(i)
-        if self.presentation.label.is_triple:
+    def _images(self, ctx: DaweylContext, k) -> dict:
+        """T_i -> s_i; Theta01 -> s_0, Theta02 -> s_0 tau_delta^k
+        tau_{-nu(theta^v)}, Theta03 -> tau_{nu(theta^v)} s_theta on three
+        affine nodes; Theta0 -> s_0, Phi0 -> tau_{nu(phi^v)} s_phi on two."""
+        out = {f"T{i}": ctx.s(i) for i in range(1, ctx.n + 1)}
+        if self.label.is_triple:
+            tau_theta = ctx.tau(ctx.nu_theta_v)
             out["Theta01"] = ctx.s(0)
-            out["Theta02"] = ctx.s(0) * ctx.tau_alpha0()
-            out["Theta03"] = ctx.tau(rs.coroot(rs.theta)) * ctx.w(ctx.s_theta)
+            out["Theta02"] = ctx.s(0) * ctx.tau_delta(k) * tau_theta.inv()
+            out["Theta03"] = tau_theta * ctx.w(ctx.s_theta)
         else:
+            rs = ctx.rs
             out["Theta0"] = ctx.s(0)
             out["Phi0"] = ctx.tau(rs.coroot(rs.phi)) * ctx.w(reflect(rs, rs.phi))
         return out
 
-    def _star_images(self, cmp: A2n2Comparison, half: bool):
-        ctx = cmp.dst_c if half else cmp.dst
-        out = {}
-        for i in range(1, ctx.n + 1):
-            out[f"T{i}"] = ctx.s(i)
-        out["Theta01"] = ctx.s(0)
-        x_delta = ctx.tau_delta(Fraction(1, 2) if half else 1)
-        out["Theta02"] = ctx.s(0) * x_delta * cmp.tau_eps1(ctx).inv()
-        out["Theta03"] = cmp.tau_eps1(ctx) * ctx.w(ctx.s_theta)
-        return out
+    def quotient(self, half: bool = False) -> Quotient:
+        """The plain quotient, or the half-delta one; ValueError if the
+        label has no half-delta quotient."""
+        if half and len(self.quotients) < 2:
+            raise ValueError(f"{self.label} has no half-delta quotient")
+        return self.quotients[half]
 
     def evaluate(self, word: Word, half: bool = False) -> DaweylElement:
-        images = self.images_c if (half and self.images_c) else self.images
-        ctx = images["T1"].ctx
-        return dagroup.product(ctx, (images[g] ** e for g, e in word))
+        q = self.quotient(half)
+        return dagroup.product(q.ctx, (q.images[g] ** e for g, e in word))
 
     def central_image(self, half: bool = False) -> DaweylElement:
         return self.evaluate(self.presentation.central_word, half=half)
@@ -330,27 +343,19 @@ def verify_presentation(lab) -> list[tuple]:
     gd = generator_dictionary(lab)
     pres = gd.presentation
     records = []
-    # Every relation and identity holds in the plain quotient, and for a
-    # starred label in the half-delta one too; each starred relation
-    # holds in the one quotient it names.
+    # Every relation and identity holds in every quotient the label is
+    # read in; each starred relation holds in the one quotient it names.
     for name, lhs, rhs in pres.relations + pres.identities:
-        records.append((name, gd.evaluate(lhs), gd.evaluate(rhs)))
-        if gd.star:
-            records.append(
-                (name + " (half-delta)", gd.evaluate(lhs, half=True), gd.evaluate(rhs, half=True))
-            )
+        for q in gd.quotients:
+            records.append((name + q.suffix, gd.evaluate(lhs, q.half), gd.evaluate(rhs, q.half)))
     for name, lhs, rhs, half in pres.starred:
         records.append((name, gd.evaluate(lhs, half=half), gd.evaluate(rhs, half=half)))
 
-    # Central element maps to tau_delta (to tau_{delta/2} in the starred
-    # half-delta quotient, where X_delta of C_n^(1) is the half shift).
-    records.append(("C -> tau_delta", gd.central_image(), gd.ctx.tau_delta()))
-    if gd.star:
-        records.append((
-            "C -> tau_{delta/2} (half-delta)",
-            gd.central_image(half=True),
-            gd.cmp.dst_c.tau_delta(Fraction(1, 2)),
-        ))
+    # Central element maps to tau_delta^k in each quotient: tau_delta, and
+    # tau_{delta/2} in the starred half-delta one.
+    for q in gd.quotients:
+        tau = "tau_delta" if q.k == 1 else "tau_{delta/2}"
+        records.append((f"C -> {tau}{q.suffix}", gd.central_image(q.half), q.ctx.tau_delta(q.k)))
 
     # Surjectivity round trip.
     for sym, word in gd.psi.items():

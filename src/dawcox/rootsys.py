@@ -343,12 +343,12 @@ class RootSystemData:
     @cached_property
     def m_scales(self) -> tuple[int, ...]:
         """Integer scales E with A_i = (E_i / L) alpha_i for one common L."""
-        return _diagonal_scales(self.m_basis())
+        return diagonal_scales(self.m_basis())
 
     @cached_property
     def qcheck_scales(self) -> tuple[int, ...]:
         """Integer scales F with nu(alpha_i^v) = (F_i / L') alpha_i."""
-        return _diagonal_scales(self.qcheck_basis())
+        return diagonal_scales(self.qcheck_basis())
 
     @cached_property
     def pairing_table(self) -> tuple[tuple[int, ...], ...]:
@@ -398,32 +398,13 @@ class RootSystemData:
         if any(x[n:]):
             return None
         try:
-            inv = self._basis_inverse(basis)
+            inv = mat_inv([[basis[j][i] for j in range(n)] for i in range(n)])
         except ValueError:
             return None
         coeffs = [sum(c * xi for c, xi in zip(row, x) if c and xi) for row in inv]
         if any(c.denominator != 1 for c in coeffs):
             return None
         return tuple(int(c) for c in coeffs)
-
-    @cached_property
-    def _basis_inverses(self) -> dict:
-        return {}
-
-    def _basis_inverse(self, basis: Sequence[Vec]):
-        """The inverse of the matrix whose columns are the basis vectors;
-        ValueError if they are not a basis.  The kernel passes the same
-        two basis tuples, of M and nu(Q^v), on every call, so a tuple's
-        inverse is kept, keyed by its id: the entry holds the tuple, so
-        the id cannot pass to another object."""
-        hit = self._basis_inverses.get(id(basis))
-        if hit is not None:
-            return hit[1]
-        n = self.n
-        inv = mat_inv([[basis[j][i] for j in range(n)] for i in range(n)])
-        if isinstance(basis, tuple):
-            self._basis_inverses[id(basis)] = (basis, inv)
-        return inv
 
     def max_root_norm(self) -> Fraction:
         norms = {self.bilinear(a, a) for a in self.pos_roots}
@@ -497,12 +478,13 @@ def mat_inv(a) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(row[n:]) for row in aug)
 
 
-def _diagonal_scales(basis: Sequence[Vec]) -> tuple[int, ...]:
+def diagonal_scales(basis: Sequence[Vec]) -> tuple[int, ...]:
     """For a basis b_i = c_i alpha_i, the c_i times the least common
-    denominator: integers with the ratios of the c_i."""
+    denominator: integers with the ratios of the c_i.  ValueError if the
+    basis is not of that form."""
     diag = []
     for i, v in enumerate(basis):
-        if any(c for j, c in enumerate(v) if j != i):
+        if not v[i] or any(c for j, c in enumerate(v) if j != i):
             raise ValueError("basis vector is not a multiple of a simple root")
         diag.append(Fraction(v[i]))
     lcd = math.lcm(*(c.denominator for c in diag))

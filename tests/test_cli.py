@@ -6,7 +6,6 @@ import os
 import re
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -148,6 +147,15 @@ def test_involution_starred_json_reports_word_letters(capsys):
     }
 
 
+@pytest.mark.parametrize("matrix", ["1,2,3;4,5", "1,;0,1", "a,b;c,d"])
+@pytest.mark.parametrize(
+    "command", [("decompose", "--level", "1"), ("involution", "--family", "dddotA1")]
+)
+def test_malformed_matrix_names_the_syntax(capsys, command, matrix):
+    code, out, err = run(capsys, command[0], "--matrix", matrix, *command[1:])
+    assert (code, out, err) == (2, "", "error: matrix syntax is 'a,b;c,d'\n")
+
+
 def test_decompose_negative_matrix_space_separated(capsys):
     # a value that starts with a minus sign is not taken for an option
     spaced = run(capsys, "decompose", "--matrix", "-1,1;-6,5", "--level", "1")
@@ -282,8 +290,8 @@ def test_verify_presentation_checks_the_half_delta_central_image(capsys, monkeyp
     assert run(capsys, *argv)[0] == 0
     # --family names the label as it prints: dddotC1star as dddotA1star
     gd = presentation.generator_dictionary(str(diagrams.parse(family)))
-    half = gd.cmp.dst_c.tau_delta(Fraction(1, 2))
-    monkeypatch.setitem(gd.images_c, "Theta02", gd.images_c["Theta02"] * half)
+    half = gd.quotient(half=True)
+    monkeypatch.setitem(half.images, "Theta02", half.images["Theta02"] * half.ctx.tau_delta(half.k))
     code, out, _ = run(capsys, *argv)
     assert code == 1
     (check,) = json.loads(out)["checks"]

@@ -222,5 +222,6 @@ def test_decompose_gamma12_prime():
 
 def test_parse_matrix():
     assert parse_matrix("0,-1;1,0") == Mat2(0, -1, 1, 0)
-    with pytest.raises(ValueError):
-        parse_matrix("1,2,3")
+    for text in ("1,2,3", "1,2,3;4,5", "1,;0,1", "a,b;c,d", "1,0;0,1;0,0", ""):
+        with pytest.raises(ValueError, match="matrix syntax is 'a,b;c,d'"):
+            parse_matrix(text)

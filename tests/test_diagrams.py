@@ -338,3 +338,10 @@ def test_star_specialization_marker():
     # the diagram itself is the dddotC2 diagram
     plain = build_diagram("dddotC2")
     assert braid_relation_list(d) == braid_relation_list(plain)
+
+
+def test_union_find_joins_each_pair_into_one_class():
+    find = diagrams.union_find("abcdef", [("a", "b"), ("c", "d"), ("b", "d"), ("e", "e")])
+    assert len({find(x) for x in "abcd"}) == 1
+    assert len({find(x) for x in "abcdef"}) == 3
+    assert find("e") == "e" and find("f") == "f"

@@ -188,3 +188,44 @@ def test_integrality_checks_raise():
         bad.inv()
     with pytest.raises(ValueError):  # it would send A_2 to A_1 / 2 + A_2
         bad.m_matrix
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_coords_divide_by_the_diagonal_as_lattice_coords_solves(label):
+    # ctx.coords divides by the diagonal of the M and nu(Q^v) bases;
+    # rs.lattice_coords solves the general system; they must agree on
+    # lattice vectors and both reject vectors off the lattice
+    ctx = context(label)
+    rs = ctx.rs
+    rng = random.Random(f"coords {label}")
+    for basis in (rs.m_basis(), rs.qcheck_basis()):
+        for _ in range(25):
+            c = tuple(rng.randint(-6, 6) for _ in range(rs.n))
+            x = rs.combine(c, basis)
+            assert ctx.coords(x, basis) == rs.lattice_coords(x, basis) == c
+            i = rng.randrange(rs.n)
+            off = vadd(x, vscale(Fraction(1, 2), basis[i]))
+            assert rs.lattice_coords(off, basis) is None
+            with pytest.raises(ValueError, match="not in the lattice"):
+                ctx.coords(off, basis)
+        if rs.dim > rs.n:
+            delta = tuple(int(j == rs.n) for j in range(rs.dim))
+            assert rs.lattice_coords(delta, basis) is None
+            with pytest.raises(ValueError, match="not in the lattice"):
+                ctx.coords(delta, basis)
+
+
+@pytest.mark.parametrize("label", ["G2(1)", "C3(1)", "A4(2)", "E8(1)"])
+def test_coords_reject_a_basis_that_is_not_diagonal(label):
+    ctx = context(label)
+    rs = ctx.rs
+    basis = rs.m_basis()
+    x = rs.combine((1,) * rs.n, basis)
+    for bad in (
+        basis[1:] + basis[:1],  # a permuted basis
+        (vadd(basis[0], basis[-1]),) + basis[1:],  # a sheared one
+        (vscale(0, basis[0]),) + basis[1:],  # a degenerate one
+    ):
+        with pytest.raises(ValueError, match="not a multiple of a simple root"):
+            ctx.coords(x, bad)
+    assert ctx.coords(x, list(basis)) == (1,) * rs.n

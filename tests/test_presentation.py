@@ -1,8 +1,10 @@
+from fractions import Fraction
+
 import pytest
 
 from dawcox import cli, dagroup, diagrams
 from dawcox import presentation as pr
-from dawcox.weyl import WeylGroup
+from dawcox.weyl import WeylGroup, reflect
 
 
 def _failed(records):
@@ -186,3 +188,52 @@ def test_psi_twisted_phi_word():
     word = pr.wmul((("Phi0", 1),), pres.phi_word)
     ctx = gd.ctx
     assert gd.evaluate(word) == ctx.tau(ctx.rs.coroot(ctx.rs.phi))
+
+
+STARRED = ["dddotA1star", "dddotC1star", "dddotC2star", "dddotC3star"]
+
+
+@pytest.mark.parametrize("name", STARRED)
+def test_starred_images_match_the_comparison_formulas(name):
+    # one image formula: with eps_1 = nu(theta^v), Theta02 -> s_0
+    # tau_delta^k tau_{eps_1}^-1 and Theta03 -> tau_{eps_1} s_theta, with
+    # k = 1 in A_{2n}^(2) and k = 1/2 in its half-delta extension
+    gd = pr.generator_dictionary(name)
+    cmp = dagroup.A2n2Comparison(diagrams.parse(name).rank)
+    assert [(q.ctx, q.k) for q in gd.quotients] == [(cmp.dst, 1), (cmp.dst_c, Fraction(1, 2))]
+    for q in gd.quotients:
+        ctx, img = q.ctx, q.images
+        eps1 = cmp.tau_eps1(ctx)
+        assert img["Theta01"] == ctx.s(0)
+        assert img["Theta02"] == ctx.s(0) * ctx.tau_delta(q.k) * eps1.inv()
+        assert img["Theta03"] == eps1 * ctx.w(ctx.s_theta)
+        assert all(img[f"T{i}"] == ctx.s(i) for i in range(1, ctx.n + 1))
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in cli.LABELS + cli.LARGE if not diagrams.parse(n).is_star]
+)
+def test_plain_images_match_the_affine_formulas(name):
+    # Theta02 -> s_0 tau_{alpha_0^v} on three affine nodes (a_0 = 1 there),
+    # Phi0 -> tau_{nu(phi^v)} s_phi on two
+    gd = pr.generator_dictionary(name)
+    (q,) = gd.quotients
+    ctx, img, rs = q.ctx, q.images, q.ctx.rs
+    assert q.k == 1 and not q.half and img is gd.images and ctx is gd.ctx
+    if gd.label.is_triple:
+        assert img["Theta01"] == ctx.s(0)
+        assert img["Theta02"] == ctx.s(0) * ctx.tau_alpha0()
+        assert img["Theta03"] == ctx.tau(rs.coroot(rs.theta)) * ctx.w(ctx.s_theta)
+    else:
+        assert img["Theta0"] == ctx.s(0)
+        assert img["Phi0"] == ctx.tau(rs.coroot(rs.phi)) * ctx.w(reflect(rs, rs.phi))
+    assert all(img[f"T{i}"] == ctx.s(i) for i in range(1, ctx.n + 1))
+
+
+def test_half_delta_evaluation_needs_a_half_delta_quotient():
+    gd = pr.generator_dictionary("dddotA2")
+    with pytest.raises(ValueError, match="no half-delta quotient"):
+        gd.evaluate((("T1", 1),), half=True)
+    with pytest.raises(ValueError, match="no half-delta quotient"):
+        gd.central_image(half=True)
+    assert gd.quotient() is gd.quotients[0]
