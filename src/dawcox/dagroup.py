@@ -256,11 +256,17 @@ class DaweylElement:
         mu, beta = other.mu_coords, other.beta_coords
         k = self.k + other.k
         if any(self.mu_coords) or any(self.beta_coords):
-            w2inv = other.w.inv()
+            # A right factor with w = 1 moves no coordinates: no inverse.
+            w2inv = None if other.w.is_identity() else other.w.inv()
             if any(self.mu_coords):
-                mu = tuple(map(add, mat_vec(w2inv.m_matrix, self.mu_coords), mu))
+                mu1 = self.mu_coords
+                if w2inv is not None:
+                    mu1 = mat_vec(w2inv.m_matrix, mu1)
+                mu = tuple(map(add, mu1, mu))
             if any(self.beta_coords):
-                beta1 = mat_vec(w2inv.qcheck_matrix, self.beta_coords)
+                beta1 = self.beta_coords
+                if w2inv is not None:
+                    beta1 = mat_vec(w2inv.qcheck_matrix, beta1)
                 k += ctx.pairing_int(beta1, other.mu_coords)
                 beta = tuple(map(add, beta1, beta))
         return DaweylElement(ctx, self.w * other.w, mu, beta, k)
@@ -271,12 +277,18 @@ class DaweylElement:
     @cached_property
     def _inverse(self) -> "DaweylElement":
         # Computed once per element: words use g**-1 of the same
-        # generator images over and over.
+        # generator images over and over.  With w = 1 the coordinates
+        # are only negated, and w is its own inverse.
         w = self.w
-        mu = tuple(-c for c in mat_vec(w.m_matrix, self.mu_coords))
-        beta = tuple(-c for c in mat_vec(w.qcheck_matrix, self.beta_coords))
-        k = -self.k + self.ctx.pairing_int(self.beta_coords, self.mu_coords)
-        inverse = DaweylElement(self.ctx, w.inv(), mu, beta, k)
+        mu, beta = self.mu_coords, self.beta_coords
+        k = -self.k + self.ctx.pairing_int(beta, mu)
+        if w.is_identity():
+            winv = w
+        else:
+            winv = w.inv()
+            mu, beta = mat_vec(w.m_matrix, mu), mat_vec(w.qcheck_matrix, beta)
+        mu, beta = tuple(-c for c in mu), tuple(-c for c in beta)
+        inverse = DaweylElement(self.ctx, winv, mu, beta, k)
         inverse.__dict__["_inverse"] = self
         return inverse
 
@@ -329,7 +341,7 @@ class DaweylElement:
             if b:
                 out[i] += b
         out = self.ctx.lam_linear(self.mu, tuple(out))
-        return self.w.act(out)
+        return out if self.w.is_identity() else self.w.act(out)
 
     def conj(self, other: "DaweylElement") -> "DaweylElement":
         return self * other * self.inv()

@@ -16,7 +16,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from operator import mul
+from itertools import compress
+from operator import mul, ne
 
 from .rootsys import RootSystemData, Vec, as_int, vsub, vscale
 from .rootsys import mat_inv  # noqa: F401  (public here: tests and bench/spans.py use weyl.mat_inv)
@@ -46,7 +47,57 @@ def int_matrix(a) -> Matrix:
     return tuple(tuple(as_int(x, "matrix entry") for x in row) for row in a)
 
 
+# A factor that moves at most this many rows away from the identity's
+# (the identity moves none, a simple reflection one) is multiplied row
+# by row instead of by the dense n^3 product.
+_FEW_MOVED_ROWS = 2
+
+
+def _moved_rows(a: Matrix, ident: Matrix) -> list[int]:
+    """The indices of the rows of a that differ from the identity's.  A
+    list row never equals a tuple row, so list input counts as moved."""
+    return list(compress(range(len(ident)), map(ne, a, ident)))
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """The product a b of square matrices as a tuple of tuples, for int
+    or Fraction entries and tuple or list rows.  When b = 1 + D moves few
+    rows, the product is a + a D, which changes only the rows of a with
+    an entry in a moved row's column; when a = 1 + D does, it is b + D b,
+    which changes only a's moved rows."""
+    ident = _identity(len(b))
+    moved = _moved_rows(b, ident)
+    if not moved:
+        return tuple(map(tuple, a))
+    if len(moved) <= _FEW_MOVED_ROWS:
+        # Row i of a D is the sum over moved k of a[i][k] (b[k] - e_k).
+        d = [(k, [(j, x - (j == k)) for j, x in enumerate(b[k]) if x != (j == k)])
+             for k in moved]
+        out = []
+        for row in a:
+            new = None
+            for k, dk in d:
+                f = row[k]
+                if f:
+                    if new is None:
+                        new = list(row)
+                    for j, x in dk:
+                        new[j] += f * x
+            out.append(tuple(row if new is None else new))
+        return tuple(out)
+    moved = _moved_rows(a, ident)
+    if len(moved) <= _FEW_MOVED_ROWS:
+        # Row i of a b is b[i] unless i is moved, then sum_k a[i][k] b[k].
+        out = list(map(tuple, b))
+        for i in moved:
+            new = [0] * len(ident)
+            for f, brow in zip(a[i], b):
+                if f:
+                    for j, x in enumerate(brow):
+                        if x:
+                            new[j] += f * x
+            out[i] = tuple(new)
+        return tuple(out)
     bt = tuple(zip(*b))
     return tuple([tuple([sum(map(mul, row, col)) for col in bt]) for row in a])
 

@@ -4,13 +4,14 @@ against the affine action oracle `act`."""
 
 import random
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 
 from dawcox import cli, diagrams
-from dawcox.dagroup import context
+from dawcox.dagroup import DaweylElement, context
 from dawcox.rootsys import vadd, vneg, vscale
-from dawcox.weyl import WeylElement, int_matrix, mat_inv
+from dawcox.weyl import WeylElement, identity, int_matrix, mat_inv, simple_reflection
 
 LABELS = sorted(
     {str(diagrams.correspondence(diagrams.parse(name))) for name in cli.LABELS + cli.LARGE}
@@ -229,3 +230,49 @@ def test_coords_reject_a_basis_that_is_not_diagonal(label):
         with pytest.raises(ValueError, match="not a multiple of a simple root"):
             ctx.coords(x, bad)
     assert ctx.coords(x, list(basis)) == (1,) * rs.n
+
+
+def _count_weyl_inverses(monkeypatch):
+    """Count the WeylElement inverses built from here on; monkeypatch
+    restores the cached property afterwards."""
+    built = []
+    real = WeylElement.__dict__["_inverse"].func
+
+    def counted(self):
+        built.append(self)
+        return real(self)
+
+    prop = cached_property(counted)
+    prop.__set_name__(WeylElement, "_inverse")
+    monkeypatch.setattr(WeylElement, "_inverse", prop)
+    return built
+
+
+@pytest.mark.parametrize("label", ["A1(1)", "C2(1)", "G2(1)", "A4(2)", "F4(1)"])
+def test_translation_factors_build_no_weyl_inverse(label, monkeypatch):
+    ctx = context(label)
+    rs = ctx.rs
+    rng = random.Random(f"inverse count {label}")
+    gens = _generators(ctx)
+    lefts = []
+    for _ in range(WORDS):
+        g = ctx.identity()
+        for h, e in _word(rng, gens, 5):
+            g = g * h**e
+        lefts.append(g)
+    built = _count_weyl_inverses(monkeypatch)
+    for sym in ("lam_A1", "tau_a1", "tau_delta", "tau_alpha0"):
+        h = ctx.generator(sym)
+        # a Weyl part of its own, whose inverse no earlier product cached
+        h = DaweylElement(ctx, identity(rs), h.mu_coords, h.beta_coords, h.k)
+        for g in lefts:
+            assert ref_equal(g * h, ref_mul(rs, ref_of(g), ref_of(h))), (sym, g)
+        assert ref_equal(h.inv(), ref_inv(rs, ref_of(h)))
+        for p in _points(rng, ctx):
+            assert h.inv().act(h.act(p)) == p
+    assert built == []
+    # the counter sees a right factor that is not a translation
+    s1 = DaweylElement(ctx, simple_reflection(rs, 1), ctx.zero_coords, ctx.zero_coords, 0)
+    g = next(g for g in lefts if any(g.mu_coords) or any(g.beta_coords))
+    assert ref_equal(g * s1, ref_mul(rs, ref_of(g), ref_of(s1)))
+    assert built == [s1.w]

@@ -1,10 +1,13 @@
+import itertools
 import random
+from fractions import Fraction
+
 import pytest
 
 from dawcox import dagroup, diagrams
 from dawcox.cli import LABELS, LARGE
 from dawcox.rootsys import build
-from dawcox.weyl import WeylGroup, listed_w0_central_claim, reflect
+from dawcox.weyl import WeylGroup, listed_w0_central_claim, mat_mul, reflect
 
 # Finite types are taken as the finite parts of affine hosts.
 HOSTS = {
@@ -233,3 +236,74 @@ def test_longest_in_stabilizer_rejects_a_non_dominant_root(groups):
         g.longest_in_stabilizer([g.rs.simple_roots[0]])
     with pytest.raises(ValueError, match="dominant"):
         g.longest_in_stabilizer([tuple(-c for c in g.rs.theta)])
+
+
+# -- mat_mul against the dense product
+
+
+def _dense(a, b):
+    n = len(a)
+    return tuple(
+        tuple(sum(a[i][t] * b[t][j] for t in range(n)) for j in range(n)) for i in range(n)
+    )
+
+
+def _moving(rng, n, moved, entry):
+    """The identity with `moved` random rows replaced by rows that differ
+    from the identity's."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i in rng.sample(range(n), moved):
+        while rows[i][i] == 1 and not any(rows[i][j] for j in range(n) if j != i):
+            rows[i] = [entry(rng) for _ in range(n)]
+    return rows
+
+
+def _int_entry(rng):
+    return rng.randint(-3, 3)
+
+
+def _fraction_entry(rng):
+    return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_mat_mul_matches_the_dense_product(n):
+    rng = random.Random(n)
+    for entry in (_int_entry, _fraction_entry):
+        for moved_a in range(n + 1):
+            for moved_b in range(n + 1):
+                a = _moving(rng, n, moved_a, entry)
+                b = _moving(rng, n, moved_b, entry)
+                want = _dense(a, b)
+                for ra, rb in itertools.product((tuple, list), repeat=2):
+                    got = mat_mul(ra(map(ra, a)), rb(map(rb, b)))
+                    assert got == want, (n, moved_a, moved_b, ra, rb)
+                    assert type(got) is tuple
+                    assert all(type(row) is tuple for row in got)
+
+
+def _weyl_factors(rng, wg, s_theta):
+    """Simple reflections, s_theta, the identity and dense products of
+    random words."""
+    factors = list(wg.simples) + [s_theta, wg.id]
+    for _ in range(4):
+        factors.append(wg.from_word(rng.choices(range(1, wg.rs.n + 1), k=rng.randint(4, 12))))
+    return factors
+
+
+@pytest.mark.parametrize("label", LABELS + LARGE)
+def test_weyl_products_match_the_dense_product(label):
+    ctx = dagroup.context(diagrams.correspondence(diagrams.parse(label)))
+    rng = random.Random(label)
+    factors = _weyl_factors(rng, ctx.wg, ctx.s_theta)
+    for x in factors:
+        for y in factors:
+            assert (x * y).matrix == _dense(x.matrix, y.matrix)
+    # random words, multiplied left to right and checked letter by letter
+    for _ in range(5):
+        w, ref = ctx.wg.id, ctx.wg.id.matrix
+        for _ in range(rng.randint(1, 10)):
+            f = rng.choice(factors)
+            w, ref = w * f, _dense(ref, f.matrix)
+            assert w.matrix == ref
+        assert w * w.inv() == ctx.wg.id
