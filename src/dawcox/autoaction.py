@@ -69,12 +69,8 @@ def identity_map(label_name: str) -> EndoMap:
     )
 
 
-def _is_finite_gen(g: str) -> bool:
-    return g.startswith("T") and g[1:].isdigit()
-
-
 def _fixing_finite(pres) -> dict:
-    return {g: ((g, 1),) for g in pres.generators if _is_finite_gen(g)}
+    return {nd.label: ((nd.label, 1),) for nd in pres.diagram.finite_nodes}
 
 
 def a_map(label_name: str) -> EndoMap:
@@ -128,10 +124,9 @@ def e_map(label_name: str) -> EndoMap:
     else:
         # T_i goes to the partner's T_i, seen in the order Phi0 sees it
         order = diagrams.FAMILIES[lab.family].order
-        for g in pres.generators:
-            if _is_finite_gen(g):
-                i = int(g[1:])
-                images[g] = ((f"T{order[i] if order else i}", 1),)
+        for nd in pres.diagram.finite_nodes:
+            i = order[nd.index] if order else nd.index
+            images[nd.label] = ((f"T{i}", 1),)
         images["Theta0"] = (("Phi0", 1),)
         images["Phi0"] = (("Theta0", 1),)
     return EndoMap("e", label_name, dst, images, anti=True)
@@ -307,7 +302,7 @@ def central_element_action(label_name: str) -> list[tuple]:
     if twist == 1:
         M = AB.compose(AB).compose(AB)
         conj = w0
-        gens = [g for g in gens if not _is_finite_gen(g)]
+        gens = [nd.label for nd in gd.presentation.diagram.affine_nodes]
         relation = "(ab)^3 = conj(w0)"
     elif twist == 2:
         M = AB.compose(AB)

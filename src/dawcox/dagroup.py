@@ -85,6 +85,11 @@ class DaweylContext:
         return self.rs.n
 
     @cached_property
+    def t0(self) -> "DaweylElement":
+        """The affine generator t_0 = tau_{nu(c^v)} s_c of <t_0, s_1..s_n>."""
+        return self.tau(self.nu_c_v) * self.w(self.s_c)
+
+    @cached_property
     def lam_walk(self) -> "AffineWalk":
         """The alcove walk over <s_0..s_n>, built once per context."""
         return AffineWalk(self, "lam")
@@ -406,21 +411,14 @@ class AffineWalk:
     """
 
     def __init__(self, ctx: DaweylContext, kind: str):
-        # kind "lam": the subgroup <s_0..s_n> = W, decomposing lam_mu.
-        # kind "tau": the subgroup <t_0, s_1..s_n>, decomposing tau_beta,
-        #             with t_0 = tau_{c^v} s_c.
+        # kind "lam": the subgroup <s_0..s_n> = W, decomposing lam_mu;
+        # kind "tau": the subgroup <t_0, s_1..s_n>, decomposing tau_beta.
+        if kind not in ("lam", "tau"):
+            raise ValueError(kind)
         self.ctx = ctx
-        self.kind = kind
         rs = ctx.rs
         n = rs.n
-        if kind == "lam":
-            c_root = rs.theta
-            aff_gen = ctx.s(0)
-        elif kind == "tau":
-            c_root = ctx.c_root
-            aff_gen = ctx.tau(ctx.nu_c_v) * ctx.w(ctx.s_c)
-        else:
-            raise ValueError(kind)
+        c_root, aff_gen = (rs.theta, ctx.s(0)) if kind == "lam" else (ctx.c_root, ctx.t0)
         self.generators = (aff_gen,) + tuple(ctx.s(i) for i in range(1, n + 1))
         cartan = rs.finite_cartan
         self.cartan = cartan
@@ -434,10 +432,7 @@ class AffineWalk:
         self.c_pairings = tuple(
             (j, p) for j, p in enumerate(mat_vec(cartan, c)) if p
         )  # the non-zero <c, alpha_j^v>
-        gamma = rs.lattice_coords(rs.coroot(c_root), rs.qcheck_basis())
-        if gamma is None:
-            raise ValueError("c^v is not an integer combination of the simple coroots")
-        self.gamma = gamma
+        self.gamma = gamma = ctx.coords(rs.coroot(c_root), rs.qcheck_basis())
         kappa = Fraction(2) / rs.bilinear(c_root, c_root)
         # A generic interior point of the fundamental alcove: prescribe
         # small unequal positive values for (x, alpha_i^v) and shrink
@@ -459,12 +454,10 @@ class AffineWalk:
         """The scaled wall values of the image of the base point under g
         through the subgroup action; ValueError if they are not integers,
         for then g is not in the subgroup."""
-        # For "lam": g = w lam_mu tau_beta tau_delta^k sends the base
-        # point, lifted to level one, to w(x + mu + beta) + (a multiple
-        # of delta); for "tau": g acts on the finite space by w(x + beta).
-        n = self.ctx.n
-        shift = self.base if self.kind == "tau" else tuple(map(add, self.base, g.mu[:n]))
-        y = g.w.act_finite(tuple(map(add, shift, g.beta[:n])))
+        # g = w lam_mu tau_beta tau_delta^k sends the base point, lifted
+        # to level one, to w(x + mu + beta) + (a multiple of delta).  A
+        # member of <s_0..s_n> has beta = 0, one of <t_0, s_1..s_n> mu = 0.
+        y = g.w.act_finite(tuple(x + m + b for x, m, b in zip(self.base, g.mu, g.beta)))
         vals = [self.denom * frac_sum(map(mul, row, y)) for row in self.cartan]
         if any(v.denominator != 1 for v in vals):
             raise ValueError("element is not in this affine subgroup")
@@ -498,28 +491,23 @@ class AffineWalk:
             raise ValueError("element is not in this affine subgroup")
         return tuple(word)
 
-    def evaluate(self, word) -> DaweylElement:
-        return product(self.ctx, (self.generators[i] for i in word))
+    def checked_word(self, g: DaweylElement):
+        """word_for(g), checked: ValueError unless the word evaluates
+        back to g."""
+        word = self.word_for(g)
+        if product(self.ctx, (self.generators[i] for i in word)) != g:
+            raise ValueError("alcove walk word does not evaluate to the element")
+        return word
 
 
 def lam_word(ctx: DaweylContext, mu: Vec):
     """Word in s_0..s_n for lam_mu (indices, 0 = affine node)."""
-    walk = ctx.lam_walk
-    g = ctx.lam(mu)
-    word = walk.word_for(g)
-    if walk.evaluate(word) != g:
-        raise ValueError("alcove walk word does not evaluate to the element")
-    return word
+    return ctx.lam_walk.checked_word(ctx.lam(mu))
 
 
 def tau_word(ctx: DaweylContext, beta: Vec):
     """Word in t_0, s_1..s_n for tau_beta (0 denotes t_0)."""
-    walk = ctx.tau_walk
-    g = ctx.tau(beta)
-    word = walk.word_for(g)
-    if walk.evaluate(word) != g:
-        raise ValueError("alcove walk word does not evaluate to the element")
-    return word
+    return ctx.tau_walk.checked_word(ctx.tau(beta))
 
 
 # ---------------------------------------------------------------------
@@ -538,7 +526,7 @@ def verify_bernstein_relations(label) -> list[tuple]:
 
     simple_cor = rs.simple_coroots()
     s = [ctx.s(i) for i in range(n + 1)]
-    t0 = s[0]
+    s0 = s[0]
 
     # Finite commutation/conjugation relations for representative
     # beta with the required pairings.
@@ -571,16 +559,16 @@ def verify_bernstein_relations(label) -> list[tuple]:
         ajv = simple_cor[j - 1]
         pair = rs.bilinear(ajv, theta)
         if pair == 0:
-            records.append((f"t0-comm j={j}", t0 * ctx.tau(ajv), ctx.tau(ajv) * t0))
+            records.append((f"t0-comm j={j}", s0 * ctx.tau(ajv), ctx.tau(ajv) * s0))
         elif pair == 1:
-            lhs = t0 * ctx.tau(ajv) * t0
+            lhs = s0 * ctx.tau(ajv) * s0
             a0v = ctx.tau_alpha0()
             records.append((f"t0-conj j={j}", lhs, ctx.tau(ajv) * a0v))
         elif pair == 2:
             b = vsub(ajv, rs.coroot(theta))
             if any(b):  # at rank one the vector vanishes and the relation is empty
                 saw_eq42 = True
-                records.append((f"t0-comm-long j={j}", t0 * ctx.tau(b), ctx.tau(b) * t0))
+                records.append((f"t0-comm-long j={j}", s0 * ctx.tau(b), ctx.tau(b) * s0))
         else:  # pragma: no cover - excluded by the classification
             raise ValueError(f"unexpected pairing {pair} of alpha_{j}^v with theta")
     # The classification "pairing 2 happens only for C_n^(1), n >= 2" is
@@ -599,15 +587,15 @@ def verify_bernstein_relations(label) -> list[tuple]:
         ell0 = rs.ell0()
         if ell0 == 1:
             rhs = ctx.tau(aiv) * ctx.tau_alpha0()
-            records.append(("reduction-conj", t0 * ctx.tau(aiv) * t0, rhs))
+            records.append(("reduction-conj", s0 * ctx.tau(aiv) * s0, rhs))
         elif ell0 == 2:
             b = vsub(aiv, rs.coroot(theta))
-            records.append(("reduction-comm", t0 * ctx.tau(b), ctx.tau(b) * t0))
+            records.append(("reduction-comm", s0 * ctx.tau(b), ctx.tau(b) * s0))
         # ell0 = 4 (A_1^(1)): no reduction relation of this shape.
     else:
         phiv = rs.coroot(rs.phi)
         rhs = ctx.tau(phiv) * ctx.tau_alpha0()
-        records.append(("reduction-twisted", t0 * ctx.tau(phiv) * t0, rhs))
+        records.append(("reduction-twisted", s0 * ctx.tau(phiv) * s0, rhs))
     return records
 
 

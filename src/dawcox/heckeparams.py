@@ -34,14 +34,12 @@ def param_assignment(lab) -> ParamAssignment:
         lab = diagrams.parse(lab)
     d = build_diagram(lab)
     comps = one_connected_components(d)
+    finite_index = {nd.label: nd.index for nd in d.finite_nodes}
     symbol_of = {}
     for comp in comps:
         # prefer a finite node name, smallest index, as the t-symbol
-        finite = sorted(
-            (n for n in comp if n.startswith("T") and n[1:].isdigit()),
-            key=lambda n: int(n[1:]),
-        )
-        rep = finite[0] if finite else sorted(comp)[0]
+        finite = [n for n in comp if n in finite_index]
+        rep = min(finite, key=finite_index.get) if finite else min(comp)
         sym = rep.lower()
         for n in comp:
             symbol_of[n] = sym
@@ -74,7 +72,7 @@ class SpecializationRule:
 # Identifications are written on the diagram node names; "n" in a node
 # name is replaced by the rank.
 _SPECIALIZATION_TABLE = {
-    "A1(1)": ("dddotA{n}", [("Theta01", "Theta02"), ("Theta02", "Theta03"), ("Theta03", "T1")]),
+    "A1(1)": ("dddotA1", [("Theta01", "Theta02"), ("Theta02", "Theta03"), ("Theta03", "T1")]),
     "Cn(1)": ("dddotC{n}", [("Theta01", "Theta02"), ("Theta02", "Theta03")]),
     "(BCn,Cn)": ("dddotC{n}", [("Theta01", "Theta02")]),
     "(Cn^,Cn)": ("dddotC{n}", []),

@@ -69,8 +69,15 @@ class Presentation:
     starred: tuple[tuple[str, Word, Word, bool], ...] = ()
 
 
-def _word_of_indices(indices, letters=None) -> Word:
-    return tuple((letters[i] if letters else f"T{i}", 1) for i in indices)
+def _word_of_indices(indices, affine_letter: str | None = None) -> Word:
+    """A word in the finite letters T_i, index 0 denoting affine_letter."""
+    return tuple((affine_letter if i == 0 else f"T{i}", 1) for i in indices)
+
+
+def affine_letters(lab: DoubleAffineLabel) -> tuple[str, str]:
+    """The letters whose dictionary images are s_0 and t_0 = tau_{nu(c^v)}
+    s_c, the affine generators of the two alcove walks."""
+    return ("Theta01", "Theta03") if lab.is_triple else ("Theta0", "Phi0")
 
 
 # The labelled B2 braid pattern of Theta0, Phi0, Theta', Phi' on the
@@ -113,13 +120,9 @@ def build_presentation(lab: DoubleAffineLabel | str) -> Presentation:
             continue
         relations.append((f"square {a}", ((a, 2),), ()))
 
-    # Distinguished finite words.
-    if rs.is_twisted_proper():
-        theta_fin, phi_fin = rs.theta, rs.phi
-    else:
-        theta_fin = phi_fin = rs.theta
-    theta_word = _word_of_indices(wg.reduced_word(reflect(rs, theta_fin)))
-    phi_word = _word_of_indices(wg.reduced_word(reflect(rs, phi_fin)))
+    # Distinguished finite words: the reflections in theta and in c.
+    theta_word = _word_of_indices(wg.reduced_word(ctx.s_theta))
+    phi_word = _word_of_indices(wg.reduced_word(ctx.s_c))
 
     identities: list = []
     if d.label.is_triple:
@@ -173,7 +176,7 @@ def build_presentation(lab: DoubleAffineLabel | str) -> Presentation:
         else:
             theta_prime, phi_prime = (
                 _word_of_indices(wg.reduced_word(reflect(rs, v)))
-                for v in rs.primed(theta_fin, phi_fin)
+                for v in rs.primed(rs.theta, ctx.c_root)
             )
             words = {
                 "Theta0": theta0,
@@ -255,19 +258,14 @@ class GeneratorDictionary:
         self.images = self.quotients[0].images
 
     def _images(self, ctx: DaweylContext, k) -> dict:
-        """T_i -> s_i; Theta01 -> s_0, Theta02 -> s_0 tau_delta^k
-        tau_{-nu(theta^v)}, Theta03 -> tau_{nu(theta^v)} s_theta on three
-        affine nodes; Theta0 -> s_0, Phi0 -> tau_{nu(phi^v)} s_phi on two."""
+        """T_i -> s_i and the affine letters -> s_0, t_0; on three affine
+        nodes also Theta02 -> s_0 tau_delta^k tau_{-nu(theta^v)}."""
         out = {f"T{i}": ctx.s(i) for i in range(1, ctx.n + 1)}
+        s0_letter, t0_letter = affine_letters(self.label)
+        out[s0_letter] = ctx.s(0)
         if self.label.is_triple:
-            tau_theta = ctx.tau(ctx.nu_theta_v)
-            out["Theta01"] = ctx.s(0)
-            out["Theta02"] = ctx.s(0) * ctx.tau_delta(k) * tau_theta.inv()
-            out["Theta03"] = tau_theta * ctx.w(ctx.s_theta)
-        else:
-            rs = ctx.rs
-            out["Theta0"] = ctx.s(0)
-            out["Phi0"] = ctx.tau(rs.coroot(rs.phi)) * ctx.w(reflect(rs, rs.phi))
+            out["Theta02"] = ctx.s(0) * ctx.tau_delta(k) * ctx.tau(ctx.nu_theta_v).inv()
+        out[t0_letter] = ctx.t0
         return out
 
     def quotient(self, half: bool = False) -> Quotient:
@@ -303,19 +301,6 @@ def _generator_dictionary(lab: DoubleAffineLabel) -> GeneratorDictionary:
     return GeneratorDictionary(lab)
 
 
-def _affine_letter(pres: Presentation, kind: str) -> str:
-    if pres.label.is_triple:
-        return "Theta01" if kind == "lam" else "Theta03"
-    return "Theta0" if kind == "lam" else "Phi0"
-
-
-def _walk_letters(indices, affine_letter: str) -> Word:
-    """A walk word as presentation letters: index 0 is the affine letter
-    (whose dictionary image is the walk's affine generator, s_0 or
-    tau_{c^v} s_c), index i the finite T_i."""
-    return tuple(((affine_letter if i == 0 else f"T{i}"), 1) for i in indices)
-
-
 def psi_words(gd: GeneratorDictionary) -> dict:
     """Words over the presentation generators for every generator of the
     double affine Weyl group (the surjectivity certificate)."""
@@ -323,16 +308,15 @@ def psi_words(gd: GeneratorDictionary) -> dict:
     ctx = gd.ctx
     rs = ctx.rs
     out: dict = {}
-    lam_letter = _affine_letter(pres, "lam")
-    tau_letter = _affine_letter(pres, "tau")
+    lam_letter, tau_letter = affine_letters(pres.label)
     out["s0"] = ((lam_letter, 1),)
     for i in range(1, ctx.n + 1):
         out[f"s{i}"] = ((f"T{i}", 1),)
     out["tau_delta"] = pres.central_word
     for i, mu in enumerate(rs.m_basis(), start=1):
-        out[f"lam_A{i}"] = _walk_letters(lam_word(ctx, mu), lam_letter)
+        out[f"lam_A{i}"] = _word_of_indices(lam_word(ctx, mu), lam_letter)
     for i, beta in enumerate(rs.simple_coroots(), start=1):
-        out[f"tau_a{i}"] = _walk_letters(tau_word(ctx, beta), tau_letter)
+        out[f"tau_a{i}"] = _word_of_indices(tau_word(ctx, beta), tau_letter)
     return out
 
 

@@ -406,10 +406,17 @@ class RootSystemData:
             return None
         return tuple(int(c) for c in coeffs)
 
+    @cached_property
+    def pos_root_norms(self) -> tuple[Fraction, ...]:
+        """(r, r) for each root r of pos_roots, in that order."""
+        return tuple(self.bilinear(r, r) for r in self.pos_roots)
+
     def max_root_norm(self) -> Fraction:
-        norms = {self.bilinear(a, a) for a in self.pos_roots}
-        norms.add(self.bilinear(self.alpha0, self.alpha0))
-        return max(norms)
+        return self._max_root_norm
+
+    @cached_property
+    def _max_root_norm(self) -> Fraction:
+        return max(*self.pos_root_norms, self.bilinear(self.alpha0, self.alpha0))
 
     def i_theta(self) -> int:
         """1-based index of the finite node attached to the affine node."""

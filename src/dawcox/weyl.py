@@ -343,21 +343,21 @@ class WeylGroup:
         return self._longest_in_parabolic(orthogonal)
 
     def is_simply_laced(self) -> bool:
-        return len({self.rs.bilinear(r, r) for r in self.rs.pos_roots}) == 1
+        return len(set(self.rs.pos_root_norms)) == 1
 
     def short_dominant(self) -> Vec:
         """Short dominant root of the finite system (theta in the
         non-simply-laced combinatorics, regardless of the affine host)."""
         rs = self.rs
-        norms = {rs.bilinear(r, r) for r in rs.pos_roots}
-        if len(norms) == 1:
+        if self.is_simply_laced():
             raise ValueError("simply-laced system has no short dominant root")
-        short = min(norms)
+        short = min(rs.pos_root_norms)
+        # dominant: <r, alpha_j^v> = sum_i A[j][i] r_i >= 0 for every j
         cands = [
             r
-            for r in rs.pos_roots
-            if rs.bilinear(r, r) == short
-            and all(rs.bilinear(r, a) >= 0 for a in rs.simple_roots)
+            for r, norm in zip(rs.pos_roots, rs.pos_root_norms)
+            if norm == short
+            and all(sum(map(mul, row, r)) >= 0 for row in rs.finite_cartan)
         ]
         if len(cands) != 1:
             raise ValueError(f"{len(cands)} short dominant roots")

@@ -56,6 +56,18 @@ def test_params_table4_row(capsys):
     assert code == 0 and payload["final_count"] == 3
 
 
+@pytest.mark.parametrize("rank", [(), ("--n", "3")])
+def test_params_a1_has_one_rank(capsys, rank):
+    # A1(1) specializes dddotA1 whatever --n says, and needs no --n
+    code, out, _ = run(capsys, "params", "--system", "A1(1)", *rank)
+    payload = json.loads(out)
+    assert code == 0 and payload["algebra"] == "dddotA1"
+    assert payload["identifications"] == [
+        ["theta01", "theta02"], ["theta02", "theta03"], ["theta03", "t1"]
+    ]
+    assert (payload["generic_count"], payload["final_count"]) == (4, 1)
+
+
 def test_params_unknown(capsys):
     code, _, err = run(capsys, "params", "--system", "X9(9)")
     assert code == 2

@@ -151,6 +151,15 @@ def test_positive_roots_match_the_fraction_closure(label):
     assert all(type(c) is Fraction for r in rs.pos_roots for c in r)
 
 
+@pytest.mark.parametrize("label", LABELS)
+def test_lattice_translation_is_not_in_the_tau_walk(label):
+    # <t_0, s_1..s_n> has no lam_mu with mu != 0: the checked word raises
+    ctx = context(label)
+    for mu in ctx.rs.m_basis():
+        with pytest.raises(ValueError):
+            ctx.tau_walk.checked_word(ctx.lam(mu))
+
+
 @pytest.mark.parametrize("label", ["A3(2)", "D4(2)", "D4(3)", "E6(2)"])
 def test_element_outside_the_subgroup_raises(label):
     # short coroot translations of these twisted systems are not in the

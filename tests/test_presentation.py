@@ -230,6 +230,20 @@ def test_plain_images_match_the_affine_formulas(name):
     assert all(img[f"T{i}"] == ctx.s(i) for i in range(1, ctx.n + 1))
 
 
+@pytest.mark.parametrize("name", cli.LABELS + cli.LARGE)
+def test_affine_letters_map_to_the_walk_generators(name):
+    # the affine letters map to s_0 and t_0 = tau_{nu(c^v)} s_c in every
+    # quotient, the affine generators of the lam and tau walks
+    gd = pr.generator_dictionary(name)
+    s0_letter, t0_letter = pr.affine_letters(gd.label)
+    for q in gd.quotients:
+        ctx, rs = q.ctx, q.ctx.rs
+        c = rs.phi if rs.is_twisted_proper() else rs.theta
+        assert ctx.t0 == ctx.tau(rs.coroot(c)) * ctx.w(reflect(rs, c))
+        assert q.images[s0_letter] == ctx.s(0) == ctx.lam_walk.generators[0]
+        assert q.images[t0_letter] == ctx.t0 == ctx.tau_walk.generators[0]
+
+
 def test_half_delta_evaluation_needs_a_half_delta_quotient():
     gd = pr.generator_dictionary("dddotA2")
     with pytest.raises(ValueError, match="no half-delta quotient"):

@@ -4,6 +4,7 @@ import pytest
 
 from dawcox import rootsys
 from dawcox.rootsys import build, parse_label, vadd, vscale, vsub
+from dawcox.weyl import WeylGroup
 
 ALL_LABELS = [
     "A1(1)", "A2(1)", "A3(1)", "B3(1)", "B4(1)", "C2(1)", "C3(1)",
@@ -77,6 +78,29 @@ def test_nu_of_coroots(systems, lab):
 def test_max_root_norm_is_2r(systems, lab):
     rs = systems[lab]
     assert rs.max_root_norm() == 2 * rs.twist
+
+
+@pytest.mark.parametrize("lab", ["A3(1)", "C3(1)", "G2(1)", "D4(3)", "A4(2)"])
+def test_root_norms_are_computed_once(systems, lab, monkeypatch):
+    rs = systems[lab]
+    wg = WeylGroup(rs)
+
+    def norm_facts():
+        simply_laced = wg.is_simply_laced()
+        short = None if simply_laced else wg.short_dominant()
+        return simply_laced, short, rs.max_root_norm()
+
+    first = norm_facts()
+    calls = []
+    bilinear = rootsys.RootSystemData.bilinear
+
+    def counting(self, x, y):
+        calls.append(1)
+        return bilinear(self, x, y)
+
+    monkeypatch.setattr(rootsys.RootSystemData, "bilinear", counting)
+    assert norm_facts() == first
+    assert calls == []
 
 
 @pytest.mark.parametrize("lab,count", [("A1(1)", 1), ("A2(1)", 3), ("C2(1)", 4),
