@@ -23,7 +23,14 @@ standard formula
 
     lam_mu(x) = x + (x, delta) mu - ((x, mu) + (mu, mu)/2 (x, delta)) delta
 
-while tau_beta is the honest translation by beta.
+while tau_beta is the honest translation by beta.  It too works on
+integers: the point's numerators over one common denominator per call,
+and its own table of the finite Gram block and the lattice bases,
+DaweylContext.action_table, built from the Gram matrix and the basis
+vectors alone.  It reads none of the multiplication's integer tables
+(the pairing table, the lattice scales, the Weyl elements' lattice
+matrices and inverses), so that a fault in one route shows up as a
+disagreement with the other.
 
 The comparison morphism from C_n^(1) into the half-delta extension of
 A_{2n}^(2) is the identity on Weyl matrices and lattice coordinates and
@@ -184,32 +191,42 @@ class DaweylContext:
             return DaweylElement(self, self.wg.id, mu, beta, 0)
         raise ValueError(f"unknown generator symbol {symbol!r}")
 
-    # -- linear action of translation elements of W --------------------
+    # -- the integer table of the affine action -----------------------
 
-    def lam_linear(self, mu: Vec, x: Vec) -> Vec:
-        # (x, delta) is the Lambda0-coefficient of x, and mu is finite,
-        # so only the finite Gram block enters (x, mu) and (mu, mu).
-        # G mu is formed once and serves both pairings; lam_0 is the
-        # identity.
-        if not any(mu):
-            return x
-        n = self.rs.n
-        xd = x[n + 1]
-        gram = self.rs.gram
-        support = [(j, m) for j, m in enumerate(mu[:n]) if m]
-        gmu = [
-            frac_sum(gram[i][j] * m for j, m in support if gram[i][j]) for i in range(n)
-        ]
-        coeff = frac_sum(x[i] * gmu[i] for i in range(n) if x[i] and gmu[i])
-        out = list(x)
-        if xd:
-            mumu = frac_sum(m * gmu[j] for j, m in support if gmu[j])
-            coeff += mumu / 2 * xd
-            for j, m in enumerate(mu):
-                if m:
-                    out[j] += xd * m
-        out[n] -= coeff
-        return tuple(out)
+    @cached_property
+    def action_table(self) -> tuple:
+        """(L, G, M, Q), the integers DaweylElement.act computes with, all
+        over one common denominator L: G[i] lists the non-zero (j, L
+        (alpha_i, A_j)), the finite Gram block times the diagonal of the
+        M basis; M and Q are L times the diagonals of the bases of M and
+        nu(Q^v).  It is built from the Gram matrix, delta and the basis
+        vectors only, never from the multiplication's integer tables, so
+        that the action stays an independent oracle."""
+        rs = self.rs
+        n = rs.n
+        gram = rs.gram
+        # The action reads (x, delta) as the Lambda0 coordinate, adds k
+        # delta to the delta coordinate, and pairs mu with the finite
+        # coordinates only: the form must be laid out for that.
+        unit = [tuple(int(i == j) for i in range(n + 2)) for j in range(n + 2)]
+        if (
+            rs.delta != unit[n]
+            or tuple(row[n] for row in gram) != unit[n + 1]
+            or any(row[n + 1] for row in gram[:n])
+        ):
+            raise ValueError("the form is not laid out as (alpha_i, delta, Lambda0)")
+        m_basis, q_basis = self._kernel_bases
+        m_diag = [b[i] for i, b in enumerate(m_basis)]
+        q_diag = [b[i] for i, b in enumerate(q_basis)]
+        gm = [[gram[i][j] * m for j, m in enumerate(m_diag)] for i in range(n)]
+        den = math.lcm(*(x.denominator for x in (*m_diag, *q_diag, *sum(gm, []))))
+        gm = tuple(
+            tuple((j, as_int(den * x, "scaled pairing")) for j, x in enumerate(row) if x)
+            for row in gm
+        )
+        m_num = tuple(as_int(den * x, "scaled M basis") for x in m_diag)
+        q_num = tuple(as_int(den * x, "scaled coroot basis") for x in q_diag)
+        return den, gm, m_num, q_num
 
     def pairing_int(self, beta: tuple[int, ...], mu: tuple[int, ...]) -> int:
         """(beta, mu) from lattice coordinates of beta and mu."""
@@ -335,18 +352,40 @@ class DaweylElement:
         )
 
     def act(self, p: Vec) -> Vec:
-        """The defining affine action on the weight space."""
-        # p + k delta + beta, adding only the non-zero coordinates.
-        out = list(p)
-        if self.k:
-            for i, d in enumerate(self.ctx.rs.delta):
-                if d:
-                    out[i] += self.k * d
-        for i, b in enumerate(self.beta):
-            if b:
-                out[i] += b
-        out = self.ctx.lam_linear(self.mu, tuple(out))
-        return out if self.w.is_identity() else self.w.act(out)
+        """The defining affine action on the weight space.  For p = (x,
+        x_delta, l), y = x + beta goes to w(y + l mu), x_delta to x_delta
+        + k - (y, mu) - l (mu, mu)/2, and l is fixed."""
+        # Integer numerators: p over its common denominator d, y and
+        # y + l mu over d L, the delta coordinate over 2 d L^2 times the
+        # denominator of k.  Only the n + 1 results become Fractions.
+        den, gm, m_num, q_num = self.ctx.action_table
+        n = len(m_num)
+        d = math.lcm(*[x.denominator for x in p])
+        xs = [x.numerator * (d // x.denominator) for x in p]
+        level, x_delta = xs[n + 1], xs[n]
+        y = [den * x for x in xs[:n]]
+        if any(self.beta_coords):
+            y = [v + d * q * b for v, q, b in zip(y, q_num, self.beta_coords)]
+        k = self.k
+        k_num, k_den = k.numerator, k.denominator
+        mu = self.mu_coords
+        if any(mu):
+            # L (alpha_i, mu) for each finite i
+            g_mu = [sum([g * mu[j] for j, g in row]) for row in gm]
+            sq = 2 * den * den
+            y_mu = sum(map(mul, y, g_mu))  # d L^2 (y, mu)
+            delta_num = k_den * (sq * x_delta - 2 * y_mu) + sq * d * k_num
+            if level:
+                mu_mu = sum(map(mul, map(mul, m_num, mu), g_mu))  # L^2 (mu, mu)
+                delta_num -= k_den * level * mu_mu
+                y = [v + level * m * c for v, m, c in zip(y, m_num, mu)]
+            delta = Fraction(delta_num, d * sq * k_den)
+        else:
+            delta = Fraction(x_delta * k_den + d * k_num, d * k_den)
+        if not self.w.is_identity():
+            y = mat_vec(self.w.matrix, y)
+        d *= den
+        return (*[Fraction(v, d) for v in y], delta, p[n + 1])
 
     def conj(self, other: "DaweylElement") -> "DaweylElement":
         return self * other * self.inv()
@@ -529,13 +568,20 @@ def verify_bernstein_relations(label) -> list[tuple]:
     s0 = s[0]
 
     # Finite commutation/conjugation relations for representative
-    # beta with the required pairings.
-    betas = list(simple_cor) + [vneg(b) for b in simple_cor]
-    betas += [vadd(a, b) for a in simple_cor for b in simple_cor]
+    # beta with the required pairings.  Each beta comes with its
+    # integer pairings (beta, alpha_i): row j of the finite Cartan
+    # matrix holds those of nu(alpha_j^v).
+    rows = rs.finite_cartan
+    betas = list(zip(simple_cor, rows))
+    betas += [(vneg(b), tuple(-x for x in r)) for b, r in zip(simple_cor, rows)]
+    betas += [
+        (vadd(a, b), tuple(map(add, r, q)))
+        for a, r in zip(simple_cor, rows)
+        for b, q in zip(simple_cor, rows)
+    ]
     for i in range(1, n + 1):
-        ai = rs.simple_roots[i - 1]
-        for b in betas:
-            pair = rs.bilinear(b, ai)
+        for b, pairs in betas:
+            pair = pairs[i - 1]
             tb = ctx.tau(b)
             if pair == 0:
                 records.append((f"xcomm i={i}", s[i] * tb, tb * s[i]))
@@ -551,13 +597,13 @@ def verify_bernstein_relations(label) -> list[tuple]:
     torsion = [k for k in range(1, 11) if (td**k).is_identity()]
     records.append(("tau_delta non-torsion", torsion, []))
 
-    # Type (0,j) relations, split by the pairing with theta.
-    theta = rs.theta
+    # Type (0,j) relations, split by the pairing (alpha_j^v, theta).
     nu_theta_v = ctx.nu_theta_v
+    theta_pairs = mat_vec(rows, [as_int(x, "root coordinate") for x in rs.theta[:n]])
     saw_eq42 = False
     for j in range(1, n + 1):
         ajv = simple_cor[j - 1]
-        pair = rs.bilinear(ajv, theta)
+        pair = theta_pairs[j - 1]
         if pair == 0:
             records.append((f"t0-comm j={j}", s0 * ctx.tau(ajv), ctx.tau(ajv) * s0))
         elif pair == 1:
@@ -565,7 +611,7 @@ def verify_bernstein_relations(label) -> list[tuple]:
             a0v = ctx.tau_alpha0()
             records.append((f"t0-conj j={j}", lhs, ctx.tau(ajv) * a0v))
         elif pair == 2:
-            b = vsub(ajv, rs.coroot(theta))
+            b = vsub(ajv, nu_theta_v)
             if any(b):  # at rank one the vector vanishes and the relation is empty
                 saw_eq42 = True
                 records.append((f"t0-comm-long j={j}", s0 * ctx.tau(b), ctx.tau(b) * s0))
@@ -589,7 +635,7 @@ def verify_bernstein_relations(label) -> list[tuple]:
             rhs = ctx.tau(aiv) * ctx.tau_alpha0()
             records.append(("reduction-conj", s0 * ctx.tau(aiv) * s0, rhs))
         elif ell0 == 2:
-            b = vsub(aiv, rs.coroot(theta))
+            b = vsub(aiv, nu_theta_v)
             records.append(("reduction-comm", s0 * ctx.tau(b), ctx.tau(b) * s0))
         # ell0 = 4 (A_1^(1)): no reduction relation of this shape.
     else:

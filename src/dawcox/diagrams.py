@@ -263,8 +263,8 @@ def build_diagram(lab: DoubleAffineLabel | str) -> CoxeterDiagram:
                 put(f"Theta0{p}", f"T{i}", a[0][i] * a[i][0])
     else:
         affine = [
-            NodeId(n, NodeKind.AFFINE, "Theta0"),
-            NodeId(n + 1, NodeKind.AFFINE, "Phi0"),
+            NodeId(n + 1, NodeKind.AFFINE, "Theta0"),
+            NodeId(n + 2, NodeKind.AFFINE, "Phi0"),
         ]
         for i in range(1, n + 1):
             put("Theta0", f"T{i}", a[0][i] * a[i][0])

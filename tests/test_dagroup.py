@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from dawcox import dagroup
+from dawcox import cli, dagroup, diagrams
 from dawcox.dagroup import A2n2Comparison, context, lam_word, tau_word
 from dawcox.rootsys import build, mat_inv, parse_label, vadd, vneg, vscale, vsub
-from dawcox.weyl import mat_mul, mat_vec
+from dawcox.weyl import WeylElement, mat_mul, mat_vec
 
 LABELS = ["A1(1)", "C2(1)", "A2(2)", "D3(2)", "G2(1)", "D4(3)", "B3(1)", "E6(2)"]
 
@@ -193,6 +193,116 @@ def test_lam_linear_matches_reflection_composition(ctxs):
                 assert ctx.tau_delta(k).act(p) == shifted
                 g = ctx.lam(lam.mu) * ctx.tau_delta(k)
                 assert g.act(p) == lam_reference(rs, lam.mu, shifted)
+
+
+# -- The integer action against the term-by-term reference, on every
+# affine type the verify labels reach and on the half-delta extensions.
+
+ACTION_LABELS = sorted(
+    {str(diagrams.correspondence(diagrams.parse(lab))) for lab in cli.LABELS + cli.LARGE}
+)
+ACTION_CASES = [(lab, False) for lab in ACTION_LABELS] + [
+    (f"A{2 * n}(2)", True) for n in (1, 2, 3)
+]
+
+
+def action_points(ctx, rng):
+    """Points at level 0, at integer and at non-integer levels, and one
+    with plain int entries."""
+    pts = []
+    for level in (0, 1, -2, Fraction(1, 2), Fraction(-5, 3)):
+        x = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(ctx.n)]
+        pts.append((*x, Fraction(rng.randint(-3, 3), rng.choice([1, 2])), Fraction(level)))
+    pts.append((*(rng.randint(-3, 3) for _ in range(ctx.n)), rng.randint(-2, 2), 1))
+    return pts
+
+
+def act_reference(g, p):
+    """g.act(p) as w(lam_mu(p + k delta + beta)), term by term with the
+    full bilinear form."""
+    rs = g.ctx.rs
+    shifted = vadd(vadd(tuple(map(Fraction, p)), vscale(g.k, rs.delta)), g.beta)
+    return g.w.act(lam_reference(rs, g.mu, shifted))
+
+
+@pytest.mark.parametrize("lab, half_delta", ACTION_CASES)
+def test_action_matches_the_term_by_term_reference(lab, half_delta):
+    ctx = context(lab, half_delta)
+    rng = random.Random(37)
+    pts = action_points(ctx, rng)
+    for _ in range(20):
+        g = random_element(ctx, rng)
+        if half_delta:
+            g = g * ctx.tau_delta(Fraction(rng.choice([-3, -1, 1, 3]), 2))
+        for p in pts:
+            got, want = g.act(p), act_reference(g, p)
+            # values and their text: the benchmark serializes with str
+            assert got == want
+            assert [str(c) for c in got] == [str(c) for c in want]
+
+
+def _mul_act_mismatches(ctx, rng, right=None):
+    """How often (g h).act(p) differs from g.act(h.act(p)) over seeded
+    random g and h (h = right if given)."""
+    pts = action_points(ctx, rng)
+    bad = 0
+    for _ in range(30):
+        g = random_element(ctx, rng)
+        h = right or random_element(ctx, rng)
+        bad += sum((g * h).act(p) != g.act(h.act(p)) for p in pts)
+    return bad
+
+
+def test_the_action_does_not_read_the_pairing_table(monkeypatch):
+    # A wrong cocycle table breaks the multiplication only: a context
+    # built after the change still acts as the reference says, also on
+    # normal forms whose (beta, mu) reads the changed entry, so the
+    # oracle catches the mismatch.
+    rs = build("C2(1)")
+    assert _mul_act_mismatches(context("C2(1)"), random.Random(41)) == 0
+    table = rs.pairing_table
+    shifted = ((table[0][0] + 1, *table[0][1:]), *table[1:])
+    monkeypatch.setitem(rs.__dict__, "pairing_table", shifted)
+    ctx = dagroup.DaweylContext(rs)
+    assert _mul_act_mismatches(ctx, random.Random(41)) > 0
+    rng = random.Random(43)
+    elements = [random_element(ctx, rng) for _ in range(30)]
+    assert any(g.beta_coords[0] and g.mu_coords[0] for g in elements)
+    pts = action_points(ctx, rng)
+    assert all(g.act(p) == act_reference(g, p) for g in elements for p in pts)
+
+
+def test_the_action_does_not_read_the_lattice_matrices(monkeypatch):
+    # Likewise for one entry of the M-basis matrix of s_1^{-1}, which
+    # every product with s_1 on the right reads.
+    ctx = context("C2(1)")
+    s1 = ctx.s(1)
+    assert _mul_act_mismatches(ctx, random.Random(47), right=s1) == 0
+    inverse = s1.w.inv()
+    m = inverse.m_matrix
+    monkeypatch.setitem(inverse.__dict__, "m_matrix", ((m[0][0] + 1, *m[0][1:]), *m[1:]))
+    assert _mul_act_mismatches(ctx, random.Random(47), right=s1) > 0
+
+
+def test_the_action_reads_none_of_the_multiplication_tables(monkeypatch):
+    # Every table the multiplication computes with raises on access; the
+    # action, its own table built only now, still matches the reference.
+    rs = build("G2(1)")
+    ctx = dagroup.DaweylContext(rs)
+    rng = random.Random(53)
+    elements = [random_element(ctx, rng) for _ in range(10)]
+    pts = action_points(ctx, rng)
+    want = [[act_reference(g, p) for p in pts] for g in elements]
+
+    def boom(self):
+        raise AssertionError("the action read a table of the multiplication")
+
+    for name in ("pairing_table", "m_scales", "qcheck_scales", "finite_form"):
+        monkeypatch.setattr(type(rs), name, property(boom))
+    for name in ("inv", "m_matrix", "qcheck_matrix"):
+        monkeypatch.setattr(WeylElement, name, property(boom))
+    assert "action_table" not in ctx.__dict__
+    assert [[g.act(p) for p in pts] for g in elements] == want
 
 
 def test_s0s1_infinite_order_a11(ctxs):

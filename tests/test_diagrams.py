@@ -203,6 +203,16 @@ def test_erasing_affine_nodes_gives_connected_finite(name):
 
 
 @pytest.mark.parametrize("name", ALL)
+def test_node_indices_are_unique(name):
+    # T1..Tn are numbered 1..n and the affine nodes n + 1, n + 2(, n + 3)
+    # in their order, on two affine nodes as on three.
+    d = build_diagram(name)
+    n = len(d.finite_nodes)
+    assert [nd.label for nd in d.finite_nodes] == [f"T{i}" for i in range(1, n + 1)]
+    assert [nd.index for nd in d.nodes] == list(range(1, len(d.nodes) + 1))
+
+
+@pytest.mark.parametrize("name", ALL)
 def test_erasing_all_but_one_affine_gives_affine_diagram(name):
     """Keeping Theta01 (or Theta0) must reproduce the Coxeter diagram of
     the corresponding affine Dynkin type, with the kept node as node 0."""
