@@ -4,10 +4,15 @@ quotient.
 
 Two representations cooperate here.  EndoMap is the literal generator ->
 word assignment (suitable for relation checking; words stay short for
-the basic maps).  CanonMap is the induced endomorphism of the Weyl
-quotient, stored through its images of the double-affine-Weyl-group
-generators; composites of many letters stay cheap because elements are
-decomposed structurally (finite part by reduced word, lattice parts by
+the basic maps).  A word's image is evaluated as a homomorphism gives
+it: EndoMap.values evaluates each letter's image word once in the target
+dictionary (C's as the product over the central word), and a word is the
+product of its letters' values, reversed for an anti-map, with the same
+normal form as the substituted word.  CanonMap is the induced
+endomorphism of the Weyl quotient, stored through its images of the
+double-affine-Weyl-group generators; composites of many letters stay
+cheap because elements are decomposed structurally (finite part by the
+element's reduced word, extracted once per element, lattice parts by
 coordinates) instead of by word substitution.
 
 basic_involution_check takes every label: a starred label's matrices
@@ -24,7 +29,15 @@ from functools import reduce
 from . import diagrams
 from .congruence import Mat2, braid_lift, decompose, decompose_gamma12_prime, member
 from .dagroup import DaweylContext, DaweylElement, product
-from .presentation import Word, free_reduce, generator_dictionary, winv, wmul
+from .presentation import (
+    CENTRAL,
+    LetterValues,
+    Word,
+    free_reduce,
+    generator_dictionary,
+    winv,
+    wmul,
+)
 from .rootsys import AffineLabel
 from .weyl import braid_sides
 
@@ -46,6 +59,23 @@ class EndoMap:
             for _ in range(abs(e)):
                 out.extend(piece)
         return free_reduce(tuple(out))
+
+    def values(self) -> LetterValues:
+        """The source letters' values in the target group: each image word
+        evaluated in the target dictionary when the letter is first read,
+        and C as the product of the central word's letters' values.
+        Their evaluate(word) is the value of apply_word(word) with C
+        written out, as a homomorphism gives it."""
+        target = generator_dictionary(self.dst).values()
+        central = generator_dictionary(self.src).presentation.central_word
+
+        def value(letter: str) -> DaweylElement:
+            if letter == CENTRAL:
+                return values.evaluate(central)
+            return target.evaluate(self.images[letter])
+
+        values = LetterValues(target.ctx, value, reverse=self.anti)
+        return values
 
     def compose(self, other: "EndoMap") -> "EndoMap":
         """self after other."""
@@ -148,19 +178,16 @@ def is_automorphism(m: EndoMap) -> list[tuple]:
     named after the map; they hold when lhs == rhs."""
     src_gd = generator_dictionary(m.src)
     dst_gd = generator_dictionary(m.dst)
+    values = m.values()
     records = [
-        (
-            f"{m.name}: {name}",
-            dst_gd.evaluate(m.apply_word(lhs)),
-            dst_gd.evaluate(m.apply_word(rhs)),
-        )
+        (f"{m.name}: {name}", values.evaluate(lhs), values.evaluate(rhs))
         for name, lhs, rhs in src_gd.presentation.relations
     ]
     if m.name in ("a", "b"):
+        # m(inv(g)), the composite's image of g, from m's own values
         inv = a_inv_map(m.src) if m.name == "a" else b_inv_map(m.src)
-        comp = m.compose(inv)
         for g in src_gd.presentation.generators:
-            img = dst_gd.evaluate(comp.apply_word(((g, 1),)))
+            img = values.evaluate(inv.images[g])
             records.append((f"{m.name}: inverse witness {g}", img, dst_gd.images[g]))
     return records
 
@@ -183,10 +210,9 @@ class CanonMap:
 
     @classmethod
     def from_endo(cls, m: EndoMap) -> "CanonMap":
-        dst_gd = generator_dictionary(m.dst)
+        values = m.values()
         gen_images = {
-            sym: dst_gd.evaluate(m.apply_word(word))
-            for sym, word in generator_dictionary(m.src).psi.items()
+            sym: values.evaluate(word) for sym, word in generator_dictionary(m.src).psi.items()
         }
         return cls(m.src, m.dst, m.anti, gen_images)
 
@@ -206,7 +232,7 @@ class CanonMap:
         if k.denominator != 1:
             raise ValueError("CanonMap.apply needs an integral tau_delta exponent")
 
-        w_parts = [img[f"s{i}"] for i in ctx.wg.reduced_word(g.w)]
+        w_parts = [img[f"s{i}"] for i in g.reduced_word]
         lam_parts = [
             img[f"lam_A{i + 1}"] ** c for i, c in enumerate(g.mu_coords) if c
         ]

@@ -151,14 +151,7 @@ def cmd_nf(args) -> int:
         # one trailing prime inverts; "T1''" names no generator
         name = tok[:-1] if tok.endswith("'") else tok
         e = -1 if tok.endswith("'") else 1
-        if name == "C":
-            word.extend(
-                gd.presentation.central_word
-                if e > 0
-                else presentation.winv(gd.presentation.central_word)
-            )
-            continue
-        if name not in gd.presentation.generators:
+        if name != presentation.CENTRAL and name not in gd.presentation.generators:
             return _fail(f"unknown generator {tok!r}")
         word.append((name, e))
     el = gd.evaluate(tuple(word))

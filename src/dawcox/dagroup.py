@@ -390,9 +390,14 @@ class DaweylElement:
     def conj(self, other: "DaweylElement") -> "DaweylElement":
         return self * other * self.inv()
 
+    @cached_property
+    def reduced_word(self) -> tuple[int, ...]:
+        """The reduced word of w, extracted once per element."""
+        return self.ctx.wg.reduced_word(self.w)
+
     def describe(self) -> str:
         n = self.ctx.n
-        word = self.ctx.wg.reduced_word(self.w)
+        word = self.reduced_word
         mu = ",".join(str(c) for c in self.mu[:n])
         beta = ",".join(str(c) for c in self.beta[:n])
         return f"w=[{' '.join(map(str, word))}] mu=[{mu}] beta=[{beta}] k={self.k}"

@@ -2,10 +2,14 @@
 generator dictionaries into the double affine Weyl group, and the full
 verification suites (relations plus the surjectivity round trip).
 
-Words are tuples of (generator name, exponent).  All equalities are
-decided in the double affine Weyl group through the generator
-dictionary, built once per label by generator_dictionary.  Every label
-has one image formula.  A starred C-family label is read in two
+Words are tuples of (generator name, exponent); the letter C stands for
+the central word wherever a relation, identity or psi word uses it.  All
+equalities are decided in the double affine Weyl group through the
+generator dictionary, built once per label by generator_dictionary.
+Words are evaluated through LetterValues: each letter's value, C's
+included, is computed once per evaluator and the word is the product of
+its letters' values, which is the normal form of the flat word.  Every
+label has one image formula.  A starred C-family label is read in two
 quotients of type A_{2n}^(2), the plain one and its half-delta central
 extension, where the extra central relation becomes visible; the
 comparison morphism from C_n^(1) is a check of its own (dagroup).
@@ -23,6 +27,11 @@ from .diagrams import CoxeterDiagram, DoubleAffineLabel, build_diagram, correspo
 from .weyl import braid_sides, reflect
 
 Word = tuple
+
+# The letter of the central element in relation, identity and psi words:
+# every evaluator resolves it to the value of Presentation.central_word.
+CENTRAL = "C"
+C_WORD: Word = ((CENTRAL, 1),)
 
 
 def winv(word: Word) -> Word:
@@ -190,19 +199,19 @@ def build_presentation(lab: DoubleAffineLabel | str) -> Presentation:
                 identities.append((f"B2 pattern {a},{b} {kind}", wmul(*lhs), wmul(*rhs)))
             rewrite = wmul(phi0, theta_prime, phi_prime, theta0)
             rewrite_name = "C = (Phi0 Theta' Phi' Theta0)^2"
-        identities.append((rewrite_name, central, wmul(rewrite, rewrite)))
+        identities.append((rewrite_name, C_WORD, wmul(rewrite, rewrite)))
 
     # Centrality encoded as one commutator per generator.
     for a in names:
         relations.append(
-            (f"central [C,{a}]", wmul(central, ((a, 1),)), wmul(((a, 1),), central))
+            (f"central [C,{a}]", wmul(C_WORD, ((a, 1),)), wmul(((a, 1),), C_WORD))
         )
 
     # The starred specialization: Theta02^2 = 1 in the half-delta Weyl
     # quotient and C = Theta02^2 in the A_{2n}^(2) quotient.
     starred = (
         ("star Theta02^2", (("Theta02", 2),), (), True),
-        ("star C=Theta02^2", central, (("Theta02", 2),), False),
+        ("star C=Theta02^2", C_WORD, (("Theta02", 2),), False),
     ) if d.specialized else ()
 
     return Presentation(
@@ -216,6 +225,27 @@ def build_presentation(lab: DoubleAffineLabel | str) -> Presentation:
         identities=tuple(identities),
         starred=starred,
     )
+
+
+class LetterValues(dict):
+    """Letter -> group element in one group: each value is computed on
+    first use and kept, and a word evaluates to the product of its
+    letters' values, in reverse letter order for the values of an
+    anti-map."""
+
+    def __init__(self, ctx: DaweylContext, value, reverse: bool = False):
+        super().__init__()
+        self.ctx = ctx
+        self.reverse = reverse
+        self._value = value
+
+    def __missing__(self, letter: str) -> DaweylElement:
+        value = self[letter] = self._value(letter)
+        return value
+
+    def evaluate(self, word: Word) -> DaweylElement:
+        letters = reversed(word) if self.reverse else word
+        return dagroup.product(self.ctx, (self[g] ** e for g, e in letters))
 
 
 @dataclass(frozen=True)
@@ -275,12 +305,24 @@ class GeneratorDictionary:
             raise ValueError(f"{self.label} has no half-delta quotient")
         return self.quotients[half]
 
-    def evaluate(self, word: Word, half: bool = False) -> DaweylElement:
+    def values(self, half: bool = False) -> LetterValues:
+        """The letters' values in one quotient: the generator images, and
+        C evaluated from the central word when it is first read."""
         q = self.quotient(half)
-        return dagroup.product(q.ctx, (q.images[g] ** e for g, e in word))
+
+        def value(letter: str) -> DaweylElement:
+            if letter == CENTRAL:
+                return values.evaluate(self.presentation.central_word)
+            return q.images[letter]
+
+        values = LetterValues(q.ctx, value)
+        return values
+
+    def evaluate(self, word: Word, half: bool = False) -> DaweylElement:
+        return self.values(half).evaluate(word)
 
     def central_image(self, half: bool = False) -> DaweylElement:
-        return self.evaluate(self.presentation.central_word, half=half)
+        return self.values(half)[CENTRAL]
 
     @cached_property
     def psi(self) -> dict:
@@ -312,7 +354,7 @@ def psi_words(gd: GeneratorDictionary) -> dict:
     out["s0"] = ((lam_letter, 1),)
     for i in range(1, ctx.n + 1):
         out[f"s{i}"] = ((f"T{i}", 1),)
-    out["tau_delta"] = pres.central_word
+    out["tau_delta"] = C_WORD
     for i, mu in enumerate(rs.m_basis(), start=1):
         out[f"lam_A{i}"] = _word_of_indices(lam_word(ctx, mu), lam_letter)
     for i, beta in enumerate(rs.simple_coroots(), start=1):
@@ -327,21 +369,24 @@ def verify_presentation(lab) -> list[tuple]:
     gd = generator_dictionary(lab)
     pres = gd.presentation
     records = []
+    # One evaluator per quotient, indexed by half: C is evaluated once in
+    # each, and every record below reads that value.
+    values = [gd.values(q.half) for q in gd.quotients]
     # Every relation and identity holds in every quotient the label is
     # read in; each starred relation holds in the one quotient it names.
     for name, lhs, rhs in pres.relations + pres.identities:
-        for q in gd.quotients:
-            records.append((name + q.suffix, gd.evaluate(lhs, q.half), gd.evaluate(rhs, q.half)))
+        for q, v in zip(gd.quotients, values):
+            records.append((name + q.suffix, v.evaluate(lhs), v.evaluate(rhs)))
     for name, lhs, rhs, half in pres.starred:
-        records.append((name, gd.evaluate(lhs, half=half), gd.evaluate(rhs, half=half)))
+        records.append((name, values[half].evaluate(lhs), values[half].evaluate(rhs)))
 
     # Central element maps to tau_delta^k in each quotient: tau_delta, and
     # tau_{delta/2} in the starred half-delta one.
-    for q in gd.quotients:
+    for q, v in zip(gd.quotients, values):
         tau = "tau_delta" if q.k == 1 else "tau_{delta/2}"
-        records.append((f"C -> {tau}{q.suffix}", gd.central_image(q.half), q.ctx.tau_delta(q.k)))
+        records.append((f"C -> {tau}{q.suffix}", v[CENTRAL], q.ctx.tau_delta(q.k)))
 
     # Surjectivity round trip.
     for sym, word in gd.psi.items():
-        records.append((f"psi round trip {sym}", gd.evaluate(word), gd.ctx.generator(sym)))
+        records.append((f"psi round trip {sym}", values[0].evaluate(word), gd.ctx.generator(sym)))
     return records

@@ -418,22 +418,20 @@ class RootSystemData:
     def _max_root_norm(self) -> Fraction:
         return max(*self.pos_root_norms, self.bilinear(self.alpha0, self.alpha0))
 
+    def _touching(self, root: Vec) -> list[int]:
+        """1-based indices of the finite nodes not orthogonal to a finite
+        root: those j with <root, alpha_j^v> = sum_i A[j][i] root_i != 0,
+        read in integers from the finite Cartan matrix."""
+        coords = [as_int(c, "root coordinate") for c in root[: self.n]]
+        return [j for j, row in enumerate(self.finite_cartan, start=1) if sum(map(mul, row, coords))]
+
     def i_theta(self) -> int:
         """1-based index of the finite node attached to the affine node."""
-        cand = [
-            i + 1
-            for i, a in enumerate(self.simple_roots)
-            if self.bilinear(self.theta, a) != 0
-        ]
-        return cand[0]
+        return self._touching(self.theta)[0]
 
     def i_phi(self) -> int:
         """The unique finite node not orthogonal to phi (twisted case)."""
-        cand = [
-            i + 1
-            for i, a in enumerate(self.simple_roots)
-            if self.bilinear(self.phi, a) != 0
-        ]
+        cand = self._touching(self.phi)
         if len(cand) != 1:
             raise ValueError(f"{len(cand)} finite nodes are not orthogonal to phi")
         return cand[0]

@@ -20,6 +20,7 @@ from dawcox.autoaction import (
     upsilon_samples,
 )
 from dawcox.congruence import I2, U21, Mat2, NotInGroupError, decompose_gamma12_prime, member
+from dawcox.presentation import CENTRAL, LetterValues, generator_dictionary, winv
 
 # the unstarred labels of the `verify` matrix
 FAMILIES = [name for name in cli.LABELS if not diagrams.parse(name).is_star]
@@ -81,6 +82,85 @@ def test_canon_map_consistency(name):
             word_img = dst.evaluate(m.apply_word(((g, 1),)))
             struct_img = cm.apply(gd.images[g])
             assert word_img == struct_img, (maker.__name__, g)
+
+
+def _maps(name):
+    """a, b, e, a^-1, b^-1 and one composite, the anti-map a after e."""
+    e = e_map(name)
+    return [
+        a_map(name), b_map(name), e,
+        autoaction.a_inv_map(name), autoaction.b_inv_map(name),
+        a_map(e.dst).compose(e),
+    ]
+
+
+def _words(name):
+    """Every relation, identity and starred side, every psi word, and
+    seeded random words over the generators and C with exponents +-1..3."""
+    gd = generator_dictionary(name)
+    pres = gd.presentation
+    words = [w for _, lhs, rhs in pres.relations + pres.identities for w in (lhs, rhs)]
+    words += [w for _, lhs, rhs, _ in pres.starred for w in (lhs, rhs)]
+    words += list(gd.psi.values())
+    rng = random.Random(name)
+    letters = list(pres.generators) + [CENTRAL]
+    exponents = [-3, -2, -1, 1, 2, 3]
+    for _ in range(20):
+        length = rng.randint(1, 6)
+        words.append(tuple((rng.choice(letters), rng.choice(exponents)) for _ in range(length)))
+    return words
+
+
+def _written_out(word, central):
+    """The word with each power of C replaced by the central word's."""
+    out = []
+    for g, e in word:
+        if g != CENTRAL:
+            out.append((g, e))
+        else:
+            out.extend((central if e > 0 else winv(central)) * abs(e))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name", cli.LABELS + cli.LARGE)
+def test_map_values_match_word_substitution(name):
+    # the images evaluated once and multiplied (in reverse for an
+    # anti-map) give the normal form of the substituted word
+    central = generator_dictionary(name).presentation.central_word
+    words = _words(name)
+    for m in _maps(name):
+        dst = generator_dictionary(m.dst)
+        values = m.values()
+        for word in words:
+            expected = dst.evaluate(m.apply_word(_written_out(word, central)))
+            assert values.evaluate(word) == expected, (m.name, word)
+
+
+def _central_evaluations(monkeypatch, *names):
+    """The groups in which one of the labels' central words is evaluated
+    from here on, one entry per evaluation."""
+    central = [generator_dictionary(n).presentation.central_word for n in names]
+    calls = []
+    real = LetterValues.evaluate
+
+    def spy(self, word):
+        if word in central:
+            calls.append(self.ctx)
+        return real(self, word)
+
+    monkeypatch.setattr(LetterValues, "evaluate", spy)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["dddotA2", "ddotB2", "ddotC3"])
+def test_central_word_is_evaluated_once_per_map(name, monkeypatch):
+    for m in (a_map(name), b_map(name), e_map(name)):
+        calls = _central_evaluations(monkeypatch, m.src, m.dst)
+        assert _failed(is_automorphism(m)) == []
+        assert len(calls) == 1, m.name
+        calls.clear()
+        CanonMap.from_endo(m)
+        assert len(calls) == 1, m.name
 
 
 def test_aba_equals_theta03_image():

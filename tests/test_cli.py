@@ -453,10 +453,28 @@ def _strip_elapsed(report):
 
 
 def test_verify_report_does_not_depend_on_warm_caches(capsys):
-    argv = ("verify", "--family", "ddotB2", "--suite", "all", "--json")
-    first, second = (run(capsys, *argv) for _ in range(2))
-    assert first[0] == second[0] == 0
-    assert _strip_elapsed(json.loads(first[1])) == _strip_elapsed(json.loads(second[1]))
+    # ddotC3's e map crosses to ddotB3; dddotC2star is read in two quotients
+    for family in ("ddotB2", "ddotC3", "dddotC2star"):
+        argv = ("verify", "--family", family, "--suite", "all", "--json")
+        first, second = (run(capsys, *argv) for _ in range(2))
+        assert first[0] == second[0] == 0, family
+        assert _strip_elapsed(json.loads(first[1])) == _strip_elapsed(json.loads(second[1]))
+
+
+@pytest.mark.parametrize("family", ["dddotA2", "ddotB2"])
+def test_verify_checks_that_c_is_central(capsys, monkeypatch, family):
+    # C's word gains a T1, so C maps to tau_delta s_1, which does not
+    # commute with T2: both the presentation and the auto suite name the
+    # failed centrality relation
+    pres = presentation.generator_dictionary(family).presentation
+    monkeypatch.setattr(pres, "central_word", pres.central_word + (("T1", 1),))
+    monkeypatch.setattr(autoaction, "_CANON_CACHE", {})  # keep no map built from it
+    for suite, relation in (("presentation", "central [C,T2]"), ("auto", "a: central [C,T2]")):
+        code, out, _ = run(capsys, "verify", "--family", family, "--suite", suite, "--json")
+        assert code == 1
+        (check,) = json.loads(out)["checks"]
+        assert check["status"] == "FAIL"
+        assert relation in {f["relation"] for f in check["witness"]["failures"]}
 
 
 # ---------------------------------------------------------------------

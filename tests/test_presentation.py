@@ -251,3 +251,22 @@ def test_half_delta_evaluation_needs_a_half_delta_quotient():
     with pytest.raises(ValueError, match="no half-delta quotient"):
         gd.central_image(half=True)
     assert gd.quotient() is gd.quotients[0]
+
+
+@pytest.mark.parametrize("name", ["dddotA2", "ddotB2", "dddotC2star"])
+def test_central_word_is_evaluated_once_per_quotient(name, monkeypatch):
+    # the [C, a] relations, C -> tau_delta, psi(tau_delta), the starred
+    # and the rewrite identities all read one value of C per quotient
+    gd = pr.generator_dictionary(name)
+    central = gd.presentation.central_word
+    calls = []
+    real = pr.LetterValues.evaluate
+
+    def spy(self, word):
+        if word == central:
+            calls.append(self.ctx)
+        return real(self, word)
+
+    monkeypatch.setattr(pr.LetterValues, "evaluate", spy)
+    assert _failed(pr.verify_presentation(name)) == []
+    assert calls == [q.ctx for q in gd.quotients]

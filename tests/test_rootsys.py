@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from dawcox import rootsys
-from dawcox.rootsys import build, parse_label, vadd, vscale, vsub
+from dawcox import cli, diagrams, rootsys
+from dawcox.rootsys import RootSystemData, build, parse_label, vadd, vscale, vsub
 from dawcox.weyl import WeylGroup
 
 ALL_LABELS = [
@@ -191,3 +191,31 @@ def test_isotropic_coroot_rejected(systems):
     rs = systems["A1(1)"]
     with pytest.raises(ValueError):
         rs.coroot(rs.delta)
+
+
+def _nodes_touching(rs, root):
+    """The bilinear definition: finite nodes j with (root, alpha_j) != 0."""
+    return [j + 1 for j, a in enumerate(rs.simple_roots) if rs.bilinear(root, a) != 0]
+
+
+@pytest.mark.parametrize(
+    "lab", sorted({str(diagrams.correspondence(diagrams.parse(n))) for n in cli.LABELS + cli.LARGE})
+)
+def test_theta_and_phi_nodes_match_the_bilinear_reference(lab, monkeypatch):
+    rs = build(lab)
+    theta_nodes, phi_nodes = _nodes_touching(rs, rs.theta), _nodes_touching(rs, rs.phi)
+    a = rs.cartan.cartan
+    ell0 = a[0][theta_nodes[0]] * a[theta_nodes[0]][0]
+
+    def no_bilinear(self, x, y):
+        raise AssertionError("bilinear called")
+
+    # the integer pairings make no bilinear call
+    monkeypatch.setattr(RootSystemData, "bilinear", no_bilinear)
+    assert rs.i_theta() == theta_nodes[0]
+    assert rs.ell0() == ell0
+    if len(phi_nodes) == 1:
+        assert rs.i_phi() == phi_nodes[0]
+    else:
+        with pytest.raises(ValueError, match="finite nodes are not orthogonal to phi"):
+            rs.i_phi()
