@@ -426,37 +426,3 @@ def basic_involution_check_cstar(m: Mat2, n: int) -> dict:
     affine label of type A_{2n}^(2)."""
     star = diagrams.correspondence_inverse(AffineLabel("A", 2 * n, 2))
     return basic_involution_check(m, 2, str(star))
-
-
-def upsilon_samples(r: int, count: int, bound: int = 30, seed: int = 0):
-    """Deterministic pseudo-random Upsilon_1(r) members with entries
-    bounded by `bound`."""
-    import random
-
-    rng = random.Random(seed + r)
-    bmax = max(2, bound // (2 * r))
-    out: list = []
-    seen: set = set()
-    guard = 0
-    while len(out) < count and guard < 100000:
-        guard += 1
-        b = rng.randint(-bmax, bmax)
-        target = 1 - r * b * b
-        divisors = [
-            a
-            for a in range(-bound, bound + 1)
-            if a and target % a == 0 and abs(target // a) <= bound
-        ]
-        if not divisors:
-            continue
-        a = rng.choice(divisors)
-        m = Mat2(a, b, -r * b, target // a)
-        if m.det() == 1 and member(m, "Gamma1", r) and m.max_entry() <= bound:
-            # prefer fresh matrices; repeats are allowed once the small
-            # entry bound exhausts the supply (r = 3 has only 17 members)
-            if str(m) not in seen or guard > 50000:
-                seen.add(str(m))
-                out.append(m)
-    if len(out) < count:
-        raise RuntimeError("not enough Upsilon samples")
-    return out

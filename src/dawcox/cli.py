@@ -18,11 +18,13 @@ from . import autoaction, congruence, dagroup, diagrams, heckeparams, presentati
 from .rootsys import UnknownTypeError
 from .weyl import WeylElement
 
-# The check registry.  `verify --suite all` runs every check of LABELS;
-# --large adds the E7/E8 labels.  CHECKS maps each suite to its checks
-# (name, applies(label), run(label) -> [(name, lhs, rhs), ...]); a check
-# passes when lhs == rhs for each of its records, and its id is
-# "<label name>:<name>".
+# The check registry: every claim of the paper that `verify` checks.
+# `verify --suite all` runs every check of LABELS; --large adds the E7/E8
+# labels.  CHECKS maps each suite to its checks (name, applies(label),
+# run(label) -> [(name, lhs, rhs), ...]); a check passes when lhs == rhs
+# for each of its records, and its id is "<label name>:<name>".  The
+# congruence suite checks the SL(2,Z) identities at the label's level,
+# the params suite its rows of the Hecke parameter tables.
 LABELS = (
     "dddotA1", "dddotA2", "dddotA3", "dddotA4", "dddotA1star",
     "dddotB3", "dddotB4", "dddotC2", "dddotC3",
@@ -64,6 +66,11 @@ CHECKS = {
         ("auto-cstar", _star, lambda lab: autoaction.cstar_restriction_check(str(lab))),
     ),
     "appendixA": (("appendixA", _every, _appendix_a),),
+    "congruence": (
+        ("congruence", _every,
+         lambda lab: congruence.level_identities(diagrams.correspondence(lab).twist)),
+    ),
+    "params": (("params", _every, heckeparams.verify_params),),
 }
 
 
@@ -251,7 +258,9 @@ def cmd_verify(args) -> int:
     return 1 if any_fail else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process."""
     p = argparse.ArgumentParser(prog="dawcox")
     sub = p.add_subparsers(dest="command", required=True)
 

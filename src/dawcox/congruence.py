@@ -51,9 +51,6 @@ class Mat2:
             e >>= 1
         return out
 
-    def max_entry(self) -> int:
-        return max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
-
     def __str__(self) -> str:
         return f"{self.a},{self.b};{self.c},{self.d}"
 
@@ -105,19 +102,29 @@ def member(m: Mat2, group: str, r: int | None = None) -> bool:
     raise ValueError(f"unknown group {group!r}")
 
 
-def identities_suite() -> dict:
-    """The displayed exact matrix identities."""
-    out = {}
-    out["(u12 u21)^3 = -I"] = (U12 * U21) ** 3 == -I2
-    out["(u12 u21^2)^2 = -I"] = (U12 * U21**2) ** 2 == -I2
-    out["(u12 u21^3)^3 = I"] = (U12 * U21**3) ** 3 == I2
-    out["u12 u21 u12 = u21 u12 u21"] = U12 * U21 * U12 == U21 * U12 * U21
-    for r in (1, 2, 3):
-        out[f"e({r}) u12 e({r}) = u21^-{r}"] = e_conj(U12, r) == U21 ** (-r)
-        # e(r)^2 = I: conjugating twice is the identity on Gamma1(r).
-        m = (U12 * U21**r) ** 2
-        out[f"e({r})^2 = I"] = e_conj(e_conj(m, r), r) == m
-    return out
+# The paper's facts at each level r: (u12 u21^r)^power = sign I, and the
+# index of Gamma1(r) in SL(2,Z).
+LEVELS = {1: (3, -1, 1), 2: (2, -1, 3), 3: (3, 1, 8)}
+
+
+def level_identities(r: int) -> list:
+    """The exact identities of level r as (name, lhs, rhs) records: the
+    power identity, the braid identity at level 1, e(r) u12 e(r) =
+    u21^-r, e(r)^2 = I, and [SL2(Z) : Gamma1(r)]."""
+    power, sign, index = LEVELS[r]
+    u = U21**r
+    u_name = "u21" if r == 1 else f"u21^{r}"
+    records = [(f"(u12 {u_name})^{power} = {'-I' if sign < 0 else 'I'}",
+                (U12 * u) ** power, I2 if sign > 0 else -I2)]
+    if r == 1:
+        records.append(("u12 u21 u12 = u21 u12 u21", U12 * U21 * U12, U21 * U12 * U21))
+    # e(r)^2 = I: conjugating twice is the identity on Gamma1(r).
+    m = (U12 * u) ** 2
+    return records + [
+        (f"e({r}) u12 e({r}) = u21^-{r}", e_conj(U12, r), U21 ** (-r)),
+        (f"e({r})^2 = I", e_conj(e_conj(m, r), r), m),
+        (f"[SL2(Z) : Gamma1({r})]", coset_index(r)[0], index),
+    ]
 
 
 def coset_index(r: int) -> tuple[int, list[Mat2]]:
@@ -147,11 +154,6 @@ def coset_index(r: int) -> tuple[int, list[Mat2]]:
                     nxt.append(h)
         frontier = nxt
     return len(order), order
-
-
-def same_coset(x: Mat2, y: Mat2, r: int) -> bool:
-    """Equality of x Gamma1(r) and y Gamma1(r)."""
-    return member(x.inv() * y, "Gamma1", r)
 
 
 class NotInGroupError(ValueError):
@@ -278,17 +280,6 @@ def word_to_text(word: Word) -> str:
         sym = letter if e > 0 else letter + "'"
         parts.extend([sym] * abs(e))
     return " ".join(parts)
-
-
-def text_to_word(text: str) -> Word:
-    word: Word = []
-    for tok in text.split():
-        letter = tok[0]
-        if letter not in ("A", "B"):
-            raise ValueError(f"unknown letter {tok!r}")
-        e = -1 if tok.endswith("'") else 1
-        word.append((letter, e))
-    return list(free_reduce(word))
 
 
 def braid_lift(word: Iterable) -> list:

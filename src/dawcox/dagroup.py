@@ -387,9 +387,6 @@ class DaweylElement:
         d *= den
         return (*[Fraction(v, d) for v in y], delta, p[n + 1])
 
-    def conj(self, other: "DaweylElement") -> "DaweylElement":
-        return self * other * self.inv()
-
     @cached_property
     def reduced_word(self) -> tuple[int, ...]:
         """The reduced word of w, extracted once per element."""

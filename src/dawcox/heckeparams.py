@@ -1,6 +1,7 @@
-"""Hecke-parameter bookkeeping: generic parameter counts, the
+"""Hecke-parameter bookkeeping: the parameter symbol of each node, the
 specialization rules per affine root system (reduced and nonreduced),
-and the nonreduced-to-reduced correspondence.
+the nonreduced-to-reduced correspondence, and the paper's parameter
+counts with the check that compares them to the computed ones.
 
 Parameters are formal symbols: lowercase names of the 1-connected
 component representatives ("theta01", "t1", ...).  No algebra arithmetic
@@ -9,7 +10,7 @@ happens here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import diagrams
 from .diagrams import DoubleAffineLabel, build_diagram, one_connected_components, union_find
@@ -18,25 +19,16 @@ from .rootsys import UnknownTypeError
 
 @dataclass
 class ParamAssignment:
-    label: DoubleAffineLabel
-    components: list
     symbol_of: dict  # node label -> parameter symbol
-    # formal square roots adjoined to the field of parameters
-    field_symbols: list = field(default_factory=list)
-
-    @property
-    def symbols(self):
-        return sorted(set(self.symbol_of.values()))
 
 
 def param_assignment(lab) -> ParamAssignment:
     if isinstance(lab, str):
         lab = diagrams.parse(lab)
     d = build_diagram(lab)
-    comps = one_connected_components(d)
     finite_index = {nd.label: nd.index for nd in d.finite_nodes}
     symbol_of = {}
-    for comp in comps:
+    for comp in one_connected_components(d):
         # prefer a finite node name, smallest index, as the t-symbol
         finite = [n for n in comp if n in finite_index]
         rep = min(finite, key=finite_index.get) if finite else min(comp)
@@ -46,17 +38,7 @@ def param_assignment(lab) -> ParamAssignment:
     if d.specialized:
         # the starred generator's parameter is pinned to the constant 1
         symbol_of[d.specialized] = "1"
-    return ParamAssignment(
-        label=d.label,
-        components=comps,
-        symbol_of=symbol_of,
-        field_symbols=[f"{s}^(1/2)" for s in sorted(set(symbol_of.values())) if s != "1"],
-    )
-
-
-def generic_param_count(lab) -> int:
-    pa = param_assignment(lab)
-    return len({s for s in pa.symbol_of.values() if s != "1"})
+    return ParamAssignment(symbol_of=symbol_of)
 
 
 @dataclass
@@ -109,6 +91,44 @@ _NONREDUCED_TABLE = {
 }
 
 
+# Table 1: the generic number of parameters of each double affine label.
+# dddotA_n has one parameter for every n >= 2.
+GENERIC_COUNTS = {
+    "dddotA1": 4, "dddotA1star": 3, "dddotA2": 1, "dddotA3": 1, "dddotA4": 1,
+    "dddotB3": 2, "dddotB4": 2, "dddotC2": 5, "dddotC3": 5,
+    "dddotC2star": 4, "dddotC3star": 4, "dddotD4": 1, "dddotD5": 1,
+    "dddotE6": 1, "dddotE7": 1, "dddotE8": 1, "dddotF4": 2, "dddotG2": 2,
+    "ddotB3": 3, "ddotB4": 3, "ddotC3": 3, "ddotC4": 3,
+    "ddotB2": 4, "ddotF4": 2, "ddotG2": 2,
+}
+
+# Table 4: (affine root system, rank, number of parameters after the
+# specialization).  The rank-one rows are the collapses noted in the
+# text: (Cn^,Cn) specializes dddotA1, A2n(2) and (Cn^,BCn) dddotA1star.
+SPECIALIZATION_COUNTS = (
+    ("A1(1)", 1, 1),
+    ("Cn(1)", 2, 3),
+    ("Cn(1)", 3, 3),
+    ("(BCn,Cn)", 2, 4),
+    ("(BCn,Cn)", 3, 4),
+    ("(Cn^,Cn)", 2, 5),
+    ("(Cn^,Cn)", 3, 5),
+    ("(Cn^,Cn)", 1, 4),
+    ("A2n(2)", 2, 3),
+    ("A2n(2)", 1, 2),
+    ("(Cn^,BCn)", 2, 4),
+    ("(Cn^,BCn)", 1, 3),
+    ("A3(2)", None, 3),
+    ("(C2,C2^)", None, 4),
+    ("Dn+1(2)", 3, 2),
+    ("Dn+1(2)", 4, 2),
+    ("A2n-1(2)", 3, 2),
+    ("A2n-1(2)", 4, 2),
+    ("(Bn,Bn^)", 3, 3),
+    ("(Bn,Bn^)", 4, 3),
+)
+
+
 def normalize_system(text: str) -> str:
     return text.replace(" ", "").replace("∨", "^").replace("v", "^")
 
@@ -120,9 +140,9 @@ def nonreduced_to_reduced(system: str) -> str:
     return _NONREDUCED_TABLE[key]
 
 
-def specialize(system: str, n: int | None = None) -> SpecializationRule:
-    """The parameter specialization for an affine root system label like
-    'Cn(1)', 'A2n(2)', '(Cn^,Cn)', 'D n+1(2)'; n supplies the rank."""
+def _rule(system: str, n: int | None):
+    """The normalized system, its double affine label and its
+    identifications."""
     key = normalize_system(system)
     if key in _SPECIALIZATION_TABLE:
         family, idents = _SPECIALIZATION_TABLE[key]
@@ -134,9 +154,14 @@ def specialize(system: str, n: int | None = None) -> SpecializationRule:
         if n is None:
             raise UnknownTypeError(f"{system} needs a rank (--n)")
         family = family.format(n=n)
-    lab = diagrams.parse(family)
-    pa = param_assignment(lab)
-    symbol_of = dict(pa.symbol_of)
+    return key, diagrams.parse(family), idents
+
+
+def specialize(system: str, n: int | None = None) -> SpecializationRule:
+    """The parameter specialization for an affine root system label like
+    'Cn(1)', 'A2n(2)', '(Cn^,Cn)', 'D n+1(2)'; n supplies the rank."""
+    key, lab, idents = _rule(system, n)
+    symbol_of = param_assignment(lab).symbol_of
 
     def sub(node: str) -> str:
         return node.replace("Tn", f"T{lab.rank}")
@@ -157,25 +182,22 @@ def specialize(system: str, n: int | None = None) -> SpecializationRule:
     )
 
 
-@dataclass
-class QuadraticRelation:
-    node: str
-    symbol: str
-
-    def render(self) -> str:
-        if self.symbol == "1":
-            return f"{self.node}^2 = 1"
-        s = self.symbol
-        return f"{self.node} - {self.node}^-1 = {s}^(1/2) - {s}^(-1/2)"
-
-
-def quadratic_relation(lab, node: str) -> QuadraticRelation:
-    pa = param_assignment(lab)
-    if node not in pa.symbol_of:
-        raise KeyError(node)
-    return QuadraticRelation(node=node, symbol=pa.symbol_of[node])
-
-
-def quadratic_relations(lab) -> list[QuadraticRelation]:
-    pa = param_assignment(lab)
-    return [QuadraticRelation(n, s) for n, s in sorted(pa.symbol_of.items())]
+def verify_params(lab: DoubleAffineLabel) -> list:
+    """The paper's parameter counts of one label as (name, lhs, rhs)
+    records: its Table 1 generic count, the final count of each Table 4
+    row whose algebra it is, and for a nonreduced row that the reduced
+    system of Table 5 gives the same algebra."""
+    name = str(lab)
+    symbols = set(param_assignment(lab).symbol_of.values())
+    records = [("Table 1 generic count", len(symbols - {"1"}), GENERIC_COUNTS[name])]
+    for system, n, count in SPECIALIZATION_COUNTS:
+        if str(_rule(system, n)[1]) != name:
+            continue
+        rule = specialize(system, n)
+        row = system if n is None else f"{system} n={n}"
+        records.append((f"Table 4 {row} final count", rule.final_count, count))
+        if system in _NONREDUCED_TABLE:
+            reduced = nonreduced_to_reduced(system)
+            records.append((f"Table 5 {row} gives the algebra of {reduced}",
+                            rule.algebra, specialize(reduced, n).algebra))
+    return records

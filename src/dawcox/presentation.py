@@ -321,9 +321,6 @@ class GeneratorDictionary:
     def evaluate(self, word: Word, half: bool = False) -> DaweylElement:
         return self.values(half).evaluate(word)
 
-    def central_image(self, half: bool = False) -> DaweylElement:
-        return self.values(half)[CENTRAL]
-
     @cached_property
     def psi(self) -> dict:
         """psi_words(self), computed once per dictionary."""

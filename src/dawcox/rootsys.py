@@ -411,13 +411,6 @@ class RootSystemData:
         """(r, r) for each root r of pos_roots, in that order."""
         return tuple(self.bilinear(r, r) for r in self.pos_roots)
 
-    def max_root_norm(self) -> Fraction:
-        return self._max_root_norm
-
-    @cached_property
-    def _max_root_norm(self) -> Fraction:
-        return max(*self.pos_root_norms, self.bilinear(self.alpha0, self.alpha0))
-
     def _touching(self, root: Vec) -> list[int]:
         """1-based indices of the finite nodes not orthogonal to a finite
         root: those j with <root, alpha_j^v> = sum_i A[j][i] root_i != 0,
@@ -441,19 +434,6 @@ class RootSystemData:
         a = self.cartan.cartan
         i = self.i_theta()
         return a[0][i] * a[i][0]
-
-    def describe(self) -> dict:
-        c = self.cartan
-        return {
-            "label": str(c.label),
-            "rank": c.n,
-            "twist": c.twist,
-            "a0": c.a0,
-            "marks": list(c.marks),
-            "comarks": list(c.comarks),
-            "num_positive_roots": len(self.pos_roots),
-        }
-
 
 def mat_inv(a) -> tuple[tuple[Fraction, ...], ...]:
     """The inverse of a square matrix, in Fractions, by Gauss-Jordan
@@ -605,12 +585,3 @@ def _highest_root(rs: RootSystemData, pos: list[Vec]) -> Vec:
     if any(rs.bilinear(best, a) < 0 for a in rs.simple_roots):
         raise ValueError("the highest root is not dominant")
     return best
-
-
-def to_json(rs: RootSystemData) -> dict:
-    """JSON-friendly dump of the Cartan data and finite roots."""
-    d = rs.describe()
-    d["positive_roots"] = [[str(c) for c in r[: rs.n]] for r in rs.pos_roots]
-    d["theta"] = [str(c) for c in rs.theta[: rs.n]]
-    d["phi"] = [str(c) for c in rs.phi[: rs.n]]
-    return d

@@ -279,21 +279,6 @@ class WeylGroup:
             raise ValueError("descent ended away from the identity")
         return tuple(word)
 
-    def from_word(self, word) -> WeylElement:
-        w = self.id
-        for i in word:
-            w = w * self.simples[i - 1]
-        return w
-
-    def length_additivity(self, u: WeylElement, v: WeylElement) -> bool:
-        """l(uv) = l(u) + l(v), checked against Pi-containment."""
-        uv = u * v
-        additive = self.length(uv) == self.length(u) + self.length(v)
-        contained = self.inversion_set(v) <= self.inversion_set(uv)
-        if additive != contained:
-            raise ValueError("Pi-containment criterion violated")
-        return additive
-
     def _longest_in_parabolic(self, indices) -> WeylElement:
         """Longest element of the parabolic subgroup generated by s_j for
         j in indices (1-based): multiply by s_j while w(alpha_j), column j
@@ -438,39 +423,3 @@ class WeylGroup:
         if failed:
             raise ValueError(f"structural lemma fails: {', '.join(failed)}")
         return self.xy_candidates()
-
-    def acts_as_minus_identity(self, w: WeylElement) -> bool:
-        n = self.rs.n
-        return w.matrix == tuple(tuple(-int(i == j) for j in range(n)) for i in range(n))
-
-
-# Finite types where conjugation by T_{w_circ} is asserted to be global
-# (list iii of the relevant theorem) versus where only its square is
-# (list iv).  These are recorded verbatim; w_circ = -id is also computed
-# from matrices, and the two disagree for the D families (see ledger).
-LISTED_GLOBAL_CONJUGATION = {
-    "B": lambda n: n >= 3,
-    "C": lambda n: n >= 1,
-    "D": lambda n: n % 2 == 1 and n >= 5,  # "D_{2n+1}, n >= 2" verbatim
-    "E": lambda n: n in (7, 8),
-    "F": lambda n: n == 4,
-    "G": lambda n: n == 2,
-}
-
-LISTED_SQUARE_ONLY = {
-    "A": lambda n: n >= 2,
-    "D": lambda n: n % 2 == 0 and n >= 4,  # "D_{2n}, n >= 2" verbatim
-    "E": lambda n: n == 6,
-}
-
-
-def listed_w0_central_claim(letter: str, n: int):
-    """The classification as recorded in the source tables; None if the type is in
-    neither list (A_1 is covered by C_1 in list iii)."""
-    if letter in LISTED_GLOBAL_CONJUGATION and LISTED_GLOBAL_CONJUGATION[letter](n):
-        return True
-    if letter in LISTED_SQUARE_ONLY and LISTED_SQUARE_ONLY[letter](n):
-        return False
-    if letter == "A" and n == 1:
-        return True
-    return None

@@ -1,12 +1,14 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail
 line (run with -s or -v to see them and the timings)."""
 
+import math
 import random
 import time
 from fractions import Fraction
 
 from dawcox import autoaction, cli, congruence, dagroup, diagrams, heckeparams
 from dawcox.congruence import I2, U12, U21, Mat2
+from samples import upsilon_samples
 
 
 def _report(num, ok, detail, elapsed=None):
@@ -16,52 +18,72 @@ def _report(num, ok, detail, elapsed=None):
     assert ok, f"criterion {num} failed: {detail}"
 
 
-def test_criterion_1_matrix_identities():
-    congruence.identities_suite()  # warm any lazy state
-    t0 = time.perf_counter()
-    results = congruence.identities_suite()
-    elapsed = time.perf_counter() - t0
-    ok = all(results.values()) and elapsed < 0.001
-    _report(1, ok, "exact matrix identities (u12/u21/e(r))", elapsed)
-
-
-def test_criterion_2_coset_indices():
-    t0 = time.perf_counter()
-    idx2, reps2 = congruence.coset_index(2)
-    idx3, reps3 = congruence.coset_index(3)
-    ok = idx2 == 3 and idx3 == 8
-    known2 = [I2, U21, U12 * U21]
-    for i, p in enumerate(known2):
-        ok = ok and any(congruence.same_coset(p, q, 2) for q in reps2)
-        for q in known2[i + 1:]:
-            ok = ok and not congruence.same_coset(p, q, 2)
-    known3 = [
-        I2, U21, U12 * U21, U12**2 * U21, U21**2, U12 * U21**2, U12**2 * U21**2,
-    ]
-    for i, p in enumerate(known3):
-        ok = ok and any(congruence.same_coset(p, q, 3) for q in reps3)
-        for q in known3[i + 1:]:
-            ok = ok and not congruence.same_coset(p, q, 3)
-    elapsed = time.perf_counter() - t0
-    ok = ok and elapsed < 1.0
-    _report(2, ok, f"[SL2(Z) : Gamma1(2)] = {idx2}, [SL2(Z) : Gamma1(3)] = {idx3}",
-            elapsed)
-
-
 def _failed(records):
     return [name for name, lhs, rhs in records if lhs != rhs]
+
+
+def _registry_records(suite, labels=cli.LABELS):
+    """(check id, records) of every check of one suite over the labels."""
+    for name in labels:
+        for check_id, run in cli.checks_for(name, suite):
+            yield check_id, run()
 
 
 def _registry_failures(suite):
     """Run every check of one suite over the `verify` label matrix; the
     failed check ids with the names of their first failed records."""
-    failures = []
-    for name in cli.LABELS:
-        for check_id, run in cli.checks_for(name, suite):
-            failed = _failed(run())
-            if failed:
-                failures.append((check_id, failed[:3]))
-    return failures
+    return [
+        (check_id, _failed(records)[:3])
+        for check_id, records in _registry_records(suite)
+        if _failed(records)
+    ]
+
+
+# one registry label per level r = 1, 2, 3 of Gamma1(r)
+LEVEL_LABELS = ("dddotA1", "ddotB2", "ddotG2")
+
+
+def test_criterion_1_matrix_identities():
+    runs = [run for name in LEVEL_LABELS for _, run in cli.checks_for(name, "congruence")]
+    for run in runs:
+        run()  # warm any lazy state
+    t0 = time.perf_counter()
+    failed = [name for run in runs for name in _failed(run())]
+    elapsed = time.perf_counter() - t0
+    levels = {diagrams.correspondence(diagrams.parse(name)).twist for name in LEVEL_LABELS}
+    ok = levels == {1, 2, 3} and len(runs) == 3 and not failed and elapsed < 0.001
+    _report(1, ok, f"exact matrix identities (u12/u21/e(r)) {failed if failed else ''}",
+            elapsed)
+
+
+def test_criterion_2_coset_indices():
+    t0 = time.perf_counter()
+    index = {
+        name: (lhs, rhs)
+        for _, records in _registry_records("congruence", LEVEL_LABELS[1:])
+        for name, lhs, rhs in records
+        if name.startswith("[SL2(Z)")
+    }
+    idx2, idx3 = index["[SL2(Z) : Gamma1(2)]"], index["[SL2(Z) : Gamma1(3)]"]
+    ok = idx2 == (3, 3) and idx3 == (8, 8)
+    _, reps2 = congruence.coset_index(2)
+    _, reps3 = congruence.coset_index(3)
+    known2 = [I2, U21, U12 * U21]
+    for i, p in enumerate(known2):
+        ok = ok and any(congruence.member(p.inv() * q, "Gamma1", 2) for q in reps2)
+        for q in known2[i + 1:]:
+            ok = ok and not congruence.member(p.inv() * q, "Gamma1", 2)
+    known3 = [
+        I2, U21, U12 * U21, U12**2 * U21, U21**2, U12 * U21**2, U12**2 * U21**2,
+    ]
+    for i, p in enumerate(known3):
+        ok = ok and any(congruence.member(p.inv() * q, "Gamma1", 3) for q in reps3)
+        for q in known3[i + 1:]:
+            ok = ok and not congruence.member(p.inv() * q, "Gamma1", 3)
+    elapsed = time.perf_counter() - t0
+    ok = ok and elapsed < 1.0
+    _report(2, ok, f"[SL2(Z) : Gamma1(2)] = {idx2[0]}, [SL2(Z) : Gamma1(3)] = {idx3[0]}",
+            elapsed)
 
 
 def test_criterion_3_presentations():
@@ -107,7 +129,7 @@ def test_criterion_6_basic_involutions():
     failures = []
     plan = [(1, "dddotA1"), (2, "ddotB2"), (3, "ddotG2")]
     for r, name in plan:
-        for m in autoaction.upsilon_samples(r, 20, bound=30, seed=42):
+        for m in upsilon_samples(r, 20, bound=30, seed=42):
             out = autoaction.basic_involution_check(m, r, name)
             if not (out["upsilon_member"] and out["involution"]):
                 failures.append((name, str(m), out))
@@ -140,32 +162,16 @@ def test_criterion_6_basic_involutions():
 
 def test_criterion_7_parameter_tables():
     t0 = time.perf_counter()
-    table1 = {
-        "dddotA1": 4, "dddotA1star": 3, "dddotA2": 1, "dddotB3": 2,
-        "dddotC2": 5, "dddotC2star": 4, "dddotD4": 1, "dddotE6": 1,
-        "dddotE7": 1, "dddotE8": 1, "dddotF4": 2, "dddotG2": 2,
-        "ddotB3": 3, "ddotB2": 4, "ddotF4": 2, "ddotG2": 2,
-    }
-    ok = all(heckeparams.generic_param_count(k) == v for k, v in table1.items())
-    table4 = [
-        ("A1(1)", 1, 1), ("Cn(1)", 2, 3), ("(BCn,Cn)", 2, 4),
-        ("(Cn^,Cn)", 2, 5), ("A2n(2)", 2, 3), ("(Cn^,BCn)", 2, 4),
-        ("A3(2)", None, 3), ("(C2,C2^)", None, 4), ("Dn+1(2)", 3, 2),
-        ("A2n-1(2)", 3, 2), ("(Bn,Bn^)", 3, 3),
-    ]
-    for system, n, count in table4:
-        ok = ok and heckeparams.specialize(system, n).final_count == count
-    table5 = [
-        ("(BCn,Cn)", 2, 4), ("(Cn^,BCn)", 2, 4), ("(Bn,Bn^)", 3, 3),
-        ("(Cn^,Cn)", 2, 5), ("(C2,C2^)", None, 4),
-    ]
-    for system, n, count in table5:
-        reduced = heckeparams.nonreduced_to_reduced(system)
-        rule = heckeparams.specialize(system, n)
-        ok = ok and rule.final_count == count
-        ok = ok and heckeparams.specialize(reduced, n).algebra == rule.algebra
+    failures, rows = [], set()
+    for check_id, records in _registry_records("params", cli.LABELS + cli.LARGE):
+        if _failed(records):
+            failures.append((check_id, _failed(records)[:3]))
+        rows.update(name for name, _, _ in records if name.startswith("Table 4"))
     elapsed = time.perf_counter() - t0
-    _report(7, ok, "Tables of Hecke parameter counts and specializations", elapsed)
+    # every Table 4 row is recorded by the label it specializes
+    ok = not failures and len(rows) == len(heckeparams.SPECIALIZATION_COUNTS)
+    _report(7, ok, f"Tables of Hecke parameter counts and specializations over "
+                   f"{len(rows)} Table 4 rows {failures if failures else ''}", elapsed)
 
 
 APPENDIX_TYPES = {"B2": "C2(1)", "B3": "B3(1)", "C3": "C3(1)", "F4": "F4(1)",
@@ -211,9 +217,11 @@ def test_criterion_8_appendix_a():
         # length law on 100 random elements
         rng = random.Random(name)
         for _ in range(100):
-            w = wg.from_word([rng.randint(1, rs.n) for _ in range(rng.randint(0, 14))])
+            word = [rng.randint(1, rs.n) for _ in range(rng.randint(0, 14))]
+            w = math.prod((wg.simples[i - 1] for i in word), start=wg.id)
             red = wg.reduced_word(w)
-            if len(red) != wg.length(w) or wg.from_word(red) != w:
+            if len(red) != wg.length(w) or math.prod(
+                    (wg.simples[i - 1] for i in red), start=wg.id) != w:
                 failures.append((name, "length law"))
                 break
     elapsed = time.perf_counter() - t0

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import functools
 import io
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dawcox
-from dawcox import autoaction, congruence, dagroup, diagrams, presentation
+from dawcox import autoaction, cli, congruence, dagroup, diagrams, heckeparams, presentation
 from dawcox.cli import CHECKS, LABELS, LARGE, checks_for, main
 from dawcox.weyl import WeylGroup
 
@@ -183,6 +184,24 @@ def test_involution_negative_matrix_space_separated(capsys):
     assert spaced[0] == 0 and "member: no, involution: no" in spaced[1]
 
 
+def test_main_builds_one_parser(capsys, monkeypatch):
+    # every main() call in a process parses with the same parser
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli.build_parser.cache_clear()
+    good = [run(capsys, "decompose", "--matrix", "0,-1;1,0") for _ in range(2)]
+    bad = [run(capsys, "decompose", "--level", "4") for _ in range(2)]
+    assert built.count("dawcox") == 1
+    assert good[0] == good[1] == (0, "A B A\nround-trip: ok\n", "")
+    assert bad[0] == bad[1] and bad[0][0] == 2 and "usage: dawcox decompose" in bad[0][2]
+
+
 def test_verify_single_family(capsys):
     code, out, _ = run(
         capsys, "verify", "--family", "dddotC2", "--suite", "presentation", "--json"
@@ -347,6 +366,14 @@ def _swapped_xy(monkeypatch):
     monkeypatch.setattr(WeylGroup, "xy_candidates", lambda self: real(self)[::-1])
 
 
+def _wrong_u21(monkeypatch):
+    monkeypatch.setattr(congruence, "U21", congruence.Mat2(1, 0, 2, 1))
+
+
+def _flipped_table1_count(monkeypatch):
+    monkeypatch.setitem(heckeparams.GENERIC_COUNTS, "ddotB2", 5)
+
+
 # check name -> (label, suite, corruption, a record the corruption breaks)
 CORRUPTIONS = {
     "presentation": ("ddotB2", "presentation", _swap_theta0_phi0,
@@ -358,6 +385,8 @@ CORRUPTIONS = {
     "auto-cstar": ("dddotC2star", "auto", _a_preserving_star_relations,
                    "a preserves C = Theta02^2"),
     "appendixA": ("ddotB2", "appendixA", _swapped_xy, "x(theta) = theta"),
+    "congruence": ("dddotA1", "congruence", _wrong_u21, "(u12 u21)^3 = -I"),
+    "params": ("ddotB2", "params", _flipped_table1_count, "Table 1 generic count"),
 }
 
 
@@ -383,7 +412,7 @@ def _simply_laced(name):
 
 
 def test_every_check_returns_named_records():
-    for name in LABELS:
+    for name in LABELS + LARGE:
         for check_id, run_check in checks_for(name, "all"):
             records = run_check()
             assert isinstance(records, list), check_id

@@ -20,18 +20,20 @@ from dawcox.congruence import (
     decompose_gamma12_prime,
     e_conj,
     eval_word,
-    identities_suite,
+    level_identities,
     member,
     parse_matrix,
-    same_coset,
-    text_to_word,
     word_to_text,
 )
+from dawcox.presentation import free_reduce
 
 
 def test_identities_suite():
-    results = identities_suite()
-    assert all(results.values()), {k: v for k, v in results.items() if not v}
+    for r in (1, 2, 3):
+        records = level_identities(r)
+        assert [name for name, lhs, rhs in records if lhs != rhs] == [], r
+    names = [name for r in (1, 2, 3) for name, _, _ in level_identities(r)]
+    assert "u12 u21 u12 = u21 u12 u21" in names and len(names) == len(set(names)) == 13
 
 
 def test_membership_examples():
@@ -67,18 +69,18 @@ def test_coset_indices():
     # the standard representatives for r = 2 cover all three cosets
     known2 = [I2, U21, U12 * U21]
     for p in known2:
-        assert any(same_coset(p, q, 2) for q in reps2)
+        assert any(member(p.inv() * q, "Gamma1", 2) for q in reps2)
     for i, p in enumerate(known2):
         for q in known2[i + 1:]:
-            assert not same_coset(p, q, 2)
+            assert not member(p.inv() * q, "Gamma1", 2)
     # the documented (partial) list for r = 3 is pairwise inequivalent
     known3 = [
         I2, U21, U12 * U21, U12**2 * U21, U21**2, U12 * U21**2, U12**2 * U21**2,
     ]
     for i, p in enumerate(known3):
-        assert any(same_coset(p, q, 3) for q in reps3)
+        assert any(member(p.inv() * q, "Gamma1", 3) for q in reps3)
         for q in known3[i + 1:]:
-            assert not same_coset(p, q, 3)
+            assert not member(p.inv() * q, "Gamma1", 3)
 
 
 def test_coset_reps_prefix_closed():
@@ -178,7 +180,9 @@ def test_word_text_roundtrip():
     word = [("A", 2), ("B", -1), ("A", 1)]
     text = word_to_text(word)
     assert text == "A A B' A"
-    assert text_to_word(text) == word
+    # each token is one letter, a prime inverting it
+    read = [(tok[0], -1 if tok.endswith("'") else 1) for tok in text.split()]
+    assert list(free_reduce(read)) == word
 
 
 def test_braid_lift():

@@ -1,39 +1,21 @@
 import pytest
 
+from dawcox import diagrams
 from dawcox import heckeparams as hp
 from dawcox.rootsys import UnknownTypeError
 
-TABLE1 = [
-    ("dddotA1", None, 4),
-    ("dddotA1star", None, 3),
-    ("dddotA2", None, 1),
-    ("dddotA3", None, 1),
-    ("dddotB3", None, 2),
-    ("dddotB4", None, 2),
-    ("dddotC2", None, 5),
-    ("dddotC3", None, 5),
-    ("dddotC2star", None, 4),
-    ("dddotC3star", None, 4),
-    ("dddotD4", None, 1),
-    ("dddotD5", None, 1),
-    ("dddotE6", None, 1),
-    ("dddotE7", None, 1),
-    ("dddotE8", None, 1),
-    ("dddotF4", None, 2),
-    ("dddotG2", None, 2),
-    ("ddotB3", None, 3),
-    ("ddotB4", None, 3),
-    ("ddotC3", None, 3),
-    ("ddotC4", None, 3),
-    ("ddotB2", None, 4),
-    ("ddotF4", None, 2),
-    ("ddotG2", None, 2),
-]
+# Table 1 as (label, None, generic count), read from the package's table
+TABLE1 = [(name, None, count) for name, count in hp.GENERIC_COUNTS.items()]
+
+
+def _records(name):
+    """The params check's records of one label, by name."""
+    return {rec: (lhs, rhs) for rec, lhs, rhs in hp.verify_params(diagrams.parse(name))}
 
 
 @pytest.mark.parametrize("name,_,count", TABLE1)
 def test_generic_param_counts(name, _, count):
-    assert hp.generic_param_count(name) == count
+    assert _records(name)["Table 1 generic count"] == (count, count)
 
 
 def test_param_symbols_shared_on_one_connected():
@@ -43,28 +25,7 @@ def test_param_symbols_shared_on_one_connected():
     assert pa.symbol_of["T3"] != pa.symbol_of["T1"]
 
 
-SPECIALIZATIONS = [
-    ("A1(1)", 1, 1),
-    ("Cn(1)", 2, 3),
-    ("Cn(1)", 3, 3),
-    ("(BCn,Cn)", 2, 4),
-    ("(BCn,Cn)", 3, 4),
-    ("(Cn^,Cn)", 2, 5),
-    ("(Cn^,Cn)", 3, 5),
-    ("(Cn^,Cn)", 1, 4),     # the rank-one collapse noted in the text
-    ("A2n(2)", 2, 3),
-    ("A2n(2)", 1, 2),
-    ("(Cn^,BCn)", 2, 4),
-    ("(Cn^,BCn)", 1, 3),
-    ("A3(2)", None, 3),
-    ("(C2,C2^)", None, 4),
-    ("Dn+1(2)", 3, 2),
-    ("Dn+1(2)", 4, 2),
-    ("A2n-1(2)", 3, 2),
-    ("A2n-1(2)", 4, 2),
-    ("(Bn,Bn^)", 3, 3),
-    ("(Bn,Bn^)", 4, 3),
-]
+SPECIALIZATIONS = hp.SPECIALIZATION_COUNTS
 
 
 @pytest.mark.parametrize("system,n,count", SPECIALIZATIONS)
@@ -72,15 +33,13 @@ def test_specializations(system, n, count):
     rule = hp.specialize(system, n)
     assert rule.final_count == count
     assert rule.final_count <= rule.generic_count
+    # the params check of the row's algebra records it
+    row = system if n is None else f"{system} n={n}"
+    assert _records(rule.algebra)[f"Table 4 {row} final count"] == (count, count)
 
 
-TABLE5 = [
-    ("(BCn,Cn)", 2, 4),
-    ("(Cn^,BCn)", 2, 4),
-    ("(Bn,Bn^)", 3, 3),
-    ("(Cn^,Cn)", 2, 5),
-    ("(C2,C2^)", None, 4),
-]
+# Table 5: the rows of Table 4 whose system is nonreduced
+TABLE5 = [row for row in SPECIALIZATIONS if row[0] in hp._NONREDUCED_TABLE]
 
 
 @pytest.mark.parametrize("system,n,count", TABLE5)
@@ -91,6 +50,9 @@ def test_table5_via_nonreduced(system, n, count):
     # the nonreduced system's double affine group matches the reduced one
     rule2 = hp.specialize(reduced, n)
     assert rule2.algebra == rule.algebra
+    row = system if n is None else f"{system} n={n}"
+    record = _records(rule.algebra)[f"Table 5 {row} gives the algebra of {reduced}"]
+    assert record == (rule.algebra, rule.algebra)
 
 
 def test_nonreduced_table():
@@ -115,16 +77,11 @@ def test_empty_rules():
 
 
 def test_quadratic_relations():
-    rels = hp.quadratic_relations("dddotC2")
-    assert len(rels) == 5  # one record per node
-    assert len({r.symbol for r in rels}) == 5  # 5 distinct records
-    star = hp.quadratic_relations("dddotC2star")
-    t02 = next(r for r in star if r.node == "Theta02")
-    assert t02.symbol == "1"
-    assert t02.render() == "Theta02^2 = 1"
-    # two one-connected nodes share a record symbol
+    # one parameter symbol per node: five distinct ones on dddotC2
+    symbol_of = hp.param_assignment("dddotC2").symbol_of
+    assert len(symbol_of) == 5 and len(set(symbol_of.values())) == 5
+    # the starred generator's parameter is the constant 1
+    assert hp.param_assignment("dddotC2star").symbol_of["Theta02"] == "1"
+    # two one-connected nodes share a symbol
     pa = hp.param_assignment("dddotB3")
-    assert (
-        hp.quadratic_relation("dddotB3", "T1").symbol
-        == hp.quadratic_relation("dddotB3", "T2").symbol
-    )
+    assert pa.symbol_of["T1"] == pa.symbol_of["T2"]

@@ -44,7 +44,7 @@ def test_generator_dictionary_is_built_once_per_label():
 def test_central_image_is_tau_delta():
     for name in ["dddotA2", "dddotC2", "ddotB3", "ddotG2"]:
         gd = pr.generator_dictionary(name)
-        c = gd.central_image()
+        c = gd.values()[pr.CENTRAL]
         assert c.is_central_power() and c.k == 1
 
 
@@ -71,7 +71,7 @@ def test_superfluous_branch_star_relations():
     assert sq.is_identity()
     # the central identification in the plain A_4^(2) quotient
     sq2 = gd.evaluate((("Theta02", 2),), half=False)
-    c = gd.central_image(half=False)
+    c = gd.values(half=False)[pr.CENTRAL]
     assert sq2 == c and sq2.k == 1
 
 
@@ -249,7 +249,7 @@ def test_half_delta_evaluation_needs_a_half_delta_quotient():
     with pytest.raises(ValueError, match="no half-delta quotient"):
         gd.evaluate((("T1", 1),), half=True)
     with pytest.raises(ValueError, match="no half-delta quotient"):
-        gd.central_image(half=True)
+        gd.values(half=True)[pr.CENTRAL]
     assert gd.quotient() is gd.quotients[0]
 
 

@@ -77,7 +77,7 @@ def test_nu_of_coroots(systems, lab):
 @pytest.mark.parametrize("lab", ALL_LABELS)
 def test_max_root_norm_is_2r(systems, lab):
     rs = systems[lab]
-    assert rs.max_root_norm() == 2 * rs.twist
+    assert max(*rs.pos_root_norms, rs.bilinear(rs.alpha0, rs.alpha0)) == 2 * rs.twist
 
 
 @pytest.mark.parametrize("lab", ["A3(1)", "C3(1)", "G2(1)", "D4(3)", "A4(2)"])
@@ -88,7 +88,7 @@ def test_root_norms_are_computed_once(systems, lab, monkeypatch):
     def norm_facts():
         simply_laced = wg.is_simply_laced()
         short = None if simply_laced else wg.short_dominant()
-        return simply_laced, short, rs.max_root_norm()
+        return simply_laced, short, max(rs.pos_root_norms)
 
     first = norm_facts()
     calls = []
@@ -171,8 +171,9 @@ def test_specific_norms(systems):
     # (theta, theta) = 2 in A_1^(1); bilinear example values from the text.
     rs = systems["A1(1)"]
     assert rs.bilinear(rs.theta, rs.theta) == 2
-    assert systems["D4(3)"].max_root_norm() == 6
-    assert systems["A2(2)"].max_root_norm() == 4
+    for lab, norm in (("D4(3)", 6), ("A2(2)", 4)):
+        rs = systems[lab]
+        assert max(*rs.pos_root_norms, rs.bilinear(rs.alpha0, rs.alpha0)) == norm
 
 
 def test_ell0_values(systems):
