@@ -51,7 +51,7 @@ from .rootsys import (
     as_int,
     build,
     diagonal_scales,
-    mat_inv,
+    exact_quotient,
     parse_label,
     vadd,
     vneg,
@@ -63,7 +63,6 @@ from .weyl import (
     WeylElement,
     WeylGroup,
     braid_sides,
-    frac_sum,
     mat_vec,
     reflect,
 )
@@ -137,10 +136,13 @@ class DaweylContext:
         if basis is not m and basis is not q:
             diagonal_scales(basis)
         n = self.n
-        coords = [Fraction(x[i], basis[i][i]) for i in range(n)]
-        if any(x[n:]) or any(c.denominator != 1 for c in coords):
+        diag = [v[i] for i, v in enumerate(basis)]
+        # x_i / b_i as an exact divmod of numerators and denominators
+        coords = [divmod(a.numerator * b.denominator, a.denominator * b.numerator)
+                  for a, b in zip(x, diag)]
+        if any(x[n:]) or any(r for _, r in coords):
             raise ValueError(f"{[str(t) for t in x]} is not in the lattice")
-        return tuple(int(c) for c in coords)
+        return tuple(c for c, _ in coords)
 
     # -- generators ----------------------------------------------------
 
@@ -449,6 +451,11 @@ class AffineWalk:
     sum_i gamma_i alpha_i^v, s_i subtracts V_i times column i of A, the
     affine wall value is D kappa - sum_i gamma_i V_i, and the affine
     generator adds that value times the integers <c, alpha_j^v>.
+
+    The set-up is integer too.  With S = l (Gram block) and T = d S^{-1},
+    gamma_i = c_i S_ii / c^T S c, kappa = 2 l / c^T S c, and the base point
+    x = A^{-1} V / D = T diag(S) V / (2 d D); it and the diagonals of the
+    bases of M and nu(Q^v) are integers over one common scale L.
     """
 
     def __init__(self, ctx: DaweylContext, kind: str):
@@ -469,27 +476,39 @@ class AffineWalk:
             tuple((j, row[i]) for j, row in enumerate(cartan) if row[i])
             for i in range(n)
         )
-        c = [as_int(x, "root coordinate") for x in c_root[:n]]
+        c = rs.int_coords(c_root)
         self.c_pairings = tuple(
             (j, p) for j, p in enumerate(mat_vec(cartan, c)) if p
         )  # the non-zero <c, alpha_j^v>
-        self.gamma = gamma = ctx.coords(rs.coroot(c_root), rs.qcheck_basis())
-        kappa = Fraction(2) / rs.bilinear(c_root, c_root)
+        s, t, d = rs.finite_form
+        lcd = rs.int_form[1]
+        norm = rs.form(c, c)  # l (c, c)
+        self.gamma = gamma = tuple(
+            exact_quotient(ci * s[i][i], norm, "coroot coordinate") for i, ci in enumerate(c)
+        )
+        kappa_den = norm // math.gcd(norm, 2 * lcd)
         # A generic interior point of the fundamental alcove: prescribe
-        # small unequal positive values for (x, alpha_i^v) and shrink
-        # until the affine wall value is positive too.
+        # small unequal positive values (i + 2) / ((i + 3) 2^attempt) for
+        # (x, alpha_i^v) and shrink until the affine wall value is
+        # positive too.  D is the least common denominator.
         for attempt in range(1, 40):
-            denom = 1 << attempt
-            vals = [Fraction(i + 2, (i + 3) * denom) for i in range(n)]
-            if kappa > sum(map(mul, gamma, vals)):
+            vals = [(i + 2, (i + 3) << attempt) for i in range(n)]
+            self.denom = math.lcm(kappa_den, *(q // math.gcd(p, q) for p, q in vals))
+            self.base_values = [self.denom * p // q for p, q in vals]
+            self.kappa_d = self.denom * 2 * lcd // norm
+            if self.kappa_d > sum(map(mul, gamma, self.base_values)):
                 break
         else:
             raise RuntimeError("no interior base point found")
-        self.denom = math.lcm(kappa.denominator, *(v.denominator for v in vals))
-        self.kappa_d = as_int(self.denom * kappa, "scaled kappa")
-        self.base_values = [as_int(self.denom * v, "scaled wall value") for v in vals]
-        # the base point in simple-root coordinates: A x = vals
-        self.base = mat_vec(mat_inv(cartan), vals)
+        # the base point, L x, and L times the diagonals of the lattice bases
+        m_diag, q_diag = ([b[i] for i, b in enumerate(basis)] for basis in ctx._kernel_bases)
+        base_den = 2 * d * self.denom
+        self.scale = scale = math.lcm(base_den, *(x.denominator for x in m_diag + q_diag))
+        base = mat_vec(t, [s[j][j] * v for j, v in enumerate(self.base_values)])
+        self.base = [x * (scale // base_den) for x in base]
+        self.m_num, self.q_num = (
+            [x.numerator * (scale // x.denominator) for x in diag] for diag in (m_diag, q_diag)
+        )
 
     def _values_of(self, g: DaweylElement) -> list[int]:
         """The scaled wall values of the image of the base point under g
@@ -498,11 +517,16 @@ class AffineWalk:
         # g = w lam_mu tau_beta tau_delta^k sends the base point, lifted
         # to level one, to w(x + mu + beta) + (a multiple of delta).  A
         # member of <s_0..s_n> has beta = 0, one of <t_0, s_1..s_n> mu = 0.
-        y = g.w.act_finite(tuple(x + m + b for x, m, b in zip(self.base, g.mu, g.beta)))
-        vals = [self.denom * frac_sum(map(mul, row, y)) for row in self.cartan]
-        if any(v.denominator != 1 for v in vals):
+        # Over L: w(L x + L diag(M) mu + L diag(Q) beta), from g's lattice
+        # coordinates.
+        y = g.w.act_finite([
+            x + m * a + q * b
+            for x, m, a, q, b in zip(self.base, self.m_num, g.mu_coords, self.q_num, g.beta_coords)
+        ])
+        vals = [divmod(self.denom * sum(map(mul, row, y)), self.scale) for row in self.cartan]
+        if any(r for _, r in vals):
             raise ValueError("element is not in this affine subgroup")
-        return [v.numerator for v in vals]
+        return [v for v, _ in vals]
 
     def word_for(self, g: DaweylElement):
         """A reduced word (tuple of indices, 0 = affine generator) with
@@ -601,7 +625,7 @@ def verify_bernstein_relations(label) -> list[tuple]:
 
     # Type (0,j) relations, split by the pairing (alpha_j^v, theta).
     nu_theta_v = ctx.nu_theta_v
-    theta_pairs = mat_vec(rows, [as_int(x, "root coordinate") for x in rs.theta[:n]])
+    theta_pairs = mat_vec(rows, rs.int_coords(rs.theta))
     saw_eq42 = False
     for j in range(1, n + 1):
         ajv = simple_cor[j - 1]

@@ -1,10 +1,12 @@
 """Exact affine root-system data.
 
-Everything is computed over the rationals in the coordinate basis
-(alpha_1, ..., alpha_n, delta, Lambda0) of the affine weight space.
-The lattices M and nu(Q^v) have bases of multiples of the simple roots;
-their integer scales and the integer pairing table between them are
-what the double affine Weyl kernel computes with.  The
+Public vectors are Fraction tuples in the coordinate basis (alpha_1,
+..., alpha_n, delta, Lambda0) of the affine weight space; arithmetic on
+finite vectors runs on integer simple-root coordinates and the integer
+form S = l (finite Gram block).  The lattices M and nu(Q^v) have bases
+of multiples of the simple roots; their integer scales and the integer
+pairing table between them are what the double affine Weyl kernel
+computes with.  The
 affine Cartan matrices follow Kac's Tables Aff 1-3 with his conventional
 node numbering (node 0 is the affine node).  Marks are stored with each
 table entry; comarks, the symmetrizing weights d_i, the lattices M and
@@ -55,6 +57,18 @@ def as_int(x, what: str) -> int:
     if x != int(x):
         raise ValueError(f"{what}: {x} is not an integer")
     return int(x)
+
+
+def exact_quotient(a: int, b: int, what: str) -> int:
+    """a / b for integers; ValueError unless b divides a."""
+    q, r = divmod(a, b)
+    if r:
+        raise ValueError(f"{what}: {Fraction(a, b)} is not an integer")
+    return q
+
+
+def mat_vec(a, v) -> tuple:
+    return tuple([sum(map(mul, row, v)) for row in a])
 
 
 class UnknownTypeError(ValueError):
@@ -353,10 +367,13 @@ class RootSystemData:
     @cached_property
     def pairing_table(self) -> tuple[tuple[int, ...], ...]:
         """P[i][j] = (nu(alpha_i^v), A_j): the tau_delta cocycle (beta, mu)
-        in lattice coordinates is sum_ij beta_i P[i][j] mu_j."""
+        in lattice coordinates is sum_ij beta_i P[i][j] mu_j.  With A_j =
+        m_j alpha_j, P[i][j] = m_j <alpha_i^v, alpha_j> = m_j A[i][j]."""
+        m = [b[i] for i, b in enumerate(self.m_basis())]
         return tuple(
-            tuple(as_int(self.bilinear(b, a), "pairing table") for a in self.m_basis())
-            for b in self.qcheck_basis()
+            tuple(exact_quotient(x.numerator * a, x.denominator, "pairing table")
+                  for x, a in zip(m, row))
+            for row in self.finite_cartan
         )
 
     @cached_property
@@ -367,14 +384,26 @@ class RootSystemData:
         return tuple(row[1:] for row in self.cartan.cartan[1:])
 
     @cached_property
-    def finite_form(self) -> tuple:
-        """(S, T, d): S is the finite Gram matrix in the simple-root basis
-        times its least common denominator, T = d S^{-1}, both integral.
-        A Weyl element w preserves the form, so w^{-1} = T w^T S / d."""
+    def int_form(self) -> tuple:
+        """(S, l): S = l (finite Gram matrix), integral for the least l."""
         n = self.n
         gram = [row[:n] for row in self.gram[:n]]
-        lcd = math.lcm(*(Fraction(x).denominator for row in gram for x in row))
-        s = tuple(tuple(as_int(x * lcd, "scaled Gram matrix") for x in row) for row in gram)
+        lcd = math.lcm(*(x.denominator for row in gram for x in row))
+        return tuple(tuple(x.numerator * (lcd // x.denominator) for x in row) for row in gram), lcd
+
+    def form(self, x, y) -> int:
+        """l (x, y) = x^T S y for integer simple-root coordinates x, y."""
+        return sum(map(mul, x, mat_vec(self.int_form[0], y)))
+
+    def int_coords(self, v: Vec) -> list[int]:
+        """The simple-root coordinates of v as ints, or ValueError."""
+        return [as_int(c, "root coordinate") for c in v[: self.n]]
+
+    @cached_property
+    def finite_form(self) -> tuple:
+        """(S, T, d): S of int_form and T = d S^{-1}, both integral.  A Weyl
+        element w preserves the form, so w^{-1} = T w^T S / d."""
+        s = self.int_form[0]
         sinv = mat_inv(s)
         d = math.lcm(*(x.denominator for row in sinv for x in row))
         t = tuple(tuple(int(x * d) for x in row) for row in sinv)
@@ -409,13 +438,16 @@ class RootSystemData:
     @cached_property
     def pos_root_norms(self) -> tuple[Fraction, ...]:
         """(r, r) for each root r of pos_roots, in that order."""
-        return tuple(self.bilinear(r, r) for r in self.pos_roots)
+        lcd = self.int_form[1]
+        return tuple(
+            Fraction(self.form(c, c), lcd) for c in map(self.int_coords, self.pos_roots)
+        )
 
     def _touching(self, root: Vec) -> list[int]:
         """1-based indices of the finite nodes not orthogonal to a finite
         root: those j with <root, alpha_j^v> = sum_i A[j][i] root_i != 0,
         read in integers from the finite Cartan matrix."""
-        coords = [as_int(c, "root coordinate") for c in root[: self.n]]
+        coords = self.int_coords(root)
         return [j for j, row in enumerate(self.finite_cartan, start=1) if sum(map(mul, row, coords))]
 
     def i_theta(self) -> int:
@@ -473,7 +505,7 @@ def diagonal_scales(basis: Sequence[Vec]) -> tuple[int, ...]:
             raise ValueError("basis vector is not a multiple of a simple root")
         diag.append(Fraction(v[i]))
     lcd = math.lcm(*(c.denominator for c in diag))
-    return tuple(int(c * lcd) for c in diag)
+    return tuple(c.numerator * (lcd // c.denominator) for c in diag)
 
 
 def build(label: AffineLabel | str) -> RootSystemData:
@@ -582,6 +614,6 @@ def _highest_root(rs: RootSystemData, pos: list[Vec]) -> Vec:
     # The highest root is the unique positive root of maximal height that
     # is dominant; for our systems maximal height suffices.
     best = max(pos, key=lambda v: sum(v[: rs.n]))
-    if any(rs.bilinear(best, a) < 0 for a in rs.simple_roots):
+    if min(mat_vec(rs.int_form[0], rs.int_coords(best))) < 0:
         raise ValueError("the highest root is not dominant")
     return best

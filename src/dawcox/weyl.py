@@ -19,32 +19,15 @@ from functools import cache, cached_property
 from itertools import compress
 from operator import mul, ne
 
-from .rootsys import RootSystemData, Vec, as_int, vsub, vscale
+from .rootsys import RootSystemData, Vec, exact_quotient, mat_vec
 from .rootsys import mat_inv  # noqa: F401  (public here: tests and bench/spans.py use weyl.mat_inv)
 
 Matrix = tuple[tuple[int, ...], ...]
-
-_F0 = Fraction(0)
 
 
 @cache
 def _identity(n: int) -> Matrix:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
-def frac_sum(terms) -> Fraction:
-    """Exact sum of Fractions; unlike sum(terms, Fraction(0)) it starts
-    from the first term instead of adding it to zero."""
-    it = iter(terms)
-    total = next(it, _F0)
-    for t in it:
-        total += t
-    return total
-
-
-def int_matrix(a) -> Matrix:
-    """a with int entries; ValueError if an entry is not an integer."""
-    return tuple(tuple(as_int(x, "matrix entry") for x in row) for row in a)
 
 
 # A factor that moves at most this many rows away from the identity's
@@ -100,10 +83,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         return tuple(out)
     bt = tuple(zip(*b))
     return tuple([tuple([sum(map(mul, row, col)) for col in bt]) for row in a])
-
-
-def mat_vec(a: Matrix, v) -> tuple:
-    return tuple([sum(map(mul, row, v)) for row in a])
 
 
 def _divide(a: Matrix, d: int) -> Matrix:
@@ -214,20 +193,24 @@ def identity(rs: RootSystemData) -> WeylElement:
 
 def reflect(rs: RootSystemData, alpha: Vec) -> WeylElement:
     """The reflection s_alpha(x) = x - (x, alpha^v) alpha; ValueError
-    if its matrix is not integral."""
+    if its matrix is not integral.  For a = alpha over its common
+    denominator, row i is e_i - a_i p with p_j = 2 (S a)_j / a^T S a."""
     n = rs.n
-    if rs.bilinear(alpha, alpha) == 0:
-        raise ValueError("cannot reflect in an isotropic vector")
     if any(alpha[n:]):
-        raise ValueError("reflect() expects a finite root")
-    av = rs.coroot(alpha)
-    cols = []
-    for j in range(n):
-        e = tuple(Fraction(int(i == j)) for i in range(n)) + (Fraction(0),) * 2
-        img = vsub(e, vscale(rs.bilinear(e, av), alpha))
-        cols.append(img[:n])
-    matrix = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-    return WeylElement(rs, int_matrix(matrix))
+        isotropic = rs.bilinear(alpha, alpha) == 0
+        raise ValueError("cannot reflect in an isotropic vector" if isotropic
+                         else "reflect() expects a finite root")
+    den = math.lcm(*(x.denominator for x in alpha[:n]))
+    a = [x.numerator * (den // x.denominator) for x in alpha[:n]]
+    sa = mat_vec(rs.int_form[0], a)
+    norm = sum(map(mul, a, sa))
+    if norm == 0:
+        raise ValueError("cannot reflect in an isotropic vector")
+    return WeylElement(rs, tuple(
+        tuple(int(i == j) - exact_quotient(2 * ai * x, norm, "matrix entry")
+              for j, x in enumerate(sa))
+        for i, ai in enumerate(a)
+    ))
 
 
 def simple_reflection(rs: RootSystemData, i: int) -> WeylElement:
@@ -318,8 +301,8 @@ class WeylGroup:
         subgroup of the simple roots orthogonal to all of them
         (Chevalley), so no group enumeration is needed."""
         rs = self.rs
-        simple = rs.simple_roots
-        pairings = [[rs.bilinear(r, a) for a in simple] for r in roots_to_fix]
+        # (r, alpha_j) has the sign of (S r)_j
+        pairings = [mat_vec(rs.int_form[0], rs.int_coords(r)) for r in roots_to_fix]
         if any(p < 0 for row in pairings for p in row):
             raise ValueError("longest_in_stabilizer expects dominant roots")
         orthogonal = [
@@ -374,15 +357,13 @@ class WeylGroup:
         together, as (name, lhs, rhs) records; they hold when lhs == rhs
         for each record."""
         rs = self.rs
-        n = rs.n
+        form = rs.form
         x, y = self.xy_candidates()
         theta, phi = self.theta_phi_finite()
         theta_prime, phi_prime = rs.primed(theta, phi)
         s_th, s_ph = reflect(rs, theta), reflect(rs, phi)
         s_thp, s_php = reflect(rs, theta_prime), reflect(rs, phi_prime)
-        th, ph = (tuple(int(c) for c in r[:n]) for r in (theta, phi))
-        php_v = rs.coroot(phi_prime)
-        zero2 = (_F0, _F0)
+        th, ph, thp, php = (tuple(rs.int_coords(r)) for r in (theta, phi, theta_prime, phi_prime))
         records = [
             ("x^2 = 1", x * x, self.id),
             ("y^2 = 1", y * y, self.id),
@@ -397,17 +378,18 @@ class WeylGroup:
              self.length(s_th), 2 * self.length(y) + self.length(s_thp)),
             ("l(s_phi) = 2 l(x) + l(s_phi')",
              self.length(s_ph), 2 * self.length(x) + self.length(s_php)),
-            # v), vi): inversion-set pairing bounds, as the roots that break them.
+            # v), vi): inversion-set pairing bounds, as the roots that break
+            # them; (u, b^v) = 2 (u, b) / (b, b) = -1 reads 2 l (u, b) = -l (b, b).
             ("(theta', b^v) = -1 on Pi(y)", sorted(
-                r for r in self.inversion_set(y) if rs.pairing(theta_prime, r + zero2) != -1
+                r for r in self.inversion_set(y) if 2 * form(thp, r) != -form(r, r)
             ), []),
             ("(phi'^v, b) = -1 on Pi(x)", sorted(
-                r for r in self.inversion_set(x) if rs.bilinear(php_v, r + zero2) != -1
+                r for r in self.inversion_set(x) if 2 * form(php, r) != -form(php, php)
             ), []),
             ("s_theta' s_theta = s_phi s_phi'", s_thp * s_th, s_ph * s_php),
             ("s_phi' s_phi = s_theta s_theta'", s_php * s_ph, s_th * s_thp),
         ]
-        if rs.bilinear(phi, phi) == 2 * rs.bilinear(theta, theta):
+        if form(ph, ph) == 2 * form(th, th):
             a, b = s_thp, s_php
             records += [
                 ("s_theta = s_phi' s_theta' s_phi'", s_th, b * a * b),

@@ -11,7 +11,8 @@ import pytest
 from dawcox import cli, diagrams
 from dawcox.dagroup import DaweylElement, context
 from dawcox.rootsys import vadd, vneg, vscale
-from dawcox.weyl import WeylElement, identity, int_matrix, mat_inv, simple_reflection
+from dawcox.weyl import WeylElement, identity, mat_inv, simple_reflection
+from references import int_matrix
 
 LABELS = sorted(
     {str(diagrams.correspondence(diagrams.parse(name))) for name in cli.LABELS + cli.LARGE}
