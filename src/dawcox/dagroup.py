@@ -85,6 +85,10 @@ class DaweylContext:
         self.c_root = rs.theta if not rs.is_twisted_proper() else rs.phi
         self.s_c = reflect(rs, self.c_root)
         self.nu_c_v = rs.coroot(self.c_root)
+        # the bases of M and nu(Q^v), built and checked diagonal once here
+        self._kernel_bases = rs.m_basis(), rs.qcheck_basis()
+        for basis in self._kernel_bases:
+            diagonal_scales(basis)
 
     @property
     def n(self) -> int:
@@ -117,14 +121,6 @@ class DaweylContext:
 
     def identity(self) -> "DaweylElement":
         return DaweylElement(self, self.wg.id, self.zero_coords, self.zero_coords, 0)
-
-    @cached_property
-    def _kernel_bases(self) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
-        """The bases of M and nu(Q^v), checked diagonal once here."""
-        bases = self.rs.m_basis(), self.rs.qcheck_basis()
-        for basis in bases:
-            diagonal_scales(basis)
-        return bases
 
     def coords(self, x: Vec, basis) -> tuple[int, ...]:
         """Integer coordinates of x in a diagonal lattice basis b_i = c_i
