@@ -63,6 +63,7 @@ from .weyl import (
     WeylElement,
     WeylGroup,
     braid_sides,
+    element,
     mat_vec,
     reflect,
 )
@@ -385,10 +386,10 @@ class DaweylElement:
         d *= den
         return (*[Fraction(v, d) for v in y], delta, p[n + 1])
 
-    @cached_property
+    @property
     def reduced_word(self) -> tuple[int, ...]:
-        """The reduced word of w, extracted once per element."""
-        return self.ctx.wg.reduced_word(self.w)
+        """The reduced word of w, extracted once per Weyl element."""
+        return self.w.reduced_word
 
     def describe(self) -> str:
         n = self.ctx.n
@@ -706,7 +707,7 @@ class A2n2Comparison:
     def map_weyl(self, w: WeylElement) -> WeylElement:
         """Transport a finite Weyl element through the epsilon dictionary:
         T w T^{-1} = w, as T is a scalar."""
-        return WeylElement(self.dst.rs, w.matrix)
+        return element(self.dst.rs, w.matrix)
 
     def map_ii(self, g: DaweylElement) -> DaweylElement:
         """The coordinate morphism into the half-delta extension (X_delta

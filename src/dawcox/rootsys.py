@@ -216,7 +216,9 @@ class AffineCartanData:
         return self.marks[0]
 
 
+@cache
 def affine_cartan(label: AffineLabel) -> AffineCartanData:
+    """The affine Cartan datum of a label, solved once per label."""
     kind, n = _table_key(label)
     edges, marks = _affine_table(kind, n)
     m = n + 1
@@ -297,6 +299,12 @@ class RootSystemData:
     @property
     def a0(self) -> int:
         return self.cartan.a0
+
+    @cached_property
+    def weyl_elements(self) -> dict:
+        """The finite Weyl elements met so far, by matrix: weyl.element
+        keeps one object per matrix here, with its derived data."""
+        return {}
 
     # -- bilinear form ------------------------------------------------
 

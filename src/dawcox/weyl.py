@@ -2,12 +2,15 @@
 
 Elements are integer matrices in the simple-root basis of the finite
 part of the weight space (the span of alpha_1..alpha_n); comparison is
-by matrix equality.  Each element also acts on the lattices M and
-nu(Q^v) by integer matrices in their bases, derived from its matrix and
-the lattices' integer scales.  Reduced words are advisory caches
-extracted by greedy descent on inversion sets; longest elements, of the
-group and of root stabilizers, come from greedy ascent in a parabolic
-subgroup, with no enumeration of the group.
+by matrix equality, and each matrix is one object per root system:
+`element` keeps the elements met so far in the root system's table, so
+an element's inverse, lattice matrices and reduced word are computed
+once per process, not once per product.  Each element acts on the
+lattices M and nu(Q^v) by integer matrices in their bases, derived from
+its matrix and the lattices' integer scales.  Reduced words come from
+greedy descent on inversion sets; longest elements, of the group and of
+root stabilizers, from greedy ascent in a parabolic subgroup, with no
+enumeration of the group.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import compress
-from operator import mul, ne
+from operator import mul, ne, sub
 
 from .rootsys import RootSystemData, Vec, exact_quotient, mat_vec
 from .rootsys import mat_inv  # noqa: F401  (public here: tests and bench/spans.py use weyl.mat_inv)
@@ -120,7 +123,7 @@ class WeylElement:
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         if self.rs is not other.rs:
             raise ValueError("mixed root systems")
-        return WeylElement(self.rs, mat_mul(self.matrix, other.matrix))
+        return element(self.rs, mat_mul(self.matrix, other.matrix))
 
     def inv(self) -> "WeylElement":
         return self._inverse
@@ -129,15 +132,17 @@ class WeylElement:
     def _inverse(self) -> "WeylElement":
         # Computed once per element: the double affine product inverts
         # the right factor's Weyl part on every multiplication.  The
-        # inverse's own inverse is this element, so record it too.
+        # inverse's own inverse is this element's shared object, so
+        # record it too.
         # A Weyl element preserves the form (w^T S w = S), so w^{-1} =
         # S^{-1} w^T S: integer products and an exact division, checked.
-        s, t, d = self.rs.finite_form
+        rs = self.rs
+        s, t, d = rs.finite_form
         num = mat_mul(mat_mul(t, tuple(zip(*self.matrix))), s)
-        inverse = WeylElement(self.rs, _divide(num, d))
-        if mat_mul(self.matrix, inverse.matrix) != _identity(self.rs.n):
+        inverse = element(rs, _divide(num, d))
+        if mat_mul(self.matrix, inverse.matrix) != _identity(rs.n):
             raise ValueError("matrix does not preserve the form")
-        inverse.__dict__["_inverse"] = self
+        inverse.__dict__.setdefault("_inverse", element(rs, self.matrix))
         return inverse
 
     @cached_property
@@ -176,7 +181,31 @@ class WeylElement:
         return self.act_finite(v[:n]) + v[n:]
 
     def is_identity(self) -> bool:
+        return self._is_identity
+
+    @cached_property
+    def _is_identity(self) -> bool:
         return self.matrix == _identity(self.rs.n)
+
+    @cached_property
+    def reduced_word(self) -> tuple[int, ...]:
+        """Greedy extraction from the left: the lexicographically least
+        reduced word, found by repeatedly splitting off the smallest left
+        descent."""
+        # Walk on the inverse's matrix, keeping no element passed on the
+        # way: (s_i cur)^{-1} = cur^{-1} s_i, and the left descents of cur
+        # are the columns of cur^{-1} with a negative entry.
+        word = []
+        winv = self.inv().matrix
+        while True:
+            i = next((i for i, col in enumerate(zip(*winv), 1) if min(col) < 0), 0)
+            if not i:
+                break
+            word.append(i)
+            winv = mat_mul(winv, simple_reflection(self.rs, i).matrix)
+        if winv != _identity(self.rs.n):
+            raise ValueError("descent ended away from the identity")
+        return tuple(word)
 
 
 def braid_sides(x, y, lace: int) -> tuple[tuple, tuple]:
@@ -187,8 +216,18 @@ def braid_sides(x, y, lace: int) -> tuple[tuple, tuple]:
     return (x, y) * (m // 2) + (x,) * (m % 2), (y, x) * (m // 2) + (y,) * (m % 2)
 
 
+def element(rs: RootSystemData, matrix: Matrix) -> WeylElement:
+    """The one WeylElement of rs with this matrix (a tuple of int tuples),
+    built on first use and kept in rs.weyl_elements."""
+    table = rs.weyl_elements
+    w = table.get(matrix)
+    if w is None:
+        w = table[matrix] = WeylElement(rs, matrix)
+    return w
+
+
 def identity(rs: RootSystemData) -> WeylElement:
-    return WeylElement(rs, _identity(rs.n))
+    return element(rs, _identity(rs.n))
 
 
 def reflect(rs: RootSystemData, alpha: Vec) -> WeylElement:
@@ -206,7 +245,7 @@ def reflect(rs: RootSystemData, alpha: Vec) -> WeylElement:
     norm = sum(map(mul, a, sa))
     if norm == 0:
         raise ValueError("cannot reflect in an isotropic vector")
-    return WeylElement(rs, tuple(
+    return element(rs, tuple(
         tuple(int(i == j) - exact_quotient(2 * ai * x, norm, "matrix entry")
               for j, x in enumerate(sa))
         for i, ai in enumerate(a)
@@ -214,8 +253,14 @@ def reflect(rs: RootSystemData, alpha: Vec) -> WeylElement:
 
 
 def simple_reflection(rs: RootSystemData, i: int) -> WeylElement:
-    """s_i for 1 <= i <= n."""
-    return reflect(rs, rs.simple_roots[i - 1])
+    """s_i for 1 <= i <= n: s_i(x) = x - <alpha_i^v, x> alpha_i, the
+    identity but for row i, which is e_i minus row i of the finite Cartan
+    matrix."""
+    if not 1 <= i <= rs.n:
+        raise ValueError(f"no simple reflection s{i} at rank {rs.n}")
+    ident = _identity(rs.n)
+    row = tuple(map(sub, ident[i - 1], rs.finite_cartan[i - 1]))
+    return element(rs, ident[: i - 1] + (row,) + ident[i:])
 
 
 class WeylGroup:
@@ -244,37 +289,21 @@ class WeylGroup:
         return [i for i, col in enumerate(zip(*w.matrix), start=1) if min(col) < 0]
 
     def reduced_word(self, w: WeylElement) -> tuple[int, ...]:
-        """Greedy extraction from the left: the lexicographically least
-        reduced word, found by repeatedly splitting off the smallest left
-        descent."""
-        # Walk on the inverse: (s_i cur)^{-1} = cur^{-1} s_i, so one
-        # matrix inversion serves the whole descent.
-        word = []
-        winv = w.inv()
-        while True:
-            desc = self.right_descents(winv)  # left descents of winv^{-1}
-            if not desc:
-                break
-            i = desc[0]
-            word.append(i)
-            winv = winv * self.simples[i - 1]
-        if not winv.is_identity():
-            raise ValueError("descent ended away from the identity")
-        return tuple(word)
+        """The lexicographically least reduced word of w, extracted once
+        per element (WeylElement.reduced_word)."""
+        return w.reduced_word
 
     def _longest_in_parabolic(self, indices) -> WeylElement:
         """Longest element of the parabolic subgroup generated by s_j for
-        j in indices (1-based): multiply by s_j while w(alpha_j), column j
-        of the matrix, is positive, that is, while s_j lengthens w."""
+        j in indices (1-based): multiply by s_j while j is not a right
+        descent of w, that is, while s_j lengthens w."""
         w = self.id
         while True:
-            cols = tuple(zip(*w.matrix))
-            for j in indices:
-                if min(cols[j - 1]) >= 0:
-                    w = w * self.simples[j - 1]
-                    break
-            else:
+            descents = self.right_descents(w)
+            j = next((j for j in indices if j not in descents), 0)
+            if not j:
                 return w
+            w = w * self.simples[j - 1]
 
     def longest_element(self) -> WeylElement:
         """w_circ by parabolic ascent over every simple reflection."""

@@ -264,16 +264,20 @@ def test_translation_factors_build_no_weyl_inverse(label, monkeypatch):
     built = _count_weyl_inverses(monkeypatch)
     for sym in ("lam_A1", "tau_a1", "tau_delta", "tau_alpha0"):
         h = ctx.generator(sym)
-        # a Weyl part of its own, whose inverse no earlier product cached
-        h = DaweylElement(ctx, identity(rs), h.mu_coords, h.beta_coords, h.k)
+        # an uninterned Weyl part of its own, whose inverse no earlier
+        # product cached
+        w = WeylElement(rs, identity(rs).matrix)
+        h = DaweylElement(ctx, w, h.mu_coords, h.beta_coords, h.k)
         for g in lefts:
             assert ref_equal(g * h, ref_mul(rs, ref_of(g), ref_of(h))), (sym, g)
         assert ref_equal(h.inv(), ref_inv(rs, ref_of(h)))
         for p in _points(rng, ctx):
             assert h.inv().act(h.act(p)) == p
     assert built == []
-    # the counter sees a right factor that is not a translation
-    s1 = DaweylElement(ctx, simple_reflection(rs, 1), ctx.zero_coords, ctx.zero_coords, 0)
+    # the counter sees a right factor that is not a translation; the
+    # shared s_1 may have its inverse already, an uninterned copy has not
+    w = WeylElement(rs, simple_reflection(rs, 1).matrix)
+    s1 = DaweylElement(ctx, w, ctx.zero_coords, ctx.zero_coords, 0)
     g = next(g for g in lefts if any(g.mu_coords) or any(g.beta_coords))
     assert ref_equal(g * s1, ref_mul(rs, ref_of(g), ref_of(s1)))
     assert built == [s1.w]

@@ -220,3 +220,30 @@ def test_theta_and_phi_nodes_match_the_bilinear_reference(lab, monkeypatch):
     else:
         with pytest.raises(ValueError, match="finite nodes are not orthogonal to phi"):
             rs.i_phi()
+
+
+@pytest.mark.parametrize("lab", ALL_LABELS)
+def test_affine_cartan_is_solved_once_per_label(lab):
+    label = parse_label(lab)
+    assert rootsys.affine_cartan(label) is rootsys.affine_cartan(label)
+    assert diagrams.affine_cartan is rootsys.affine_cartan
+
+
+def test_a_verify_pass_solves_each_labels_comarks_once(capsys, monkeypatch):
+    # _table_key runs once per comark solve; a warm process solves none
+    solved = []
+    real = rootsys._table_key
+
+    def counting(label):
+        solved.append(label)
+        return real(label)
+
+    monkeypatch.setattr(rootsys, "_table_key", counting)
+    assert cli.main(["verify", "--suite", "all", "--large"]) == 0
+    capsys.readouterr()
+    assert len(solved) == len(set(solved))
+    # the diagrams read the solved data again, and solve nothing
+    first = list(solved)
+    for name in cli.LABELS + cli.LARGE:
+        diagrams.build_diagram(name)
+    assert solved == first
