@@ -487,7 +487,12 @@ class AffineWalk:
         # A generic interior point of the fundamental alcove: prescribe
         # small unequal positive values (i + 2) / ((i + 3) 2^attempt) for
         # (x, alpha_i^v) and shrink until the affine wall value is
-        # positive too.  D is the least common denominator.
+        # positive too.  D is the least common denominator.  The point
+        # must be generic: an element outside the subgroup maps the
+        # alcove to an alcove, and the walk back can end at a different
+        # point of the fundamental alcove, which word_for rejects.  At a
+        # symmetric point, such as one with equal wall values, that other
+        # point can be the base point itself, and the element would pass.
         for attempt in range(1, 40):
             vals = [(i + 2, (i + 3) << attempt) for i in range(n)]
             self.denom = math.lcm(kappa_den, *(q // math.gcd(p, q) for p, q in vals))

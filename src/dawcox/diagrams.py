@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache, cached_property
 
@@ -271,7 +271,7 @@ def build_diagram(lab: DoubleAffineLabel | str) -> CoxeterDiagram:
         # Phi0 attaches like the 0-node of the companion labeling: its
         # braid relations are those of X_{phi^v} Phi^{-1}, read off from
         # the affine diagram of the partner type.
-        pa = _partner_cartan(lab).cartan
+        pa = _partner_cartan(lab)
         for i in range(1, n + 1):
             put("Phi0", f"T{i}", pa[0][i] * pa[i][0])
         put("Theta0", "Phi0", {2: 2, 3: 3}[cartan.twist])
@@ -286,14 +286,13 @@ def build_diagram(lab: DoubleAffineLabel | str) -> CoxeterDiagram:
 
 
 def _partner_cartan(lab: DoubleAffineLabel):
-    """Affine Cartan data whose 0-node matches Phi0's connectivity: the
-    e-partner's, its nodes in the order Phi0 sees them."""
-    data = affine_cartan(correspondence(partner(lab)))
+    """An affine Cartan matrix whose 0-node matches Phi0's connectivity:
+    the e-partner's, its nodes in the order Phi0 sees them."""
+    m = affine_cartan(correspondence(partner(lab))).cartan
     order = FAMILIES[lab.family].order
     if not order:
-        return data
-    m = data.cartan
-    return replace(data, cartan=tuple(tuple(m[i][j] for j in order) for i in order))
+        return m
+    return tuple(tuple(m[i][j] for j in order) for i in order)
 
 
 def union_find(items, pairs):

@@ -6,12 +6,14 @@ finite vectors runs on integer simple-root coordinates and the integer
 form S = l (finite Gram block).  The lattices M and nu(Q^v) have bases
 of multiples of the simple roots; their integer scales and the integer
 pairing table between them are what the double affine Weyl kernel
-computes with.  The
-affine Cartan matrices follow Kac's Tables Aff 1-3 with his conventional
-node numbering (node 0 is the affine node).  Marks are stored with each
-table entry; comarks, the symmetrizing weights d_i, the lattices M and
-nu(Q^v), and the distinguished roots theta, phi, theta', phi' are all
-derived from them.
+computes with.  The affine Cartan matrices follow Kac's Tables Aff 1-3
+with his conventional node numbering (node 0 is the affine node), in
+one table keyed by the Kac label that stores the marks with each entry;
+comarks, the symmetrizing weights d_i, the lattices M and nu(Q^v), and
+the distinguished roots theta, phi, theta', phi' are all derived from
+them.  The positive roots and the highest root phi come from the finite
+Cartan matrix in integers, so each label's RootSystemData is built in
+one pass with its final values.
 """
 
 from __future__ import annotations
@@ -75,73 +77,6 @@ class UnknownTypeError(ValueError):
     """Raised for affine labels outside Tables Aff 1-3."""
 
 
-# Edge list entries are (i, j, a_ij, a_ji) with A[i][j] = a_ij.  `marks`
-# is the right null vector of A normalized so that it is primitive.
-# Ranks are validated by the builder functions below.
-
-def _chain(nodes, a=-1, b=-1):
-    return [(i, j, a, b) for i, j in zip(nodes, nodes[1:])]
-
-
-def _affine_table(kind: str, n: int):
-    """Return (edges, marks) for the affine Cartan matrix of the type."""
-    if kind == "A" and n == 1:
-        return [(0, 1, -2, -2)], [1, 1]
-    if kind == "A" and n >= 2:
-        edges = _chain(list(range(n + 1))) + [(0, n, -1, -1)]
-        return edges, [1] * (n + 1)
-    if kind == "B" and n >= 3:
-        edges = [(0, 2, -1, -1), (1, 2, -1, -1)]
-        edges += _chain(list(range(2, n)))
-        edges += [(n - 1, n, -1, -2)]
-        return edges, [1, 1] + [2] * (n - 1)
-    if kind == "C" and n >= 2:
-        edges = [(0, 1, -1, -2)] + _chain(list(range(1, n))) + [(n - 1, n, -2, -1)]
-        return edges, [1] + [2] * (n - 1) + [1]
-    if kind == "D" and n >= 4:
-        edges = [(0, 2, -1, -1), (1, 2, -1, -1)]
-        edges += _chain(list(range(2, n - 1)))
-        edges += [(n - 2, n - 1, -1, -1), (n - 2, n, -1, -1)]
-        return edges, [1, 1] + [2] * (n - 3) + [1, 1]
-    if kind == "E" and n == 6:
-        edges = _chain([1, 2, 3, 4, 5]) + [(3, 6, -1, -1), (6, 0, -1, -1)]
-        return edges, [1, 1, 2, 3, 2, 1, 2]
-    if kind == "E" and n == 7:
-        edges = _chain([0, 1, 2, 3, 4, 5, 6]) + [(3, 7, -1, -1)]
-        return edges, [1, 2, 3, 4, 3, 2, 1, 2]
-    if kind == "E" and n == 8:
-        edges = _chain([0, 1, 2, 3, 4, 5, 6, 7]) + [(5, 8, -1, -1)]
-        return edges, [1, 2, 3, 4, 5, 6, 4, 2, 3]
-    if kind == "F" and n == 4:
-        edges = [(0, 1, -1, -1), (1, 2, -1, -1), (2, 3, -1, -2), (3, 4, -1, -1)]
-        return edges, [1, 2, 3, 4, 2]
-    if kind == "G" and n == 2:
-        edges = [(0, 1, -1, -1), (1, 2, -1, -3)]
-        return edges, [1, 2, 3]
-    if kind == "A2:even" and n == 1:  # A_2^(2)
-        return [(0, 1, -4, -1)], [2, 1]
-    if kind == "A2:even" and n >= 2:  # A_{2n}^{(2)}
-        edges = [(0, 1, -2, -1)] + _chain(list(range(1, n))) + [(n - 1, n, -2, -1)]
-        return edges, [2] * n + [1]
-    if kind == "A2:odd" and n == 2:  # A_3^(2), fork collapses to the middle node
-        return [(0, 2, -2, -1), (1, 2, -2, -1)], [1, 1, 1]
-    if kind == "A2:odd" and n >= 3:  # A_{2n-1}^{(2)}
-        edges = [(0, 2, -1, -1), (1, 2, -1, -1)]
-        edges += _chain(list(range(2, n)))
-        edges += [(n - 1, n, -2, -1)]
-        return edges, [1, 1] + [2] * (n - 2) + [1]
-    if kind == "D2" and n >= 2:  # D_{n+1}^{(2)}
-        edges = [(0, 1, -2, -1)] + _chain(list(range(1, n))) + [(n - 1, n, -1, -2)]
-        return edges, [1] * (n + 1)
-    if kind == "E62" and n == 4:  # E_6^{(2)}
-        edges = [(0, 1, -1, -1), (1, 2, -1, -1), (2, 3, -2, -1), (3, 4, -1, -1)]
-        return edges, [1, 2, 3, 2, 1]
-    if kind == "D43" and n == 2:  # D_4^{(3)}
-        edges = [(0, 1, -1, -1), (1, 2, -3, -1)]
-        return edges, [1, 2, 1]
-    raise UnknownTypeError(f"no affine Cartan data for kind={kind!r} rank={n}")
-
-
 @dataclass(frozen=True)
 class AffineLabel:
     """A Kac label X_N^(r), stored as (letter, N, twist)."""
@@ -166,34 +101,70 @@ def parse_label(text: str) -> AffineLabel:
     raise UnknownTypeError(f"cannot parse affine label {text!r}")
 
 
-def _table_key(label: AffineLabel) -> tuple[str, int]:
+# Edge list entries are (i, j, a_ij, a_ji) with A[i][j] = a_ij.  `marks`
+# is the right null vector of A normalized so that it is primitive.
+
+def _chain(nodes):
+    return [(i, j, -1, -1) for i, j in zip(nodes, nodes[1:])]
+
+
+def _affine_table(label: AffineLabel):
+    """(edges, marks) of the affine Cartan matrix of a Kac label X_N^(r),
+    with n + 1 nodes: n = N untwisted, otherwise the rank of Kac's row."""
     L, N, r = label.letter, label.N, label.twist
     if r == 1:
-        if L == "A" and N >= 1:
-            return "A", N
+        n = N
+        if L == "A" and N == 1:
+            return [(0, 1, -2, -2)], [1, 1]
+        if L == "A" and N >= 2:
+            return _chain(range(n + 1)) + [(0, n, -1, -1)], [1] * (n + 1)
         if L == "B" and N >= 3:
-            return "B", N
+            edges = [(0, 2, -1, -1), (1, 2, -1, -1)] + _chain(range(2, n)) + [(n - 1, n, -1, -2)]
+            return edges, [1, 1] + [2] * (n - 1)
         if L == "C" and N >= 2:
-            return "C", N
+            edges = [(0, 1, -1, -2)] + _chain(range(1, n)) + [(n - 1, n, -2, -1)]
+            return edges, [1] + [2] * (n - 1) + [1]
         if L == "D" and N >= 4:
-            return "D", N
-        if L == "E" and N in (6, 7, 8):
-            return "E", N
-        if L == "F" and N == 4:
-            return "F", 4
-        if L == "G" and N == 2:
-            return "G", 2
-    if r == 2:
-        if L == "A" and N >= 2 and N % 2 == 0:
-            return "A2:even", N // 2
-        if L == "A" and N >= 3 and N % 2 == 1:
-            return "A2:odd", (N + 1) // 2
-        if L == "D" and N >= 3:
-            return "D2", N - 1
+            edges = [(0, 2, -1, -1), (1, 2, -1, -1)] + _chain(range(2, n - 1))
+            edges += [(n - 2, n - 1, -1, -1), (n - 2, n, -1, -1)]
+            return edges, [1, 1] + [2] * (n - 3) + [1, 1]
         if L == "E" and N == 6:
-            return "E62", 4
+            edges = _chain(range(1, 6)) + [(3, 6, -1, -1), (6, 0, -1, -1)]
+            return edges, [1, 1, 2, 3, 2, 1, 2]
+        if L == "E" and N == 7:
+            edges = _chain(range(7)) + [(3, 7, -1, -1)]
+            return edges, [1, 2, 3, 4, 3, 2, 1, 2]
+        if L == "E" and N == 8:
+            edges = _chain(range(8)) + [(5, 8, -1, -1)]
+            return edges, [1, 2, 3, 4, 5, 6, 4, 2, 3]
+        if L == "F" and N == 4:
+            edges = [(0, 1, -1, -1), (1, 2, -1, -1), (2, 3, -1, -2), (3, 4, -1, -1)]
+            return edges, [1, 2, 3, 4, 2]
+        if L == "G" and N == 2:
+            edges = [(0, 1, -1, -1), (1, 2, -1, -3)]
+            return edges, [1, 2, 3]
+    if r == 2:
+        if L == "A" and N == 2:
+            return [(0, 1, -4, -1)], [2, 1]
+        if L == "A" and N >= 4 and N % 2 == 0:  # A_{2n}^(2)
+            n = N // 2
+            edges = [(0, 1, -2, -1)] + _chain(range(1, n)) + [(n - 1, n, -2, -1)]
+            return edges, [2] * n + [1]
+        if L == "A" and N == 3:  # A_3^(2): the fork collapses to the middle node
+            return [(0, 2, -2, -1), (1, 2, -2, -1)], [1, 1, 1]
+        if L == "A" and N >= 5 and N % 2:  # A_{2n-1}^(2)
+            n = (N + 1) // 2
+            edges = [(0, 2, -1, -1), (1, 2, -1, -1)] + _chain(range(2, n)) + [(n - 1, n, -2, -1)]
+            return edges, [1, 1] + [2] * (n - 2) + [1]
+        if L == "D" and N >= 3:  # D_{n+1}^(2)
+            n = N - 1
+            edges = [(0, 1, -2, -1)] + _chain(range(1, n)) + [(n - 1, n, -1, -2)]
+            return edges, [1] * (n + 1)
+        if L == "E" and N == 6:
+            edges = [(0, 1, -1, -1), (1, 2, -1, -1), (2, 3, -2, -1), (3, 4, -1, -1)]
+            return edges, [1, 2, 3, 2, 1]
     if r == 3 and L == "D" and N == 4:
-        return "D43", 2
+        return [(0, 1, -1, -1), (1, 2, -3, -1)], [1, 2, 1]
     raise UnknownTypeError(f"{label} is not in Tables Aff 1-3")
 
 
@@ -219,16 +190,14 @@ class AffineCartanData:
 @cache
 def affine_cartan(label: AffineLabel) -> AffineCartanData:
     """The affine Cartan datum of a label, solved once per label."""
-    kind, n = _table_key(label)
-    edges, marks = _affine_table(kind, n)
-    m = n + 1
+    edges, marks = _affine_table(label)
+    m = len(marks)
     a = [[0] * m for _ in range(m)]
     for i in range(m):
         a[i][i] = 2
     for i, j, aij, aji in edges:
         a[i][j] = aij
         a[j][i] = aji
-    marks = [int(x) for x in marks]
     # Sanity: marks are the right null vector.
     for i in range(m):
         if sum(a[i][j] * marks[j] for j in range(m)):
@@ -529,19 +498,9 @@ def _build(label: AffineLabel) -> RootSystemData:
     cartan = affine_cartan(label)
     n = cartan.n
     dim = n + 2
-    IDELTA, ILAM = n, n + 1
 
-    simple = []
-    for i in range(n):
-        v = [_F0] * dim
-        v[i] = _F1
-        simple.append(tuple(v))
-    delta = [_F0] * dim
-    delta[IDELTA] = _F1
-    delta = tuple(delta)
-    lam0 = [_F0] * dim
-    lam0[ILAM] = _F1
-    lam0 = tuple(lam0)
+    def unit(k: int) -> Vec:
+        return tuple(_F1 if j == k else _F0 for j in range(dim))
 
     # Gram matrix: (alpha_i, alpha_j) = d_i^{-1} a_ij on finite nodes,
     # delta orthogonal to everything but Lambda0, (delta, Lambda0) = 1.
@@ -549,79 +508,55 @@ def _build(label: AffineLabel) -> RootSystemData:
     for i in range(n):
         for j in range(n):
             gram[i][j] = cartan.cartan[i + 1][j + 1] / cartan.d[i + 1]
-    gram[IDELTA][ILAM] = _F1
-    gram[ILAM][IDELTA] = _F1
+    gram[n][n + 1] = gram[n + 1][n] = _F1
     if any(gram[i][j] != gram[j][i] for i in range(dim) for j in range(dim)):
         raise ValueError(f"{label}: the bilinear form is not symmetric")
-    gram = tuple(tuple(row) for row in gram)
 
-    theta = [_F0] * dim
-    for i in range(n):
-        theta[i] = Fraction(cartan.marks[i + 1])
-    theta = tuple(theta)
-    alpha0 = vscale(Fraction(1, cartan.a0), vsub(delta, theta))
-
-    rs = RootSystemData(
-        cartan=cartan,
-        gram=gram,
-        simple_roots=tuple(simple),
-        alpha0=alpha0,
-        delta=delta,
-        Lambda0=lam0,
-        pos_roots=(),
-        theta=theta,
-        phi=theta,
-        root_set=frozenset(),
+    delta = unit(n)
+    theta = tuple(map(Fraction, cartan.marks[1:])) + (_F0, _F0)
+    pos = tuple(
+        tuple(map(Fraction, v)) + (_F0, _F0)
+        for v in _positive_roots([row[1:] for row in cartan.cartan[1:]])
     )
-    pos = _enumerate_positive_roots(rs)
-    phi = _highest_root(rs, pos)
-    all_roots = frozenset(pos) | frozenset(vneg(r) for r in pos)
-    object.__setattr__(rs, "pos_roots", tuple(pos))
-    object.__setattr__(rs, "phi", phi)
-    object.__setattr__(rs, "root_set", all_roots)
-    return rs
+    return RootSystemData(
+        cartan=cartan,
+        gram=tuple(map(tuple, gram)),
+        simple_roots=tuple(map(unit, range(n))),
+        alpha0=vscale(Fraction(1, cartan.a0), vsub(delta, theta)),
+        delta=delta,
+        Lambda0=unit(n + 1),
+        pos_roots=pos,
+        theta=theta,
+        phi=pos[-1],
+        root_set=frozenset(pos) | frozenset(map(vneg, pos)),
+    )
 
 
-def _enumerate_positive_roots(rs: RootSystemData) -> list[Vec]:
-    """Finite roots as the closure of the simple roots under reflections,
-    computed on int tuples in simple-root coordinates and converted to
-    Vec once at the end."""
-    n = rs.n
-    cartan = rs.finite_cartan
+def _positive_roots(a) -> list[tuple[int, ...]]:
+    """The positive roots of the finite Cartan matrix a in integer
+    simple-root coordinates, by height: the closure of the simple roots
+    under the reflections s_j, which change coordinate j of v by
+    <v, alpha_j^v> = sum_i A[j][i] v_i.  The last, of greatest height, is
+    the highest root, checked to be dominant."""
+    n = len(a)
     simple = [tuple(int(i == j) for i in range(n)) for j in range(n)]
     seen = set(simple)
     frontier = simple
     while frontier:
         nxt = []
         for v in frontier:
-            for j, row in enumerate(cartan):
-                p = sum(map(mul, row, v))  # <v, alpha_j^v>
+            for j, row in enumerate(a):
+                p = sum(map(mul, row, v))
                 if p:
-                    w = v[:j] + (v[j] - p,) + v[j + 1:]  # s_j(v)
+                    w = v[:j] + (v[j] - p,) + v[j + 1:]
                     if w not in seen:
                         seen.add(w)
                         nxt.append(w)
         frontier = nxt
-    pos = [v for v in seen if _is_positive(v, n)]
+    # a root is positive when its first non-zero coordinate is
+    pos = sorted((v for v in seen if v > (0,) * n), key=lambda v: (sum(v), v))
     if 2 * len(pos) != len(seen):
         raise ValueError("the root closure is not split into positive and negative roots")
-    pos.sort(key=lambda v: (sum(v), v))
-    return [tuple(map(Fraction, v)) + (_F0, _F0) for v in pos]
-
-
-def _is_positive(v: Vec, n: int) -> bool:
-    for c in v[:n]:
-        if c > 0:
-            return True
-        if c < 0:
-            return False
-    return False
-
-
-def _highest_root(rs: RootSystemData, pos: list[Vec]) -> Vec:
-    # The highest root is the unique positive root of maximal height that
-    # is dominant; for our systems maximal height suffices.
-    best = max(pos, key=lambda v: sum(v[: rs.n]))
-    if min(mat_vec(rs.int_form[0], rs.int_coords(best))) < 0:
+    if min(mat_vec(a, pos[-1])) < 0:
         raise ValueError("the highest root is not dominant")
-    return best
+    return pos

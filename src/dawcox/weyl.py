@@ -310,19 +310,22 @@ class WeylGroup:
         return self._longest_in_parabolic(range(1, self.rs.n + 1))
 
     def enumerate(self) -> list[WeylElement]:
-        """All elements, BFS by right multiplication."""
-        seen = {self.id.matrix: self.id}
-        frontier = [self.id]
+        """All elements, BFS by right multiplication on matrices.  They are
+        not put in the root system's table: each compares equal to the
+        shared element of its matrix, but the group is not kept."""
+        simples = [s.matrix for s in self.simples]
+        seen = {self.id.matrix: None}
+        frontier = list(seen)
         while frontier:
             nxt = []
             for w in frontier:
-                for s in self.simples:
-                    ws = w * s
-                    if ws.matrix not in seen:
-                        seen[ws.matrix] = ws
+                for s in simples:
+                    ws = mat_mul(w, s)
+                    if ws not in seen:
+                        seen[ws] = None
                         nxt.append(ws)
             frontier = nxt
-        return list(seen.values())
+        return [WeylElement(self.rs, m) for m in seen]
 
     def longest_in_stabilizer(self, roots_to_fix) -> WeylElement:
         """Longest element of {w : w(r) = r for all listed roots}, which

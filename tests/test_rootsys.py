@@ -34,6 +34,30 @@ def test_parse_roundtrip():
         build("B2(1)")
 
 
+# The labels of Kac's Tables Aff 1-3, as {(twist, letter): accepted N}.
+KAC_TABLES = {
+    (1, "A"): range(1, 10), (1, "B"): range(3, 10), (1, "C"): range(2, 10),
+    (1, "D"): range(4, 10), (1, "E"): (6, 7, 8), (1, "F"): (4,), (1, "G"): (2,),
+    (2, "A"): range(2, 10), (2, "D"): range(3, 10), (2, "E"): (6,),
+    (3, "D"): (4,),
+}
+
+
+def test_affine_cartan_accepts_exactly_the_labels_of_the_tables():
+    accepted = []
+    for letter in "ABCDEFG":
+        for N in range(10):
+            for twist in (1, 2, 3):
+                label = rootsys.AffineLabel(letter, N, twist)
+                if N in KAC_TABLES.get((twist, letter), ()):
+                    assert rootsys.affine_cartan(label).label == label
+                    accepted.append(label)
+                else:
+                    with pytest.raises(rootsys.UnknownTypeError, match="is not in Tables Aff 1-3"):
+                        rootsys.affine_cartan(label)
+    assert len(accepted) == 52
+
+
 @pytest.mark.parametrize("lab", ALL_LABELS)
 def test_cartan_invariants(systems, lab):
     rs = systems[lab]
@@ -230,15 +254,15 @@ def test_affine_cartan_is_solved_once_per_label(lab):
 
 
 def test_a_verify_pass_solves_each_labels_comarks_once(capsys, monkeypatch):
-    # _table_key runs once per comark solve; a warm process solves none
+    # _affine_table runs once per comark solve; a warm process solves none
     solved = []
-    real = rootsys._table_key
+    real = rootsys._affine_table
 
     def counting(label):
         solved.append(label)
         return real(label)
 
-    monkeypatch.setattr(rootsys, "_table_key", counting)
+    monkeypatch.setattr(rootsys, "_affine_table", counting)
     assert cli.main(["verify", "--suite", "all", "--large"]) == 0
     capsys.readouterr()
     assert len(solved) == len(set(solved))

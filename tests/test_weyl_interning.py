@@ -8,7 +8,7 @@ import pytest
 
 from dawcox import cli, diagrams, rootsys
 from dawcox.dagroup import DaweylContext, context
-from dawcox.weyl import WeylElement, element, mat_inv, mat_mul, reflect, simple_reflection
+from dawcox.weyl import WeylElement, WeylGroup, element, mat_inv, mat_mul, reflect, simple_reflection
 from references import int_matrix
 from test_integer_kernel import LABELS, _contexts, _count_weyl_inverses, _generators, _word
 
@@ -105,3 +105,13 @@ def test_shared_elements_match_elements_built_from_scratch(label):
             for i in word:
                 product = product * simple_reflection(rs, i)
             assert product is a
+
+
+@pytest.mark.parametrize("label", ["B3(1)", "F4(1)"])
+def test_enumerate_leaves_the_table_unchanged(label):
+    g = WeylGroup(rootsys.build(label))
+    before = len(g.rs.weyl_elements)
+    elements = g.enumerate()
+    assert len(g.rs.weyl_elements) == before
+    assert len(set(elements)) == len(elements) == {"B3(1)": 48, "F4(1)": 1152}[label]
+    assert g.id in elements and all(w in elements for w in g.simples)
