@@ -220,12 +220,6 @@ class CoxeterDiagram:
             raise ValueError("multiplicity is defined for distinct nodes")
         return self.mult.get(frozenset((a, b)), 0)
 
-    def node(self, name: str) -> NodeId:
-        for nd in self.nodes:
-            if nd.label == name:
-                return nd
-        raise KeyError(name)
-
     @property
     def finite_nodes(self):
         return [nd for nd in self.nodes if nd.kind is NodeKind.FINITE]

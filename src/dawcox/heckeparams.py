@@ -3,6 +3,10 @@ specialization rules per affine root system (reduced and nonreduced),
 the nonreduced-to-reduced correspondence, and the paper's parameter
 counts with the check that compares them to the computed ones.
 
+The counts are stated as the paper states them, for general n: Table 1
+per double affine family (TABLE1), Tables 4 and 5 per affine root
+system (TABLE4).  So the check reads a count for every admissible rank.
+
 Parameters are formal symbols: lowercase names of the 1-connected
 component representatives ("theta01", "t1", ...).  No algebra arithmetic
 happens here.
@@ -11,6 +15,7 @@ happens here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import diagrams
 from .diagrams import DoubleAffineLabel, build_diagram, one_connected_components, union_find
@@ -50,83 +55,50 @@ class SpecializationRule:
     final_count: int
 
 
-# Table rows: affine root system -> (algebra family, identifications).
-# Identifications are written on the diagram node names; "n" in a node
-# name is replaced by the rank.
-_SPECIALIZATION_TABLE = {
-    "A1(1)": ("dddotA1", [("Theta01", "Theta02"), ("Theta02", "Theta03"), ("Theta03", "T1")]),
-    "Cn(1)": ("dddotC{n}", [("Theta01", "Theta02"), ("Theta02", "Theta03")]),
-    "(BCn,Cn)": ("dddotC{n}", [("Theta01", "Theta02")]),
-    "(Cn^,Cn)": ("dddotC{n}", []),
-    "A2n(2)": ("dddotC{n}star", [("Theta03", "Tn")]),
-    "(Cn^,BCn)": ("dddotC{n}star", []),
-    "A3(2)": ("ddotB2", [("Theta0", "T1")]),
-    "(C2,C2^)": ("ddotB2", []),
-    "Dn+1(2)": ("ddotB{n}", [("Theta0", "Tn")]),
-    "A2n-1(2)": ("ddotC{n}", [("Phi0", "Tn")]),
-    "(Bn,Bn^)": ("ddotC{n}", []),
-}
-
-# Reduced systems with no specialization necessary.
-_EMPTY_RULE_FAMILIES = {
-    "An(1)": "dddotA{n}",
-    "Bn(1)": "dddotB{n}",
-    "Dn(1)": "dddotD{n}",
-    "E6(1)": "dddotE6",
-    "E7(1)": "dddotE7",
-    "E8(1)": "dddotE8",
-    "F4(1)": "dddotF4",
-    "G2(1)": "dddotG2",
-    "E6(2)": "ddotF4",
-    "D4(3)": "ddotG2",
-}
-
-# Table: nonreduced affine root systems and their non-multipliable parts.
-_NONREDUCED_TABLE = {
-    "(BCn,Cn)": "Cn(1)",
-    "(Cn^,BCn)": "A2n(2)",
-    "(Bn,Bn^)": "A2n-1(2)",
-    "(Cn^,Cn)": "Cn(1)",
-    "(C2,C2^)": "A3(2)",
+# Table 1: the generic number of parameters of each family, the same at
+# every admissible rank but one, which is keyed by (family, rank).
+# dddotC1 and dddotC1star are dddotA1 and dddotA1star.
+TABLE1 = {
+    "dddotA": 1, "dddotB": 2, "dddotC": 5, "dddotD": 1, "dddotE": 1,
+    "dddotF": 2, "dddotG": 2, "dddotAstar": 3, "dddotCstar": 4,
+    "ddotB": 3, "ddotC": 3, "ddotB2": 4, "ddotF4": 2, "ddotG2": 2,
+    ("dddotA", 1): 4,
 }
 
 
-# Table 1: the generic number of parameters of each double affine label.
-# dddotA_n has one parameter for every n >= 2.
-GENERIC_COUNTS = {
-    "dddotA1": 4, "dddotA1star": 3, "dddotA2": 1, "dddotA3": 1, "dddotA4": 1,
-    "dddotB3": 2, "dddotB4": 2, "dddotC2": 5, "dddotC3": 5,
-    "dddotC2star": 4, "dddotC3star": 4, "dddotD4": 1, "dddotD5": 1,
-    "dddotE6": 1, "dddotE7": 1, "dddotE8": 1, "dddotF4": 2, "dddotG2": 2,
-    "ddotB3": 3, "ddotB4": 3, "ddotC3": 3, "ddotC4": 3,
-    "ddotB2": 4, "ddotF4": 2, "ddotG2": 2,
-}
+class Row(NamedTuple):
+    """One affine root system of Tables 4 and 5: the algebra whose
+    parameters it specializes, the identifications, the final count of
+    Table 4 with its rank-one collapses, and Table 5's reduced system."""
 
-# Table 4: (affine root system, rank, number of parameters after the
-# specialization).  The rank-one rows are the collapses noted in the
-# text: (Cn^,Cn) specializes dddotA1, A2n(2) and (Cn^,BCn) dddotA1star.
-SPECIALIZATION_COUNTS = (
-    ("A1(1)", 1, 1),
-    ("Cn(1)", 2, 3),
-    ("Cn(1)", 3, 3),
-    ("(BCn,Cn)", 2, 4),
-    ("(BCn,Cn)", 3, 4),
-    ("(Cn^,Cn)", 2, 5),
-    ("(Cn^,Cn)", 3, 5),
-    ("(Cn^,Cn)", 1, 4),
-    ("A2n(2)", 2, 3),
-    ("A2n(2)", 1, 2),
-    ("(Cn^,BCn)", 2, 4),
-    ("(Cn^,BCn)", 1, 3),
-    ("A3(2)", None, 3),
-    ("(C2,C2^)", None, 4),
-    ("Dn+1(2)", 3, 2),
-    ("Dn+1(2)", 4, 2),
-    ("A2n-1(2)", 3, 2),
-    ("A2n-1(2)", 4, 2),
-    ("(Bn,Bn^)", 3, 3),
-    ("(Bn,Bn^)", 4, 3),
-)
+    algebra: str  # the double affine label; "{n}" is the rank
+    identifications: tuple = ()  # node pairs merged; "Tn" is the last finite node
+    least: int | None = None  # Table 4 states the row for n >= least (None: with no n)
+    count: int | None = None  # Table 4's final count (None: the row is not in Table 4)
+    collapses: dict = {}  # rank -> final count, at the ranks below `least`
+    reduced: str | None = None  # Table 5: a nonreduced system's reduced one
+
+
+TABLE4 = {
+    "A1(1)": Row("dddotA1", (("Theta01", "Theta02"), ("Theta02", "Theta03"), ("Theta03", "T1")),
+                 1, 1),
+    "Cn(1)": Row("dddotC{n}", (("Theta01", "Theta02"), ("Theta02", "Theta03")), 2, 3),
+    "(BCn,Cn)": Row("dddotC{n}", (("Theta01", "Theta02"),), 2, 4, reduced="Cn(1)"),
+    # Koornwinder's five parameters (Sahi, Ann. Math. 150, 1999)
+    "(Cn^,Cn)": Row("dddotC{n}", (), 2, 5, {1: 4}, "Cn(1)"),
+    "A2n(2)": Row("dddotC{n}star", (("Theta03", "Tn"),), 2, 3, {1: 2}),
+    "(Cn^,BCn)": Row("dddotC{n}star", (), 2, 4, {1: 3}, "A2n(2)"),
+    "A3(2)": Row("ddotB2", (("Theta0", "T1"),), count=3),
+    "(C2,C2^)": Row("ddotB2", (), count=4, reduced="A3(2)"),
+    "Dn+1(2)": Row("ddotB{n}", (("Theta0", "Tn"),), 3, 2),
+    "A2n-1(2)": Row("ddotC{n}", (("Phi0", "Tn"),), 3, 2),
+    "(Bn,Bn^)": Row("ddotC{n}", (), 3, 3, reduced="A2n-1(2)"),
+    # Reduced systems with no specialization necessary.
+    "An(1)": Row("dddotA{n}"), "Bn(1)": Row("dddotB{n}"), "Dn(1)": Row("dddotD{n}"),
+    "E6(1)": Row("dddotE6"), "E7(1)": Row("dddotE7"), "E8(1)": Row("dddotE8"),
+    "F4(1)": Row("dddotF4"), "G2(1)": Row("dddotG2"), "E6(2)": Row("ddotF4"),
+    "D4(3)": Row("ddotG2"),
+}
 
 
 def normalize_system(text: str) -> str:
@@ -134,40 +106,33 @@ def normalize_system(text: str) -> str:
 
 
 def nonreduced_to_reduced(system: str) -> str:
-    key = normalize_system(system)
-    if key not in _NONREDUCED_TABLE:
+    row = TABLE4.get(normalize_system(system))
+    if row is None or row.reduced is None:
         raise UnknownTypeError(f"{system} is not a nonreduced affine root system")
-    return _NONREDUCED_TABLE[key]
+    return row.reduced
 
 
-def _rule(system: str, n: int | None):
-    """The normalized system, its double affine label and its
-    identifications."""
-    key = normalize_system(system)
-    if key in _SPECIALIZATION_TABLE:
-        family, idents = _SPECIALIZATION_TABLE[key]
-    elif key in _EMPTY_RULE_FAMILIES:
-        family, idents = _EMPTY_RULE_FAMILIES[key], []
-    else:
-        raise UnknownTypeError(f"no specialization rule for {system!r}")
-    if "{n}" in family:
-        if n is None:
-            raise UnknownTypeError(f"{system} needs a rank (--n)")
-        family = family.format(n=n)
-    return key, diagrams.parse(family), idents
+def _algebra(row: Row, n: int | None) -> DoubleAffineLabel:
+    return diagrams.parse(row.algebra.format(n=n))
 
 
 def specialize(system: str, n: int | None = None) -> SpecializationRule:
     """The parameter specialization for an affine root system label like
     'Cn(1)', 'A2n(2)', '(Cn^,Cn)', 'D n+1(2)'; n supplies the rank."""
-    key, lab, idents = _rule(system, n)
+    key = normalize_system(system)
+    if key not in TABLE4:
+        raise UnknownTypeError(f"no specialization rule for {system!r}")
+    row = TABLE4[key]
+    if n is None and "{n}" in row.algebra:
+        raise UnknownTypeError(f"{system} needs a rank (--n)")
+    lab = _algebra(row, n)
     symbol_of = param_assignment(lab).symbol_of
 
     def sub(node: str) -> str:
         return node.replace("Tn", f"T{lab.rank}")
 
     symbols = set(symbol_of.values())
-    merges = [(symbol_of[sub(x)], symbol_of[sub(y)]) for x, y in idents]
+    merges = [(symbol_of[sub(x)], symbol_of[sub(y)]) for x, y in row.identifications]
     find = union_find(symbols, merges)
     final = {find(s) for s in symbols if s != "1"}
     # pinning to the constant never counts as a parameter
@@ -187,17 +152,20 @@ def verify_params(lab: DoubleAffineLabel) -> list:
     records: its Table 1 generic count, the final count of each Table 4
     row whose algebra it is, and for a nonreduced row that the reduced
     system of Table 5 gives the same algebra."""
-    name = str(lab)
+    name, n = str(lab), lab.rank
     symbols = set(param_assignment(lab).symbol_of.values())
-    records = [("Table 1 generic count", len(symbols - {"1"}), GENERIC_COUNTS[name])]
-    for system, n, count in SPECIALIZATION_COUNTS:
-        if str(_rule(system, n)[1]) != name:
+    generic = TABLE1.get((lab.family, n), TABLE1[lab.family])
+    records = [("Table 1 generic count", len(symbols - {"1"}), generic)]
+    for system, row in TABLE4.items():
+        stated = row.least is None or n >= row.least
+        count = row.collapses.get(n, row.count if stated else None)
+        if count is None or str(_algebra(row, n)) != name:
             continue
         rule = specialize(system, n)
-        row = system if n is None else f"{system} n={n}"
-        records.append((f"Table 4 {row} final count", rule.final_count, count))
-        if system in _NONREDUCED_TABLE:
+        title = system if row.least is None else f"{system} n={n}"
+        records.append((f"Table 4 {title} final count", rule.final_count, count))
+        if system.startswith("("):  # a nonreduced system is written as a pair
             reduced = nonreduced_to_reduced(system)
-            records.append((f"Table 5 {row} gives the algebra of {reduced}",
+            records.append((f"Table 5 {title} gives the algebra of {reduced}",
                             rule.algebra, specialize(reduced, n).algebra))
     return records

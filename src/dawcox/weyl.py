@@ -363,11 +363,8 @@ class WeylGroup:
             raise ValueError(f"{len(cands)} short dominant roots")
         return cands[0]
 
-    def long_dominant(self) -> Vec:
-        return self.rs.phi
-
     def theta_phi_finite(self) -> tuple[Vec, Vec]:
-        return self.short_dominant(), self.long_dominant()
+        return self.short_dominant(), self.rs.phi
 
     def xy_candidates(self) -> tuple[WeylElement, WeylElement]:
         """x = s_theta v_circ w_circ and y = s_phi v_circ w_circ, not yet

@@ -371,7 +371,7 @@ def _wrong_u21(monkeypatch):
 
 
 def _flipped_table1_count(monkeypatch):
-    monkeypatch.setitem(heckeparams.GENERIC_COUNTS, "ddotB2", 5)
+    monkeypatch.setitem(heckeparams.TABLE1, "ddotB2", 5)
 
 
 # check name -> (label, suite, corruption, a record the corruption breaks)
@@ -405,6 +405,31 @@ def test_verify_names_the_broken_record(capsys, monkeypatch, check):
     assert all(set(f) == {"relation", "lhs_nf", "rhs_nf"} for f in failures)
     mask = functools.partial(re.sub, r'"elapsed_ms": \d+', "")
     assert mask(first) == mask(second)
+
+
+def _flipped_family_count(monkeypatch):
+    monkeypatch.setitem(heckeparams.TABLE1, "ddotB", 4)
+
+
+def _flipped_table4_count(monkeypatch):
+    row = heckeparams.TABLE4["Dn+1(2)"]
+    monkeypatch.setitem(heckeparams.TABLE4, "Dn+1(2)", row._replace(count=3))
+
+
+@pytest.mark.parametrize("corrupt,relation", [
+    (_flipped_family_count, "Table 1 generic count"),
+    (_flipped_table4_count, "Table 4 Dn+1(2) n=6 final count"),
+])
+def test_a_broken_rank_rule_names_the_label(capsys, monkeypatch, corrupt, relation):
+    # a rule stated for general n fails at a rank outside the registry
+    argv = ("verify", "--family", "ddotB", "--rank", "6", "--suite", "params", "--json")
+    assert run(capsys, *argv)[0] == 0
+    corrupt(monkeypatch)
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    (report,) = json.loads(out)["checks"]
+    assert report["id"] == "ddotB6:params" and report["status"] == "FAIL"
+    assert [f["relation"] for f in report["witness"]["failures"]] == [relation]
 
 
 def _simply_laced(name):

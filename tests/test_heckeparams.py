@@ -3,9 +3,10 @@ import pytest
 from dawcox import diagrams
 from dawcox import heckeparams as hp
 from dawcox.rootsys import UnknownTypeError
+from paper_tables import GENERIC_COUNTS, NONREDUCED, SPECIALIZATION_COUNTS, row_name
 
-# Table 1 as (label, None, generic count), read from the package's table
-TABLE1 = [(name, None, count) for name, count in hp.GENERIC_COUNTS.items()]
+# Table 1 as (label, None, generic count), label by label
+TABLE1 = [(name, None, count) for name, count in GENERIC_COUNTS.items()]
 
 
 def _records(name):
@@ -25,21 +26,18 @@ def test_param_symbols_shared_on_one_connected():
     assert pa.symbol_of["T3"] != pa.symbol_of["T1"]
 
 
-SPECIALIZATIONS = hp.SPECIALIZATION_COUNTS
-
-
-@pytest.mark.parametrize("system,n,count", SPECIALIZATIONS)
+@pytest.mark.parametrize("system,n,count", SPECIALIZATION_COUNTS)
 def test_specializations(system, n, count):
     rule = hp.specialize(system, n)
     assert rule.final_count == count
     assert rule.final_count <= rule.generic_count
     # the params check of the row's algebra records it
-    row = system if n is None else f"{system} n={n}"
+    row = row_name(system, n)
     assert _records(rule.algebra)[f"Table 4 {row} final count"] == (count, count)
 
 
 # Table 5: the rows of Table 4 whose system is nonreduced
-TABLE5 = [row for row in SPECIALIZATIONS if row[0] in hp._NONREDUCED_TABLE]
+TABLE5 = [row for row in SPECIALIZATION_COUNTS if row[0] in NONREDUCED]
 
 
 @pytest.mark.parametrize("system,n,count", TABLE5)
@@ -50,19 +48,19 @@ def test_table5_via_nonreduced(system, n, count):
     # the nonreduced system's double affine group matches the reduced one
     rule2 = hp.specialize(reduced, n)
     assert rule2.algebra == rule.algebra
-    row = system if n is None else f"{system} n={n}"
+    row = row_name(system, n)
     record = _records(rule.algebra)[f"Table 5 {row} gives the algebra of {reduced}"]
     assert record == (rule.algebra, rule.algebra)
 
 
 def test_nonreduced_table():
-    assert hp.nonreduced_to_reduced("(Cn^,BCn)") == "A2n(2)"
-    assert hp.nonreduced_to_reduced("(Bn,Bn^)") == "A2n-1(2)"
-    assert hp.nonreduced_to_reduced("(C2,C2^)") == "A3(2)"
-    assert hp.nonreduced_to_reduced("(BCn,Cn)") == "Cn(1)"
-    assert hp.nonreduced_to_reduced("(Cn^,Cn)") == "Cn(1)"
-    with pytest.raises(UnknownTypeError):
-        hp.nonreduced_to_reduced("Cn(1)")
+    for system, reduced in NONREDUCED.items():
+        assert hp.nonreduced_to_reduced(system) == reduced
+    # the params check takes the systems written as pairs for the nonreduced ones
+    assert {system for system in hp.TABLE4 if system.startswith("(")} == set(NONREDUCED)
+    for system in hp.TABLE4.keys() - NONREDUCED.keys():
+        with pytest.raises(UnknownTypeError):
+            hp.nonreduced_to_reduced(system)
 
 
 def test_empty_rules():

@@ -1,6 +1,10 @@
 """No function, method or class in the package exists only for the tests:
 each one is used somewhere else in the package or by the benchmark
-(bench/*.py).  Code that only the tests call belongs in the tests."""
+(bench/*.py).  Code that only the tests call belongs in the tests.
+
+A method counts as used only where an attribute of that name is read or
+a benchmark string names it: a bare name of the same spelling (a local
+variable, a parameter) does not reach it."""
 
 import ast
 import re
@@ -27,22 +31,22 @@ def _docstrings(tree) -> set:
     }
 
 
-def _uses(root, docstrings) -> Counter:
-    """Every name that the code under root reads: names, attributes,
-    imported names, and the words of its string literals (the benchmark
-    names the functions it wraps in strings)."""
-    out = Counter()
+def _uses(root, docstrings) -> tuple[Counter, Counter, Counter]:
+    """Every name that the code under root reads, by how it reads it: bare
+    and imported names, attributes, and the words of its string literals
+    (the benchmark names the functions it wraps in strings)."""
+    names, attrs, words = Counter(), Counter(), Counter()
     for node in ast.walk(root):
         if isinstance(node, ast.Name):
-            out[node.id] += 1
+            names[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            out[node.attr] += 1
+            attrs[node.attr] += 1
         elif isinstance(node, ast.alias):
-            out[node.name.rsplit(".", 1)[-1]] += 1
+            names[node.name.rsplit(".", 1)[-1]] += 1
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and id(node) not in docstrings):
-            out.update(re.findall(r"\w+", node.value))
-    return out
+            words.update(re.findall(r"\w+", node.value))
+    return names, attrs, words
 
 
 def _parse(path):
@@ -50,24 +54,43 @@ def _parse(path):
     return tree, _docstrings(tree)
 
 
+def _methods(tree) -> set:
+    """The ids of the functions defined directly in a class body."""
+    return {
+        id(item)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+
+
 def test_package_has_no_test_only_code():
     assert SOURCES and BENCH
-    uses = Counter()
+    every, reach = Counter(), Counter()
     defs = []
-    for path in SOURCES:
+    for path in SOURCES + BENCH:
         tree, docstrings = _parse(path)
-        uses += _uses(tree, docstrings)
+        names, attrs, words = _uses(tree, docstrings)
+        every += names + attrs + words
+        reach += attrs + (words if path in BENCH else Counter())
+        methods = _methods(tree)
         defs += [
-            (path.name, node, docstrings)
+            (path.name, node, docstrings, id(node) in methods)
             for node in ast.walk(tree)
-            if isinstance(node, _DEFS) and not node.name.startswith("__")
+            if path in SOURCES and isinstance(node, _DEFS) and not node.name.startswith("__")
         ]
-    for path in BENCH:
-        uses += _uses(*_parse(path))
+
+    def used(node, docstrings, is_method) -> int:
+        # a use inside the definition itself (recursion) does not count
+        names, attrs, words = _uses(node, docstrings)
+        if is_method:
+            return reach[node.name] - attrs[node.name]
+        return every[node.name] - (names + attrs + words)[node.name]
+
     unused = [
         f"{name}:{node.lineno} {node.name}"
-        for name, node, docstrings in defs
-        # a use inside the definition itself (recursion) does not count
-        if uses[node.name] == _uses(node, docstrings)[node.name]
+        for name, node, docstrings, is_method in defs
+        if not used(node, docstrings, is_method)
     ]
     assert unused == [], f"used only by the tests: {unused}"
