@@ -10,10 +10,13 @@ dictionary (C's as the product over the central word), and a word is the
 product of its letters' values, reversed for an anti-map, with the same
 normal form as the substituted word.  CanonMap is the induced
 endomorphism of the Weyl quotient, stored through its images of the
-double-affine-Weyl-group generators; composites of many letters stay
-cheap because elements are decomposed structurally (finite part by the
-element's reduced word, extracted once per element, lattice parts by
-coordinates) instead of by word substitution.
+double-affine-Weyl-group generators, kept by index (s0..sn, lam_A1..n,
+tau_a1..n) for apply; composites of many letters stay cheap because
+elements are decomposed structurally (finite part by the element's
+reduced word, extracted once per element, lattice parts by coordinates)
+instead of by word substitution.  A braid word is folded one syllable
+x^e at a time, each syllable the power canon(label, x, e) memoized with
+the basic maps.
 
 basic_involution_check takes every label: a starred label's matrices
 come from Gamma1(2)' and act through their level-one lift on the
@@ -207,6 +210,11 @@ class CanonMap:
         self.gen_images = gen_images
         self.src_ctx: DaweylContext = generator_dictionary(src).ctx
         self.dst_ctx: DaweylContext = generator_dictionary(dst).ctx
+        # the images apply reads, by index: s0..sn, lam_A1..n, tau_a1..n
+        n = self.src_ctx.n
+        self.s_images = [gen_images[f"s{i}"] for i in range(n + 1)]
+        self.lam_images = [gen_images[f"lam_A{i}"] for i in range(1, n + 1)]
+        self.tau_images = [gen_images[f"tau_a{i}"] for i in range(1, n + 1)]
 
     @classmethod
     def from_endo(cls, m: EndoMap) -> "CanonMap":
@@ -227,19 +235,15 @@ class CanonMap:
         if g.ctx is not ctx:
             raise ValueError("element is not in the source group")
         out_ctx = self.dst_ctx
-        img = self.gen_images
         k = g.k
         if k.denominator != 1:
             raise ValueError("CanonMap.apply needs an integral tau_delta exponent")
 
-        w_parts = [img[f"s{i}"] for i in g.reduced_word]
-        lam_parts = [
-            img[f"lam_A{i + 1}"] ** c for i, c in enumerate(g.mu_coords) if c
-        ]
-        tau_parts = [
-            img[f"tau_a{i + 1}"] ** c for i, c in enumerate(g.beta_coords) if c
-        ]
-        delta_parts = [img["tau_delta"] ** int(k)] if k else []
+        s = self.s_images
+        w_parts = [s[i] for i in g.reduced_word]
+        lam_parts = [x ** c for x, c in zip(self.lam_images, g.mu_coords) if c]
+        tau_parts = [x ** c for x, c in zip(self.tau_images, g.beta_coords) if c]
+        delta_parts = [self.gen_images["tau_delta"] ** int(k)] if k else []
         if not self.anti:
             return product(out_ctx, w_parts + lam_parts + tau_parts + delta_parts)
         return product(
@@ -267,11 +271,19 @@ class CanonMap:
 _CANON_CACHE: dict = {}
 
 
-def canon(label_name: str, kind: str) -> CanonMap:
-    """Cached canonical maps: kind in {a, b, e, a_inv, b_inv, id}."""
-    key = (label_name, kind)
+def canon(label_name: str, kind: str, e: int = 1) -> CanonMap:
+    """Cached canonical maps: kind in {a, b, e, a_inv, b_inv, id}, and
+    for e > 1 the e-th power of the map, by square-and-multiply from the
+    cached smaller powers."""
+    key = (label_name, kind) if e == 1 else (label_name, kind, e)
     if key not in _CANON_CACHE:
-        if kind == "id":
+        if e > 1:
+            half = canon(label_name, kind, e // 2)
+            square = half.compose(half)
+            _CANON_CACHE[key] = square.compose(canon(label_name, kind)) if e % 2 else square
+        elif e < 1:
+            raise ValueError(f"no power {e} of a canonical map")
+        elif kind == "id":
             _CANON_CACHE[key] = CanonMap.identity(label_name)
         else:
             maker = {
@@ -288,13 +300,16 @@ def canon(label_name: str, kind: str) -> CanonMap:
 def evaluate_braid(word, label_name: str) -> CanonMap:
     """Fold a braid word (letters 'a'/'b' with exponents) into a CanonMap:
     the product l1 l2 ... acts as the composition l1 o l2 o ..., built by
-    composing on the right."""
-    out = canon(label_name, "id")
+    composing on the right, one syllable x^e at a time as the cached
+    power canon(label, x, e) (x^-1 for e < 0).  The empty word is the
+    identity map."""
+    out = None
     for letter, e in word:
-        kind = letter if e > 0 else f"{letter}_inv"
-        for _ in range(abs(e)):
-            out = out.compose(canon(label_name, kind))
-    return out
+        if not e:
+            continue
+        power = canon(label_name, letter if e > 0 else f"{letter}_inv", abs(e))
+        out = power if out is None else out.compose(power)
+    return canon(label_name, "id") if out is None else out
 
 
 def braid_identity_check(label_name: str) -> list[tuple]:

@@ -314,14 +314,29 @@ class DaweylElement:
         return inverse
 
     def __pow__(self, e: int) -> "DaweylElement":
-        # Square-and-multiply with no identity factor: g**1 is g itself
-        # and g**e costs at most 2 log2(e) multiplications.
+        # g**1 is g itself and g**-1 its cached inverse.  A translation
+        # (w = 1) has a closed form: the product rule (1, mu, beta, k)(1,
+        # mu', beta', k') = (1, mu + mu', beta + beta', k + k' + (beta,
+        # mu')) gives g**e = (e mu, e beta, e k + e(e - 1)/2 (beta, mu))
+        # for every integer e, with one pairing and no multiplication.
+        # Otherwise square-and-multiply with no identity factor, at most
+        # 2 log2(e) multiplications.
+        if e == 1:
+            return self
+        if e == -1:
+            return self.inv()
+        if e and self.w.is_identity():
+            mu, beta = self.mu_coords, self.beta_coords
+            k = e * self.k
+            if any(mu) and any(beta):
+                k += e * (e - 1) // 2 * self.ctx.pairing_int(beta, mu)
+            return DaweylElement(
+                self.ctx, self.w, tuple(e * c for c in mu), tuple(e * c for c in beta), k
+            )
         if e < 0:
             return self.inv() ** (-e)
         if e == 0:
             return self.ctx.identity()
-        if e == 1:
-            return self
         half = self ** (e // 2)
         square = half * half
         return square * self if e % 2 else square

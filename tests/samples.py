@@ -35,3 +35,22 @@ def upsilon_samples(r: int, count: int, bound: int = 30, seed: int = 0):
     if len(out) < count:
         raise RuntimeError("not enough Upsilon samples")
     return out
+
+
+def upsilon_prime_samples(count: int, bound: int = 30, seed: int = 42):
+    """Deterministic pseudo-random Upsilon_1(2)' members (b even, c = -b)
+    with entries bounded by `bound`."""
+    rng = random.Random(seed)
+    out: list = []
+    while len(out) < count:
+        b = 2 * rng.randint(-5, 5)
+        target = 1 - b * b
+        divisors = [a for a in range(-bound, bound + 1) if a and target % a == 0
+                    and abs(target // a) <= bound]
+        if not divisors:
+            continue
+        a = rng.choice(divisors)
+        m = Mat2(a, b, -b, target // a)
+        if m.det() == 1 and member(m, "Upsilon1'", 2):
+            out.append(m)
+    return out

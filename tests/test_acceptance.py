@@ -7,9 +7,9 @@ import time
 from fractions import Fraction
 
 from dawcox import autoaction, cli, congruence, dagroup, diagrams
-from dawcox.congruence import I2, U12, U21, Mat2
+from dawcox.congruence import I2, U12, U21
 from paper_tables import SPECIALIZATION_COUNTS, row_name
-from samples import upsilon_samples
+from samples import upsilon_prime_samples, upsilon_samples
 
 
 def _report(num, ok, detail, elapsed=None):
@@ -138,20 +138,7 @@ def test_criterion_6_basic_involutions():
         if neg["involution"] or neg["upsilon_member"]:
             failures.append((name, "u21^{2r} should fail", neg))
     # Upsilon_1(2)' acting on the starred C2 family.
-    rng = random.Random(42)
-    count = 0
-    while count < 20:
-        b = 2 * rng.randint(-5, 5)
-        target = 1 - b * b
-        divisors = [a for a in range(-30, 31) if a and target % a == 0
-                    and abs(target // a) <= 30]
-        if not divisors:
-            continue
-        a = rng.choice(divisors)
-        m = Mat2(a, b, -b, target // a)
-        if m.det() != 1 or not congruence.member(m, "Upsilon1'", 2):
-            continue
-        count += 1
+    for m in upsilon_prime_samples(20, bound=30, seed=42):
         out = autoaction.basic_involution_check_cstar(m, 2)
         if not out["involution"]:
             failures.append(("dddotC2star", str(m), out))

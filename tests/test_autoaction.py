@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 
 import pytest
 
@@ -201,6 +202,23 @@ def test_cstar_restriction(n, monkeypatch):
     monkeypatch.setattr(autoaction, "b_inv_map", lambda name: b_inv)
     monkeypatch.setattr(autoaction, "a_map", autoaction.identity_map)
     assert _failed(cstar_restriction_check(f"dddotC{n}star")) == ["a preserves C = Theta02^2"]
+
+
+@pytest.mark.parametrize("name", ["dddotA1", "ddotB2", "ddotC3", "ddotB3", "ddotG2", "dddotC2"])
+def test_syllable_fold_matches_the_letter_fold(name):
+    # evaluate_braid folds each syllable x^e as the cached power
+    # canon(name, x, |e|); composing the letters one at a time must give
+    # the same map
+    rng = random.Random(f"syllables {name}")
+    assert evaluate_braid([], name).gen_images == canon(name, "id").gen_images
+    for _ in range(6):
+        word = [(rng.choice("ab"), rng.choice((-1, 1)) * rng.randint(1, 5))
+                for _ in range(rng.randint(1, 4))]
+        letters = [canon(name, x if e > 0 else f"{x}_inv") for x, e in word for _ in range(abs(e))]
+        folded = reduce(CanonMap.compose, letters)
+        M = evaluate_braid(word, name)
+        assert (M.src, M.dst, M.anti) == (folded.src, folded.dst, folded.anti)
+        assert M.gen_images == folded.gen_images, word
 
 
 def test_homomorphism_property_random_words():

@@ -69,6 +69,19 @@ def test_params_a1_has_one_rank(capsys, rank):
     assert (payload["generic_count"], payload["final_count"]) == (4, 1)
 
 
+@pytest.mark.parametrize("system,n", [("Cn(1)", 1), ("(BCn,Cn)", 1), ("Dn+1(2)", 2)])
+def test_params_below_the_least_rank(capsys, system, n):
+    code, out, err = run(capsys, "params", "--system", system, "--n", str(n))
+    assert (code, out) == (2, "")
+    assert "n >= " in err
+
+
+@pytest.mark.parametrize("system,count", [("(Cn^,Cn)", 4), ("A2n(2)", 2), ("(Cn^,BCn)", 3)])
+def test_params_rank_one_collapses(capsys, system, count):
+    code, out, _ = run(capsys, "params", "--system", system, "--n", "1")
+    assert code == 0 and json.loads(out)["final_count"] == count
+
+
 def test_params_unknown(capsys):
     code, _, err = run(capsys, "params", "--system", "X9(9)")
     assert code == 2

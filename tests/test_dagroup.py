@@ -445,8 +445,8 @@ def _epsilon_matrix_a(n):
 def _epsilon_map(n):
     """The matrix of T: the A-columns times the inverse of the C-columns."""
     eps_c, eps_a = _epsilon_matrix_c(n), _epsilon_matrix_a(n)
-    cols_c = [[eps_c[j][i] for j in range(n)] for i in range(n)]
-    cols_a = [[eps_a[j][i] for j in range(n)] for i in range(n)]
+    cols_c = tuple(tuple(eps_c[j][i] for j in range(n)) for i in range(n))
+    cols_a = tuple(tuple(eps_a[j][i] for j in range(n)) for i in range(n))
     return mat_mul(cols_a, mat_inv(cols_c))
 
 

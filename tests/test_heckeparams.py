@@ -45,9 +45,15 @@ def test_table5_via_nonreduced(system, n, count):
     reduced = hp.nonreduced_to_reduced(system)
     rule = hp.specialize(system, n)
     assert rule.final_count == count
-    # the nonreduced system's double affine group matches the reduced one
-    rule2 = hp.specialize(reduced, n)
-    assert rule2.algebra == rule.algebra
+    # the nonreduced system's double affine group matches the reduced one;
+    # (C1^,C1) reduces to C1(1) = A1(1), a rank Table 4 states no Cn(1) count for
+    reduced_row = hp.TABLE4[reduced]
+    if n is not None and n < reduced_row.least and n not in reduced_row.collapses:
+        with pytest.raises(UnknownTypeError, match=f"n >= {reduced_row.least}"):
+            hp.specialize(reduced, n)
+        assert str(diagrams.parse(reduced_row.algebra.format(n=n))) == rule.algebra
+    else:
+        assert hp.specialize(reduced, n).algebra == rule.algebra
     row = row_name(system, n)
     record = _records(rule.algebra)[f"Table 5 {row} gives the algebra of {reduced}"]
     assert record == (rule.algebra, rule.algebra)
@@ -72,6 +78,21 @@ def test_empty_rules():
         hp.specialize("H3(1)")
     with pytest.raises(UnknownTypeError):
         hp.specialize("Cn(1)")  # missing rank
+
+
+@pytest.mark.parametrize("system,n,least", [
+    ("Cn(1)", 1, 2), ("Cn(1)", 0, 2), ("(BCn,Cn)", 1, 2),
+    ("Dn+1(2)", 2, 3), ("A2n-1(2)", 2, 3), ("(Bn,Bn^)", 2, 3),
+])
+def test_specialize_refuses_ranks_below_the_row(system, n, least):
+    # Table 4 states these rows from rank `least` on, with no collapse below
+    with pytest.raises(UnknownTypeError, match=f"n >= {least}"):
+        hp.specialize(system, n)
+
+
+@pytest.mark.parametrize("system,count", [("(Cn^,Cn)", 4), ("A2n(2)", 2), ("(Cn^,BCn)", 3)])
+def test_specialize_answers_the_rank_one_collapses(system, count):
+    assert hp.specialize(system, 1).final_count == count
 
 
 def test_quadratic_relations():

@@ -4,7 +4,8 @@ against the affine action oracle `act`."""
 
 import random
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import mul
 
 import pytest
 
@@ -281,3 +282,58 @@ def test_translation_factors_build_no_weyl_inverse(label, monkeypatch):
     g = next(g for g in lefts if any(g.mu_coords) or any(g.beta_coords))
     assert ref_equal(g * s1, ref_mul(rs, ref_of(g), ref_of(s1)))
     assert built == [s1.w]
+
+
+def _translations(rng, ctx, count):
+    """Seeded translations (w = 1): lam_{A_i}^a tau_{a_j}^b times a
+    random word in the translation generators, so that the pairing (beta,
+    mu) of the closed form is rarely zero, times tau_delta^(1/2) in a
+    half-delta context."""
+    gens = [h for h in _generators(ctx) if h.w.is_identity()]
+    out = []
+    for _ in range(count):
+        i, j = rng.randint(1, ctx.n), rng.randint(1, ctx.n)
+        g = ctx.generator(f"lam_A{i}") ** rng.choice((-2, -1, 1, 2))
+        g = g * ctx.generator(f"tau_a{j}") ** rng.choice((-2, -1, 1, 2))
+        for h, e in _word(rng, gens, rng.randint(0, 4)):
+            g = g * h**e
+        out.append(g * ctx.tau_delta(Fraction(1, 2)) if ctx.half_delta else g)
+    return out
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_powers_match_repeated_products(label, monkeypatch):
+    # g**e against the fold of |e| copies of g or g^-1 made with *, for
+    # translations (the closed form) and for general elements
+    # (square-and-multiply)
+    rng = random.Random(f"powers {label}")
+    exponents = range(-7, 8)
+    for ctx in _contexts(label):
+        translations = _translations(rng, ctx, 4)
+        general = [ctx.identity()]
+        for _ in range(4):
+            for h, e in _word(rng, _generators(ctx), rng.randint(1, 5)):
+                general.append(general[-1] * h**e)
+        for g in translations + general[1:]:
+            assert g**0 == ctx.identity()
+            assert g**1 is g
+            for e in exponents:
+                if e:
+                    factor = g if e > 0 else g.inv()
+                    assert g**e == reduce(mul, [factor] * abs(e)), (label, g, e)
+        assert all(g.w.is_identity() for g in translations)
+        assert any(ctx.pairing_int(g.beta_coords, g.mu_coords) for g in translations)
+        assert all((g.k.__class__ is Fraction) == ctx.half_delta for g in translations)
+        calls = []
+        real = DaweylElement.__mul__
+
+        def counted(self, other):
+            calls.append(1)
+            return real(self, other)
+
+        monkeypatch.setattr(DaweylElement, "__mul__", counted)
+        for g in translations:
+            for e in exponents:
+                g**e
+        assert calls == [], label
+        monkeypatch.undo()
