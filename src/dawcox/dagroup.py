@@ -2,19 +2,23 @@
 * tau_delta^k.
 
 mu lives in the lattice M (spanned by A_i = e_i alpha_i), beta in the
-nu-image of the finite coroot lattice, and k is the central tau_delta
-exponent (a half-integer only in the central extension used for the
-A_{2n}^(2) comparison).  An element is built from, and stores, w as an
-integer matrix, mu and beta as their integer coordinates in the bases
-A_i and nu(alpha_i^v), and k as an int whenever it is integral: one
-constructor, DaweylElement(ctx, w, mu_coords, beta_coords, k).  Ambient
-vectors enter only through DaweylContext.lam and DaweylContext.tau,
-which raise ValueError off the lattice; the ambient mu and beta are
-formed on demand.  Multiplication moves factors into this order using
-the semidirect relations, with w acting on the coordinates by the
-integer matrices of WeylElement; the commutation of lam and tau picks up
-the cocycle tau_delta^{(beta, mu)}, read from the root system's integer
-pairing table.
+nu-image of the finite coroot lattice (spanned by nu(alpha_i^v) = d_i
+alpha_i), and k is the central tau_delta exponent (a half-integer only
+in the central extension used for the A_{2n}^(2) comparison).  Both
+bases are multiples of the simple roots, and the root system states
+their diagonals once, as rs.lattice_diagonals; everything here that
+reads a basis reads that pair.  An element is built from, and stores, w
+as an integer matrix, mu and beta as their integer coordinates in the
+bases A_i and nu(alpha_i^v), and k as an int whenever it is integral:
+one constructor, DaweylElement(ctx, w, mu_coords, beta_coords, k).
+Ambient vectors enter only through DaweylContext.lam and
+DaweylContext.tau, which divide by the diagonals and raise ValueError
+off the lattice; the ambient mu and beta are formed on demand.
+Multiplication moves factors into this order using the semidirect
+relations, with w acting on the coordinates by the integer matrices of
+WeylElement; the commutation of lam and tau picks up the cocycle
+tau_delta^{(beta, mu)}, read from the root system's integer pairing
+table.
 
 The defining affine action on the weight space is implemented
 independently of the multiplication and serves as its oracle: the linear
@@ -25,12 +29,12 @@ standard formula
 
 while tau_beta is the honest translation by beta.  It too works on
 integers: the point's numerators over one common denominator per call,
-and its own table of the finite Gram block and the lattice bases,
-DaweylContext.action_table, built from the Gram matrix and the basis
-vectors alone.  It reads none of the multiplication's integer tables
-(the pairing table, the lattice scales, the Weyl elements' lattice
-matrices and inverses), so that a fault in one route shows up as a
-disagreement with the other.
+and its own table of the finite Gram block and the lattice diagonals,
+DaweylContext.action_table, built from the Gram matrix and the diagonals
+alone.  It reads none of the multiplication's integer tables (the
+pairing table, the lattice scales, the Weyl elements' lattice matrices
+and inverses), so that a fault in one route shows up as a disagreement
+with the other.
 
 The comparison morphism from C_n^(1) into the half-delta extension of
 A_{2n}^(2) is the identity on Weyl matrices and lattice coordinates and
@@ -48,14 +52,12 @@ from .rootsys import (
     AffineLabel,
     RootSystemData,
     Vec,
-    as_int,
     build,
-    diagonal_scales,
+    clear_denominators,
     exact_quotient,
     parse_label,
     vadd,
     vneg,
-    vscale,
     vsub,
     vzero,
 )
@@ -86,10 +88,6 @@ class DaweylContext:
         self.c_root = rs.theta if not rs.is_twisted_proper() else rs.phi
         self.s_c = reflect(rs, self.c_root)
         self.nu_c_v = rs.coroot(self.c_root)
-        # the bases of M and nu(Q^v), built and checked diagonal once here
-        self._kernel_bases = rs.m_basis(), rs.qcheck_basis()
-        for basis in self._kernel_bases:
-            diagonal_scales(basis)
 
     @property
     def n(self) -> int:
@@ -114,27 +112,20 @@ class DaweylContext:
     def theta_v_coords(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The coordinates of nu(theta^v) in M and in nu(Q^v), which s_0
         and tau_alpha0 read."""
-        rs = self.rs
-        return (
-            self.coords(self.nu_theta_v, rs.m_basis()),
-            self.coords(self.nu_theta_v, rs.qcheck_basis()),
-        )
+        m, q = self.rs.lattice_diagonals
+        return self.coords(self.nu_theta_v, m), self.coords(self.nu_theta_v, q)
 
     def identity(self) -> "DaweylElement":
         return DaweylElement(self, self.wg.id, self.zero_coords, self.zero_coords, 0)
 
-    def coords(self, x: Vec, basis) -> tuple[int, ...]:
-        """Integer coordinates of x in a diagonal lattice basis b_i = c_i
-        alpha_i, as the bases of M and nu(Q^v) are; ValueError if x is not
-        in the lattice or the basis is not diagonal."""
+    def coords(self, x: Vec, diag) -> tuple[int, ...]:
+        """Integer coordinates of x in the lattice basis diag[i] alpha_i,
+        diag one of rs.lattice_diagonals; ValueError if x is not in the
+        lattice."""
         if not any(x):
             return self.zero_coords
-        m, q = self._kernel_bases
-        if basis is not m and basis is not q:
-            diagonal_scales(basis)
         n = self.n
-        diag = [v[i] for i, v in enumerate(basis)]
-        # x_i / b_i as an exact divmod of numerators and denominators
+        # x_i / diag_i as an exact divmod of numerators and denominators
         coords = [divmod(a.numerator * b.denominator, a.denominator * b.numerator)
                   for a, b in zip(x, diag)]
         if any(x[n:]) or any(r for _, r in coords):
@@ -153,11 +144,11 @@ class DaweylContext:
         return self.w(self.wg.simples[i - 1])
 
     def lam(self, mu: Vec) -> "DaweylElement":
-        mu_coords = self.coords(mu, self.rs.m_basis())
+        mu_coords = self.coords(mu, self.rs.lattice_diagonals[0])
         return DaweylElement(self, self.wg.id, mu_coords, self.zero_coords, 0)
 
     def tau(self, beta: Vec) -> "DaweylElement":
-        beta_coords = self.coords(beta, self.rs.qcheck_basis())
+        beta_coords = self.coords(beta, self.rs.lattice_diagonals[1])
         return DaweylElement(self, self.wg.id, self.zero_coords, beta_coords, 0)
 
     def tau_delta(self, k=1) -> "DaweylElement":
@@ -198,9 +189,14 @@ class DaweylContext:
         over one common denominator L: G[i] lists the non-zero (j, L
         (alpha_i, A_j)), the finite Gram block times the diagonal of the
         M basis; M and Q are L times the diagonals of the bases of M and
-        nu(Q^v).  It is built from the Gram matrix, delta and the basis
-        vectors only, never from the multiplication's integer tables, so
-        that the action stays an independent oracle."""
+        nu(Q^v).  It reads the Gram matrix, delta and rs.lattice_diagonals
+        only, and none of the multiplication's integer tables (the pairing
+        table, the lattice scales, the Weyl elements' lattice matrices and
+        inverses), which come from the finite Cartan matrix, the form S
+        and the diagonals: a fault in any of those tables shows up as a
+        disagreement between the product and the action.  The two routes
+        share only the diagonals, the statement of the bases themselves,
+        which the tests check against the bases' definitions."""
         rs = self.rs
         n = rs.n
         gram = rs.gram
@@ -214,18 +210,14 @@ class DaweylContext:
             or any(row[n + 1] for row in gram[:n])
         ):
             raise ValueError("the form is not laid out as (alpha_i, delta, Lambda0)")
-        m_basis, q_basis = self._kernel_bases
-        m_diag = [b[i] for i, b in enumerate(m_basis)]
-        q_diag = [b[i] for i, b in enumerate(q_basis)]
-        gm = [[gram[i][j] * m for j, m in enumerate(m_diag)] for i in range(n)]
-        den = math.lcm(*(x.denominator for x in (*m_diag, *q_diag, *sum(gm, []))))
+        m, q = rs.lattice_diagonals
+        gm = [gram[i][j] * x for i in range(n) for j, x in enumerate(m)]
+        nums, den = clear_denominators([*m, *q, *gm])
         gm = tuple(
-            tuple((j, as_int(den * x, "scaled pairing")) for j, x in enumerate(row) if x)
-            for row in gm
+            tuple((j, x) for j, x in enumerate(nums[(i + 2) * n:(i + 3) * n]) if x)
+            for i in range(n)
         )
-        m_num = tuple(as_int(den * x, "scaled M basis") for x in m_diag)
-        q_num = tuple(as_int(den * x, "scaled coroot basis") for x in q_diag)
-        return den, gm, m_num, q_num
+        return den, gm, tuple(nums[:n]), tuple(nums[n:2 * n])
 
     def pairing_int(self, beta: tuple[int, ...], mu: tuple[int, ...]) -> int:
         """(beta, mu) from lattice coordinates of beta and mu."""
@@ -234,6 +226,12 @@ class DaweylContext:
             for b, row in zip(beta, self.rs.pairing_table)
             if b
         )
+
+
+def _ambient(coords, diag) -> Vec:
+    """The ambient vector sum_i coords[i] diag[i] alpha_i of a lattice
+    with the basis diag[i] alpha_i."""
+    return tuple([c * x for c, x in zip(coords, diag)]) + vzero(2)
 
 
 def _exponent(k):
@@ -260,12 +258,12 @@ class DaweylElement:
     @cached_property
     def mu(self) -> Vec:
         """mu as an ambient vector."""
-        return self.ctx.rs.combine(self.mu_coords, self.ctx.rs.m_basis())
+        return _ambient(self.mu_coords, self.ctx.rs.lattice_diagonals[0])
 
     @cached_property
     def beta(self) -> Vec:
         """beta as an ambient vector."""
-        return self.ctx.rs.combine(self.beta_coords, self.ctx.rs.qcheck_basis())
+        return _ambient(self.beta_coords, self.ctx.rs.lattice_diagonals[1])
 
     def __repr__(self) -> str:
         return f"DaweylElement({self.describe()})"
@@ -374,8 +372,7 @@ class DaweylElement:
         # denominator of k.  Only the n + 1 results become Fractions.
         den, gm, m_num, q_num = self.ctx.action_table
         n = len(m_num)
-        d = math.lcm(*[x.denominator for x in p])
-        xs = [x.numerator * (d // x.denominator) for x in p]
+        xs, d = clear_denominators(p)
         level, x_delta = xs[n + 1], xs[n]
         y = [den * x for x in xs[:n]]
         if any(self.beta_coords):
@@ -517,15 +514,14 @@ class AffineWalk:
                 break
         else:
             raise RuntimeError("no interior base point found")
-        # the base point, L x, and L times the diagonals of the lattice bases
-        m_diag, q_diag = ([b[i] for i, b in enumerate(basis)] for basis in ctx._kernel_bases)
+        # L times the diagonals of the lattice bases, and the base point L
+        # x, with L a multiple of the base point's denominator
+        m, q = rs.lattice_diagonals
         base_den = 2 * d * self.denom
-        self.scale = scale = math.lcm(base_den, *(x.denominator for x in m_diag + q_diag))
+        nums, self.scale = clear_denominators(m + q, base_den)
+        self.m_num, self.q_num = nums[:n], nums[n:]
         base = mat_vec(t, [s[j][j] * v for j, v in enumerate(self.base_values)])
-        self.base = [x * (scale // base_den) for x in base]
-        self.m_num, self.q_num = (
-            [x.numerator * (scale // x.denominator) for x in diag] for diag in (m_diag, q_diag)
-        )
+        self.base = [x * (self.scale // base_den) for x in base]
 
     def _values_of(self, g: DaweylElement) -> list[int]:
         """The scaled wall values of the image of the base point under g
@@ -606,7 +602,7 @@ def verify_bernstein_relations(label) -> list[tuple]:
     n = rs.n
     records = []
 
-    simple_cor = rs.simple_coroots()
+    simple_cor = rs.qcheck_basis()
     s = [ctx.s(i) for i in range(n + 1)]
     s0 = s[0]
 
@@ -712,11 +708,10 @@ class A2n2Comparison:
         # unchanged, and the A_{2n}^(2) bases of M and nu(Q^v) are half the
         # C_n^(1) ones, so lattice coordinates carry over too.
         rs_c, rs_a = self.src.rs, self.dst.rs
-        half = Fraction(1, 2)
         if rs_c.finite_cartan != rs_a.finite_cartan or any(
-            a != vscale(half, c)
-            for basis in ("m_basis", "qcheck_basis")
-            for a, c in zip(getattr(rs_a, basis)(), getattr(rs_c, basis)())
+            2 * a != c
+            for diag_a, diag_c in zip(rs_a.lattice_diagonals, rs_c.lattice_diagonals)
+            for a, c in zip(diag_a, diag_c)
         ):
             raise ValueError("the epsilon dictionary is not half the identity")
 

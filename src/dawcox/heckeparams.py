@@ -73,7 +73,7 @@ class Row(NamedTuple):
 
     algebra: str  # the double affine label; "{n}" is the rank
     identifications: tuple = ()  # node pairs merged; "Tn" is the last finite node
-    least: int | None = None  # Table 4 states the row for n >= least (None: with no n)
+    least: int | None = None  # Table 4 states the row for n >= least (None: no least rank)
     count: int | None = None  # Table 4's final count (None: the row is not in Table 4)
     collapses: dict = {}  # rank -> final count, at the ranks below `least`
     reduced: str | None = None  # Table 5: a nonreduced system's reduced one
@@ -93,8 +93,8 @@ TABLE4 = {
     "Dn+1(2)": Row("ddotB{n}", (("Theta0", "Tn"),), 3, 2),
     "A2n-1(2)": Row("ddotC{n}", (("Phi0", "Tn"),), 3, 2),
     "(Bn,Bn^)": Row("ddotC{n}", (), 3, 3, reduced="A2n-1(2)"),
-    # Reduced systems with no specialization necessary.
-    "An(1)": Row("dddotA{n}"), "Bn(1)": Row("dddotB{n}"), "Dn(1)": Row("dddotD{n}"),
+    # Reduced systems with no specialization necessary; A1(1) is its own row.
+    "An(1)": Row("dddotA{n}", least=2), "Bn(1)": Row("dddotB{n}"), "Dn(1)": Row("dddotD{n}"),
     "E6(1)": Row("dddotE6"), "E7(1)": Row("dddotE7"), "E8(1)": Row("dddotE8"),
     "F4(1)": Row("dddotF4"), "G2(1)": Row("dddotG2"), "E6(2)": Row("ddotF4"),
     "D4(3)": Row("ddotG2"),
@@ -118,7 +118,8 @@ def _algebra(row: Row, n: int | None) -> DoubleAffineLabel:
 
 def specialize(system: str, n: int | None = None) -> SpecializationRule:
     """The parameter specialization for an affine root system label like
-    'Cn(1)', 'A2n(2)', '(Cn^,Cn)', 'D n+1(2)'; n supplies the rank."""
+    'Cn(1)', 'A2n(2)', '(Cn^,Cn)', 'D n+1(2)'; n supplies the rank, which
+    a row of fixed rank ('A1(1)', 'E6(1)') takes as given or omitted."""
     key = normalize_system(system)
     if key not in TABLE4:
         raise UnknownTypeError(f"no specialization rule for {system!r}")
@@ -128,6 +129,8 @@ def specialize(system: str, n: int | None = None) -> SpecializationRule:
     if n is not None and row.least is not None and n < row.least and n not in row.collapses:
         raise UnknownTypeError(f"Table 4 states {system} for n >= {row.least}, not n = {n}")
     lab = _algebra(row, n)
+    if n is not None and "{n}" not in row.algebra and n != lab.rank:
+        raise UnknownTypeError(f"Table 4 states {system} at n = {lab.rank} only, not n = {n}")
     symbol_of = param_assignment(lab).symbol_of
 
     def sub(node: str) -> str:

@@ -354,7 +354,7 @@ def psi_words(gd: GeneratorDictionary) -> dict:
     out["tau_delta"] = C_WORD
     for i, mu in enumerate(rs.m_basis(), start=1):
         out[f"lam_A{i}"] = _word_of_indices(lam_word(ctx, mu), lam_letter)
-    for i, beta in enumerate(rs.simple_coroots(), start=1):
+    for i, beta in enumerate(rs.qcheck_basis(), start=1):
         out[f"tau_a{i}"] = _word_of_indices(tau_word(ctx, beta), tau_letter)
     return out
 

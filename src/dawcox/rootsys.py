@@ -4,16 +4,20 @@ Public vectors are Fraction tuples in the coordinate basis (alpha_1,
 ..., alpha_n, delta, Lambda0) of the affine weight space; arithmetic on
 finite vectors runs on integer simple-root coordinates and the integer
 form S = l (finite Gram block).  The lattices M and nu(Q^v) have bases
-of multiples of the simple roots; their integer scales and the integer
-pairing table between them are what the double affine Weyl kernel
-computes with.  The affine Cartan matrices follow Kac's Tables Aff 1-3
-with his conventional node numbering (node 0 is the affine node), in
-one table keyed by the Kac label that stores the marks with each entry;
-comarks, the symmetrizing weights d_i, the lattices M and nu(Q^v), and
-the distinguished roots theta, phi, theta', phi' are all derived from
-them.  The positive roots and the highest root phi come from the finite
-Cartan matrix in integers, so each label's RootSystemData is built in
-one pass with its final values.
+of multiples of the simple roots, A_i = e_i alpha_i and nu(alpha_i^v) =
+d_i alpha_i, and RootSystemData.lattice_diagonals states the two
+diagonals (e_i) and (d_i) once: the basis vectors, their integer scales
+and the integer pairing table between the lattices, which the double
+affine Weyl kernel computes with, are all read from that pair.
+clear_denominators is the one way rationals are put over a common
+denominator for integer arithmetic.  The affine Cartan matrices follow
+Kac's Tables Aff 1-3 with his conventional node numbering (node 0 is the
+affine node), in one table keyed by the Kac label that stores the marks
+with each entry; comarks, the symmetrizing weights d_i, the lattices M
+and nu(Q^v), and the distinguished roots theta, phi, theta', phi' are
+all derived from them.  The positive roots and the highest root phi
+come from the finite Cartan matrix in integers, so each label's
+RootSystemData is built in one pass with its final values.
 """
 
 from __future__ import annotations
@@ -67,6 +71,20 @@ def exact_quotient(a: int, b: int, what: str) -> int:
     if r:
         raise ValueError(f"{what}: {Fraction(a, b)} is not an integer")
     return q
+
+
+def clear_denominators(xs, den: int = 1) -> tuple[list[int], int]:
+    """(nums, L) with xs[i] = nums[i] / L for a sequence of ints and
+    Fractions, L the least multiple of den that clears every denominator."""
+    lcd = math.lcm(den, *[x.denominator for x in xs])
+    return [x.numerator * (lcd // x.denominator) for x in xs], lcd
+
+
+def _clear_matrix(a) -> tuple:
+    """(N, L) with the square matrix a = N / L, L least: N a tuple of int rows."""
+    n = len(a)
+    nums, lcd = clear_denominators([x for row in a for x in row])
+    return tuple(tuple(nums[i:i + n]) for i in range(0, n * n, n)), lcd
 
 
 def mat_vec(a, v) -> tuple:
@@ -301,13 +319,6 @@ class RootSystemData:
 
     # -- distinguished data -------------------------------------------
 
-    def simple_coroots(self) -> tuple[Vec, ...]:
-        return self._simple_coroots
-
-    @cached_property
-    def _simple_coroots(self) -> tuple[Vec, ...]:
-        return tuple(self.coroot(a) for a in self.simple_roots)
-
     def primed(self, theta: Vec, phi: Vec) -> tuple[Vec, Vec]:
         """theta' = phi - theta and phi' = (phi, theta^v) theta - phi =
         -s_theta(phi), whose coroot is theta^v - phi^v."""
@@ -317,36 +328,44 @@ class RootSystemData:
         """Twisted and not A_{2n}^(2): theta short, phi long, distinct."""
         return self.theta != self.phi
 
-    def m_basis(self) -> tuple[Vec, ...]:
-        """A_i = e_i alpha_i, a basis of the lattice M."""
-        return self._m_basis
-
     @cached_property
-    def _m_basis(self) -> tuple[Vec, ...]:
+    def lattice_diagonals(self) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+        """(m, q): the bases of M and nu(Q^v) are A_i = m_i alpha_i and
+        nu(alpha_i^v) = q_i alpha_i.  m_i = e_i, and q_i = d_i, since
+        (alpha_i, alpha_i) = 2 / d_i makes 2 alpha_i / (alpha_i, alpha_i)
+        = d_i alpha_i."""
+        return self.cartan.e[1:], self.cartan.d[1:]
+
+    def _simple_root_multiples(self, diag) -> tuple[Vec, ...]:
+        """The ambient vectors diag[i] alpha_i."""
         return tuple(
-            vscale(self.cartan.e[i + 1], a) for i, a in enumerate(self.simple_roots)
+            tuple(x if i == j else _F0 for j in range(self.dim)) for i, x in enumerate(diag)
         )
 
+    def m_basis(self) -> tuple[Vec, ...]:
+        """A_i = e_i alpha_i, a basis of the lattice M."""
+        return self._simple_root_multiples(self.lattice_diagonals[0])
+
     def qcheck_basis(self) -> tuple[Vec, ...]:
-        """nu(alpha_i^v), a basis of nu(Q^v) of the finite system."""
-        return self.simple_coroots()
+        """nu(alpha_i^v) = d_i alpha_i, a basis of nu(Q^v) of the finite system."""
+        return self._simple_root_multiples(self.lattice_diagonals[1])
 
     @cached_property
     def m_scales(self) -> tuple[int, ...]:
         """Integer scales E with A_i = (E_i / L) alpha_i for one common L."""
-        return diagonal_scales(self.m_basis())
+        return tuple(clear_denominators(self.lattice_diagonals[0])[0])
 
     @cached_property
     def qcheck_scales(self) -> tuple[int, ...]:
         """Integer scales F with nu(alpha_i^v) = (F_i / L') alpha_i."""
-        return diagonal_scales(self.qcheck_basis())
+        return tuple(clear_denominators(self.lattice_diagonals[1])[0])
 
     @cached_property
     def pairing_table(self) -> tuple[tuple[int, ...], ...]:
         """P[i][j] = (nu(alpha_i^v), A_j): the tau_delta cocycle (beta, mu)
         in lattice coordinates is sum_ij beta_i P[i][j] mu_j.  With A_j =
         m_j alpha_j, P[i][j] = m_j <alpha_i^v, alpha_j> = m_j A[i][j]."""
-        m = [b[i] for i, b in enumerate(self.m_basis())]
+        m = self.lattice_diagonals[0]
         return tuple(
             tuple(exact_quotient(x.numerator * a, x.denominator, "pairing table")
                   for x, a in zip(m, row))
@@ -364,9 +383,7 @@ class RootSystemData:
     def int_form(self) -> tuple:
         """(S, l): S = l (finite Gram matrix), integral for the least l."""
         n = self.n
-        gram = [row[:n] for row in self.gram[:n]]
-        lcd = math.lcm(*(x.denominator for row in gram for x in row))
-        return tuple(tuple(x.numerator * (lcd // x.denominator) for x in row) for row in gram), lcd
+        return _clear_matrix([row[:n] for row in self.gram[:n]])
 
     def form(self, x, y) -> int:
         """l (x, y) = x^T S y for integer simple-root coordinates x, y."""
@@ -381,20 +398,8 @@ class RootSystemData:
         """(S, T, d): S of int_form and T = d S^{-1}, both integral.  A Weyl
         element w preserves the form, so w^{-1} = T w^T S / d."""
         s = self.int_form[0]
-        sinv = mat_inv(s)
-        d = math.lcm(*(x.denominator for row in sinv for x in row))
-        t = tuple(tuple(int(x * d) for x in row) for row in sinv)
+        t, d = _clear_matrix(mat_inv(s))
         return s, t, d
-
-    def combine(self, coords, basis: Sequence[Vec]) -> Vec:
-        """The vector sum_i coords[i] basis[i]; lattice_coords inverts it."""
-        out = list(vzero(self.dim))
-        for c, b in zip(coords, basis):
-            if c:
-                for j, x in enumerate(b):
-                    if x:
-                        out[j] = out[j] + c * x if out[j] else c * x
-        return tuple(out)
 
     def lattice_coords(self, x: Vec, basis: Sequence[Vec]):
         """Integer coordinates of the finite vector x in the given basis;
@@ -470,19 +475,6 @@ def mat_inv(a) -> tuple[tuple[Fraction, ...], ...]:
                     x - f * y if y else x for x, y in zip(aug[r], aug[col])
                 ]
     return tuple(tuple(row[n:]) for row in aug)
-
-
-def diagonal_scales(basis: Sequence[Vec]) -> tuple[int, ...]:
-    """For a basis b_i = c_i alpha_i, the c_i times the least common
-    denominator: integers with the ratios of the c_i.  ValueError if the
-    basis is not of that form."""
-    diag = []
-    for i, v in enumerate(basis):
-        if not v[i] or any(c for j, c in enumerate(v) if j != i):
-            raise ValueError("basis vector is not a multiple of a simple root")
-        diag.append(Fraction(v[i]))
-    lcd = math.lcm(*(c.denominator for c in diag))
-    return tuple(c.numerator * (lcd // c.denominator) for c in diag)
 
 
 def build(label: AffineLabel | str) -> RootSystemData:

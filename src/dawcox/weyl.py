@@ -15,14 +15,13 @@ enumeration of the group.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import compress
 from operator import mul, ne, sub
 
-from .rootsys import RootSystemData, Vec, exact_quotient, mat_vec
+from .rootsys import RootSystemData, Vec, clear_denominators, exact_quotient, mat_vec
 from .rootsys import mat_inv  # noqa: F401  (public here: tests and bench/spans.py use weyl.mat_inv)
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -171,8 +170,7 @@ class WeylElement:
         the vector's numerators over their common denominator."""
         if all(x.__class__ is int for x in v):
             return mat_vec(self.matrix, v)
-        den = math.lcm(*(x.denominator for x in v))
-        nums = [x.numerator * (den // x.denominator) for x in v]
+        nums, den = clear_denominators(v)
         return tuple([Fraction(x, den) for x in mat_vec(self.matrix, nums)])
 
     def act(self, v: Vec) -> Vec:
@@ -239,8 +237,7 @@ def reflect(rs: RootSystemData, alpha: Vec) -> WeylElement:
         isotropic = rs.bilinear(alpha, alpha) == 0
         raise ValueError("cannot reflect in an isotropic vector" if isotropic
                          else "reflect() expects a finite root")
-    den = math.lcm(*(x.denominator for x in alpha[:n]))
-    a = [x.numerator * (den // x.denominator) for x in alpha[:n]]
+    a, _ = clear_denominators(alpha[:n])
     sa = mat_vec(rs.int_form[0], a)
     norm = sum(map(mul, a, sa))
     if norm == 0:
@@ -272,7 +269,6 @@ class WeylGroup:
         self.simples = [simple_reflection(rs, i) for i in range(1, n + 1)]
         # Roots have integer coordinates in the simple-root basis.
         self.pos_int = tuple(tuple(int(c) for c in r[:n]) for r in rs.pos_roots)
-        self.pos_set = frozenset(self.pos_int)
         self.neg_set = frozenset(tuple(-c for c in r) for r in self.pos_int)
         self.id = identity(rs)
 

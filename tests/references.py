@@ -2,6 +2,7 @@
 for the integer code that replaced them: each one computes with the
 bilinear form and Fraction arithmetic, as its definition reads."""
 
+import math
 from fractions import Fraction
 
 from dawcox.rootsys import as_int, vscale, vsub
@@ -29,6 +30,14 @@ def reflect_matrix(rs, alpha):
     return int_matrix(tuple(tuple(cols[j][i] for j in range(n)) for i in range(n)))
 
 
+def combine(coords, basis):
+    """The vector sum_i coords[i] basis[i], by Fraction arithmetic."""
+    out = (Fraction(0),) * len(basis[0])
+    for c, b in zip(coords, basis):
+        out = tuple(o + c * x for o, x in zip(out, b))
+    return out
+
+
 def coords(x, basis):
     """Coordinates of x in a diagonal basis by Fraction division;
     ValueError if x is not in the lattice."""
@@ -37,6 +46,19 @@ def coords(x, basis):
     if any(x[n:]) or any(c.denominator != 1 for c in out):
         raise ValueError("not in the lattice")
     return tuple(int(c) for c in out)
+
+
+def lattice_scales(basis):
+    """For a basis b_i = c_i alpha_i, the integers c_i L for the least
+    common denominator L of the c_i, by Fraction arithmetic; ValueError if
+    a vector is not a multiple of its simple root."""
+    diag = []
+    for i, v in enumerate(basis):
+        if not v[i] or any(c for j, c in enumerate(v) if j != i):
+            raise ValueError("basis vector is not a multiple of a simple root")
+        diag.append(v[i])
+    lcd = math.lcm(*(c.denominator for c in diag))
+    return tuple(as_int(c * lcd, "lattice scale") for c in diag)
 
 
 def pos_root_norms(rs):

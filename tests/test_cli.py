@@ -57,9 +57,9 @@ def test_params_table4_row(capsys):
     assert code == 0 and payload["final_count"] == 3
 
 
-@pytest.mark.parametrize("rank", [(), ("--n", "3")])
+@pytest.mark.parametrize("rank", [(), ("--n", "1")])
 def test_params_a1_has_one_rank(capsys, rank):
-    # A1(1) specializes dddotA1 whatever --n says, and needs no --n
+    # A1(1) specializes dddotA1, at n = 1 or with no --n
     code, out, _ = run(capsys, "params", "--system", "A1(1)", *rank)
     payload = json.loads(out)
     assert code == 0 and payload["algebra"] == "dddotA1"
@@ -69,11 +69,18 @@ def test_params_a1_has_one_rank(capsys, rank):
     assert (payload["generic_count"], payload["final_count"]) == (4, 1)
 
 
-@pytest.mark.parametrize("system,n", [("Cn(1)", 1), ("(BCn,Cn)", 1), ("Dn+1(2)", 2)])
+@pytest.mark.parametrize("system,n", [("Cn(1)", 1), ("(BCn,Cn)", 1), ("Dn+1(2)", 2), ("An(1)", 1)])
 def test_params_below_the_least_rank(capsys, system, n):
     code, out, err = run(capsys, "params", "--system", system, "--n", str(n))
     assert (code, out) == (2, "")
     assert "n >= " in err
+
+
+@pytest.mark.parametrize("system,n", [("A1(1)", 3), ("A3(2)", 7), ("E6(1)", 3)])
+def test_params_fixed_row_at_another_rank(capsys, system, n):
+    code, out, err = run(capsys, "params", "--system", system, "--n", str(n))
+    assert (code, out) == (2, "")
+    assert f"only, not n = {n}" in err
 
 
 @pytest.mark.parametrize("system,count", [("(Cn^,Cn)", 4), ("A2n(2)", 2), ("(Cn^,BCn)", 3)])

@@ -68,7 +68,7 @@ def test_lam_tau_commutator_cocycle(ctxs, lab):
     ctx = ctxs[lab]
     rs = ctx.rs
     for mu in rs.m_basis():
-        for beta in rs.simple_coroots():
+        for beta in rs.qcheck_basis():
             comm = (
                 ctx.lam(mu)
                 * ctx.tau(beta)
@@ -93,11 +93,11 @@ def test_conjugation_relations(ctxs, lab):
         s = ctx.s(i)
         for mu in rs.m_basis():
             assert s * ctx.lam(mu) * s.inv() == ctx.lam(ctx.wg.simples[i - 1].act(mu))
-        for beta in rs.simple_coroots():
+        for beta in rs.qcheck_basis():
             assert s * ctx.tau(beta) * s.inv() == ctx.tau(ctx.wg.simples[i - 1].act(beta))
     # s_0 as well: s_0(beta) picks up a delta component, which lands in k.
     s0 = ctx.s(0)
-    for beta in rs.simple_coroots():
+    for beta in rs.qcheck_basis():
         img = s0.act(beta)  # the linear action on the root
         k = img[ctx.n]
         finite = img[: ctx.n] + (Fraction(0), Fraction(0))
@@ -382,7 +382,7 @@ def test_alcove_walk_roundtrips(ctxs, lab):
         for v in (mu, vneg(mu), vscale(2, mu)):
             word = lam_word(ctx, v)  # evaluate() inside asserts equality
             assert all(0 <= i <= ctx.n for i in word)
-    for beta in rs.simple_coroots():
+    for beta in rs.qcheck_basis():
         for v in (beta, vneg(beta)):
             tau_word(ctx, v)
 
@@ -486,16 +486,16 @@ def test_a2n2_comparison_matches_the_epsilon_reference(n):
 
 
 def test_a2n2_comparison_rejects_a_basis_that_is_not_halved(monkeypatch):
-    real = type(context("C2(1)").rs).m_basis
+    real = type(context("C2(1)").rs).lattice_diagonals.func
 
     def doubled(rs):
-        basis = real(rs)
+        m, q = real(rs)
         if rs.label.letter == "A" and rs.twist == 2:
-            basis = tuple(vscale(2, b) for b in basis)
-        return basis
+            m = tuple(2 * x for x in m)
+        return m, q
 
     assert A2n2Comparison(2).report()
-    monkeypatch.setattr(type(context("C2(1)").rs), "m_basis", doubled)
+    monkeypatch.setattr(type(context("C2(1)").rs), "lattice_diagonals", property(doubled))
     with pytest.raises(ValueError, match="half the identity"):
         A2n2Comparison(2)
 

@@ -82,12 +82,23 @@ def test_empty_rules():
 
 @pytest.mark.parametrize("system,n,least", [
     ("Cn(1)", 1, 2), ("Cn(1)", 0, 2), ("(BCn,Cn)", 1, 2),
-    ("Dn+1(2)", 2, 3), ("A2n-1(2)", 2, 3), ("(Bn,Bn^)", 2, 3),
+    ("Dn+1(2)", 2, 3), ("A2n-1(2)", 2, 3), ("(Bn,Bn^)", 2, 3), ("An(1)", 1, 2),
 ])
 def test_specialize_refuses_ranks_below_the_row(system, n, least):
     # Table 4 states these rows from rank `least` on, with no collapse below
     with pytest.raises(UnknownTypeError, match=f"n >= {least}"):
         hp.specialize(system, n)
+
+
+@pytest.mark.parametrize("system,n,rank", [
+    ("A1(1)", 3, 1), ("A1(1)", 2, 1), ("A3(2)", 7, 2), ("(C2,C2^)", 1, 2),
+    ("E6(1)", 3, 6), ("G2(1)", 3, 2), ("E6(2)", 6, 4), ("D4(3)", 3, 2),
+])
+def test_specialize_refuses_other_ranks_of_a_fixed_row(system, n, rank):
+    # a row of one algebra answers at that algebra's rank, or with no rank
+    with pytest.raises(UnknownTypeError, match=f"at n = {rank} only, not n = {n}"):
+        hp.specialize(system, n)
+    assert hp.specialize(system, rank) == hp.specialize(system)
 
 
 @pytest.mark.parametrize("system,count", [("(Cn^,Cn)", 4), ("A2n(2)", 2), ("(Cn^,BCn)", 3)])

@@ -55,15 +55,16 @@ def test_setup_does_no_fraction_arithmetic(label, half, fraction_arithmetic):
     ctx = context(label, half_delta=half)
     rs = ctx.rs
     bases = rs.m_basis(), rs.qcheck_basis()
+    diags = rs.lattice_diagonals
     # T = d S^{-1}, the one rational inverse per root system, is the
     # multiplication's; everything counted below reads only integers.
     rs.finite_form
     fraction_arithmetic.clear()
     for r in rs.pos_roots:
         reflect(rs, r)
-    for basis in bases:
+    for basis, diag in zip(bases, diags):
         for b in basis:
-            ctx.coords(b, basis)
+            ctx.coords(b, diag)
     for kind, make, basis in (("lam", ctx.lam, bases[0]), ("tau", ctx.tau, bases[1])):
         walk = AffineWalk(ctx, kind)
         for g in walk.generators + tuple(map(make, basis)):
@@ -112,18 +113,17 @@ def test_coords_match_the_fraction_division(label, half):
     ctx = context(label, half_delta=half)
     rs = ctx.rs
     rng = random.Random(f"coords {label} {half}")
-    for basis in (rs.m_basis(), rs.qcheck_basis()):
+    for basis, diag in zip((rs.m_basis(), rs.qcheck_basis()), rs.lattice_diagonals):
         for _ in range(10):
             c = tuple(rng.randint(-9, 9) for _ in range(rs.n))
-            x = rs.combine(c, basis)
-            assert ctx.coords(x, basis) == references.coords(x, basis) == c
+            x = references.combine(c, basis)
+            assert ctx.coords(x, diag) == references.coords(x, basis) == c
             off = vadd(x, vscale(Fraction(1, rng.choice((2, 3, 5))), basis[rng.randrange(rs.n)]))
-            for coords in (ctx.coords, references.coords):
+            for y in (off, vadd(x, rs.delta)):
                 with pytest.raises(ValueError, match="not in the lattice"):
-                    coords(off, basis)
-            for coords in (ctx.coords, references.coords):
+                    ctx.coords(y, diag)
                 with pytest.raises(ValueError, match="not in the lattice"):
-                    coords(vadd(x, rs.delta), basis)
+                    references.coords(y, basis)
 
 
 @pytest.mark.parametrize("label", LABELS)

@@ -39,7 +39,7 @@ class FractionWalk:
         self.c_root = rs.theta if kind == "lam" else ctx.c_root
         self.c_coroot = rs.coroot(self.c_root)
         self.kappa = Fraction(2) / rs.bilinear(self.c_root, self.c_root)
-        self.simple_coroots = rs.simple_coroots()
+        self.simple_coroots = tuple(rs.coroot(a) for a in rs.simple_roots)
         self.base = self._base_point()
 
     def _wall_values(self, x):

@@ -1,7 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import references
 from dawcox import cli, diagrams, rootsys
 from dawcox.rootsys import RootSystemData, build, parse_label, vadd, vscale, vsub
 from dawcox.weyl import WeylGroup
@@ -56,6 +59,65 @@ def test_affine_cartan_accepts_exactly_the_labels_of_the_tables():
                     with pytest.raises(rootsys.UnknownTypeError, match="is not in Tables Aff 1-3"):
                         rootsys.affine_cartan(label)
     assert len(accepted) == 52
+
+
+KAC_LABELS = [
+    str(rootsys.AffineLabel(letter, N, twist))
+    for (twist, letter), ranks in KAC_TABLES.items()
+    for N in ranks
+]
+
+
+@pytest.mark.parametrize("label", KAC_LABELS)
+def test_lattice_diagonals_state_the_bases(label):
+    rs = build(label)
+    m, q = rs.lattice_diagonals
+    # the bases as their definitions read: A_i = e_i alpha_i, and
+    # nu(alpha_i^v) = 2 alpha_i / (alpha_i, alpha_i) from the bilinear form
+    e = rs.cartan.e[1:]
+    assert rs.m_basis() == tuple(vscale(x, a) for x, a in zip(e, rs.simple_roots))
+    assert rs.qcheck_basis() == tuple(rs.coroot(a) for a in rs.simple_roots)
+    for basis, diag in ((rs.m_basis(), m), (rs.qcheck_basis(), q)):
+        assert basis == tuple(vscale(x, a) for x, a in zip(diag, rs.simple_roots))
+    assert rs.m_scales == references.lattice_scales(rs.m_basis())
+    assert rs.qcheck_scales == references.lattice_scales(rs.qcheck_basis())
+    assert rs.pairing_table == references.pairing_table(rs)
+
+
+def test_lattice_scales_reject_a_basis_that_is_not_diagonal():
+    basis = build("G2(1)").m_basis()
+    for bad in (
+        basis[1:] + basis[:1],  # a permuted basis
+        (vadd(basis[0], basis[-1]),) + basis[1:],  # a sheared one
+        (vscale(0, basis[0]),) + basis[1:],  # a degenerate one
+    ):
+        with pytest.raises(ValueError, match="not a multiple of a simple root"):
+            references.lattice_scales(bad)
+
+
+def _primes_dividing(n, most):
+    return [p for p in range(2, most + 1) if n % p == 0 and all(p % d for d in range(2, p))]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.lists(st.integers(-10**6, 10**6) | st.fractions(max_denominator=60), max_size=8),
+    st.none() | st.integers(1, 60),
+)
+def test_clear_denominators_against_fraction_arithmetic(xs, den):
+    if den is None:
+        nums, lcd = rootsys.clear_denominators(xs)
+        den = 1
+    else:
+        nums, lcd = rootsys.clear_denominators(xs, den)
+    assert type(lcd) is int and all(type(x) is int for x in nums)
+    assert [Fraction(x, lcd) for x in nums] == xs
+    assert lcd > 0 and lcd % den == 0
+    # least: for each prime p dividing L, L / p is not a multiple of den
+    # that clears every x (every prime of L divides den or a denominator)
+    for p in _primes_dividing(lcd, 60):
+        c = lcd // p
+        assert c % den or any((x * c).denominator != 1 for x in xs), (xs, den, p)
 
 
 @pytest.mark.parametrize("lab", ALL_LABELS)

@@ -53,7 +53,7 @@ def test_lengths_and_inversions(groups):
         assert g.length(g.id) == 0
         w0 = g.longest_element()
         assert g.length(w0) == len(g.rs.pos_roots)
-        assert g.inversion_set(w0) == g.pos_set
+        assert g.inversion_set(w0) == frozenset(g.pos_int)
         for i, s in enumerate(g.simples, start=1):
             assert g.length(s) == 1
             assert g.reduced_word(s) == (i,)
