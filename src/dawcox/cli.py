@@ -110,12 +110,11 @@ def _fail(msg: str) -> int:
 
 
 def _label(args) -> diagrams.DoubleAffineLabel:
-    try:
-        return diagrams.label(args.family, args.rank)
-    except UnknownTypeError:
-        if args.rank is None:
-            return diagrams.parse(args.family)
-        raise
+    """The label of --family and --rank: a family name with its rank, or
+    with no --rank a label name such as dddotC2, which parse reads."""
+    if args.rank is None and args.family not in diagrams.FAMILIES:
+        return diagrams.parse(args.family)
+    return diagrams.label(args.family, args.rank)
 
 
 def cmd_diagram(args) -> int:

@@ -11,9 +11,13 @@ reads a basis reads that pair.  An element is built from, and stores, w
 as an integer matrix, mu and beta as their integer coordinates in the
 bases A_i and nu(alpha_i^v), and k as an int whenever it is integral:
 one constructor, DaweylElement(ctx, w, mu_coords, beta_coords, k).
-Ambient vectors enter only through DaweylContext.lam and
-DaweylContext.tau, which divide by the diagonals and raise ValueError
-off the lattice; the ambient mu and beta are formed on demand.
+The roots theta and c are integer simple-root coordinates, and the
+coroots that s_0, t_0 and the Bernstein suite read are lattice
+coordinates (RootSystemData.coroot_coords), made into translations by
+DaweylContext.tau_coords.  Ambient vectors enter only through
+DaweylContext.lam and DaweylContext.tau, which divide by the diagonals
+and raise ValueError off the lattice; the ambient mu and beta are
+formed on demand.
 Multiplication moves factors into this order using the semidirect
 relations, with w acting on the coordinates by the integer matrices of
 WeylElement; the commutation of lam and tau picks up the cocycle
@@ -46,7 +50,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache, cached_property
-from operator import add, mul
+from operator import add, mul, sub
 
 from .rootsys import (
     AffineLabel,
@@ -56,9 +60,6 @@ from .rootsys import (
     clear_denominators,
     exact_quotient,
     parse_label,
-    vadd,
-    vneg,
-    vsub,
     vzero,
 )
 from .weyl import (
@@ -78,16 +79,12 @@ class DaweylContext:
         self.rs = rs
         self.wg = WeylGroup(rs)
         self.half_delta = half_delta
-        n = rs.n
-        self.zero = vzero(rs.dim)
-        self.zero_coords = (0,) * n
+        self.zero_coords = (0,) * rs.n
         self.s_theta = reflect(rs, rs.theta)
-        self.nu_theta_v = rs.coroot(rs.theta)  # = a_0^{-1} theta
         # X-side affine reflection data: c = theta for untwisted or
         # A_{2n}^(2), phi otherwise (the root with X_{c^v} Phi^{-1} etc.)
         self.c_root = rs.theta if not rs.is_twisted_proper() else rs.phi
         self.s_c = reflect(rs, self.c_root)
-        self.nu_c_v = rs.coroot(self.c_root)
 
     @property
     def n(self) -> int:
@@ -96,7 +93,9 @@ class DaweylContext:
     @cached_property
     def t0(self) -> "DaweylElement":
         """The affine generator t_0 = tau_{nu(c^v)} s_c of <t_0, s_1..s_n>."""
-        return self.tau(self.nu_c_v) * self.w(self.s_c)
+        rs = self.rs
+        nu_c_v = rs.coroot_coords(self.c_root, rs.lattice_diagonals[1])
+        return self.tau_coords(nu_c_v) * self.w(self.s_c)
 
     @cached_property
     def lam_walk(self) -> "AffineWalk":
@@ -110,10 +109,10 @@ class DaweylContext:
 
     @cached_property
     def theta_v_coords(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The coordinates of nu(theta^v) in M and in nu(Q^v), which s_0
-        and tau_alpha0 read."""
-        m, q = self.rs.lattice_diagonals
-        return self.coords(self.nu_theta_v, m), self.coords(self.nu_theta_v, q)
+        """The coordinates of nu(theta^v) = a_0^{-1} theta in M and in
+        nu(Q^v), which s_0 and tau_alpha0 read."""
+        rs = self.rs
+        return tuple(rs.coroot_coords(rs.theta, diag) for diag in rs.lattice_diagonals)
 
     def identity(self) -> "DaweylElement":
         return DaweylElement(self, self.wg.id, self.zero_coords, self.zero_coords, 0)
@@ -148,7 +147,10 @@ class DaweylContext:
         return DaweylElement(self, self.wg.id, mu_coords, self.zero_coords, 0)
 
     def tau(self, beta: Vec) -> "DaweylElement":
-        beta_coords = self.coords(beta, self.rs.lattice_diagonals[1])
+        return self.tau_coords(self.coords(beta, self.rs.lattice_diagonals[1]))
+
+    def tau_coords(self, beta_coords: tuple[int, ...]) -> "DaweylElement":
+        """tau_beta from the coordinates of beta in the basis nu(alpha_i^v)."""
         return DaweylElement(self, self.wg.id, self.zero_coords, beta_coords, 0)
 
     def tau_delta(self, k=1) -> "DaweylElement":
@@ -475,7 +477,8 @@ class AffineWalk:
         self.ctx = ctx
         rs = ctx.rs
         n = rs.n
-        c_root, aff_gen = (rs.theta, ctx.s(0)) if kind == "lam" else (ctx.c_root, ctx.t0)
+        # c: the root of the affine reflection, in integer coordinates
+        c, aff_gen = (rs.theta, ctx.s(0)) if kind == "lam" else (ctx.c_root, ctx.t0)
         self.generators = (aff_gen,) + tuple(ctx.s(i) for i in range(1, n + 1))
         cartan = rs.finite_cartan
         self.cartan = cartan
@@ -485,7 +488,6 @@ class AffineWalk:
             tuple((j, row[i]) for j, row in enumerate(cartan) if row[i])
             for i in range(n)
         )
-        c = rs.int_coords(c_root)
         self.c_pairings = tuple(
             (j, p) for j, p in enumerate(mat_vec(cartan, c)) if p
         )  # the non-zero <c, alpha_j^v>
@@ -596,13 +598,17 @@ def tau_word(ctx: DaweylContext, beta: Vec):
 def verify_bernstein_relations(label) -> list[tuple]:
     """The Bernstein-presentation relations projected to the double
     affine Weyl group, as (name, lhs, rhs) records of normal forms; they
-    hold when lhs == rhs."""
+    hold when lhs == rhs.  Every beta is read in nu(Q^v) coordinates, and
+    each right-hand side from those coordinates and the finite Cartan
+    matrix alone, never from the Weyl elements' lattice matrices that the
+    multiplication uses."""
     ctx = context(label)
     rs = ctx.rs
     n = rs.n
     records = []
 
-    simple_cor = rs.qcheck_basis()
+    tau = ctx.tau_coords
+    simple_cor = [tuple(int(i == j) for i in range(n)) for j in range(n)]  # nu(alpha_j^v)
     s = [ctx.s(i) for i in range(n + 1)]
     s0 = s[0]
 
@@ -612,48 +618,49 @@ def verify_bernstein_relations(label) -> list[tuple]:
     # matrix holds those of nu(alpha_j^v).
     rows = rs.finite_cartan
     betas = list(zip(simple_cor, rows))
-    betas += [(vneg(b), tuple(-x for x in r)) for b, r in zip(simple_cor, rows)]
+    betas += [(tuple(-x for x in b), tuple(-x for x in r)) for b, r in zip(simple_cor, rows)]
     betas += [
-        (vadd(a, b), tuple(map(add, r, q)))
+        (tuple(map(add, a, b)), tuple(map(add, r, q)))
         for a, r in zip(simple_cor, rows)
         for b, q in zip(simple_cor, rows)
     ]
     for i in range(1, n + 1):
         for b, pairs in betas:
             pair = pairs[i - 1]
-            tb = ctx.tau(b)
+            tb = tau(b)
             if pair == 0:
                 records.append((f"xcomm i={i}", s[i] * tb, tb * s[i]))
             elif pair == -1:
-                sb = ctx.tau(ctx.wg.simples[i - 1].act(b))
+                # s_i beta = beta - (beta, alpha_i) nu(alpha_i^v)
+                sb = tau(b[:i - 1] + (b[i - 1] - pair,) + b[i:])
                 records.append((f"xconj i={i}", s[i] * tb * s[i], sb))
 
     # X_delta central against every generator, and of infinite order.
     td = ctx.tau_delta()
-    gens = s + [ctx.lam(m) for m in rs.m_basis()] + [ctx.tau(b) for b in simple_cor]
+    gens = s + [ctx.generator(f"lam_A{i}") for i in range(1, n + 1)] + list(map(tau, simple_cor))
     for j, g in enumerate(gens):
         records.append((f"center gen={j}", g * td, td * g))
     torsion = [k for k in range(1, 11) if (td**k).is_identity()]
     records.append(("tau_delta non-torsion", torsion, []))
 
     # Type (0,j) relations, split by the pairing (alpha_j^v, theta).
-    nu_theta_v = ctx.nu_theta_v
-    theta_pairs = mat_vec(rows, rs.int_coords(rs.theta))
+    nu_theta_v = ctx.theta_v_coords[1]
+    theta_pairs = mat_vec(rows, rs.theta)
     saw_eq42 = False
     for j in range(1, n + 1):
         ajv = simple_cor[j - 1]
         pair = theta_pairs[j - 1]
         if pair == 0:
-            records.append((f"t0-comm j={j}", s0 * ctx.tau(ajv), ctx.tau(ajv) * s0))
+            records.append((f"t0-comm j={j}", s0 * tau(ajv), tau(ajv) * s0))
         elif pair == 1:
-            lhs = s0 * ctx.tau(ajv) * s0
+            lhs = s0 * tau(ajv) * s0
             a0v = ctx.tau_alpha0()
-            records.append((f"t0-conj j={j}", lhs, ctx.tau(ajv) * a0v))
+            records.append((f"t0-conj j={j}", lhs, tau(ajv) * a0v))
         elif pair == 2:
-            b = vsub(ajv, nu_theta_v)
+            b = tuple(map(sub, ajv, nu_theta_v))
             if any(b):  # at rank one the vector vanishes and the relation is empty
                 saw_eq42 = True
-                records.append((f"t0-comm-long j={j}", s0 * ctx.tau(b), ctx.tau(b) * s0))
+                records.append((f"t0-comm-long j={j}", s0 * tau(b), tau(b) * s0))
         else:  # pragma: no cover - excluded by the classification
             raise ValueError(f"unexpected pairing {pair} of alpha_{j}^v with theta")
     # The classification "pairing 2 happens only for C_n^(1), n >= 2" is
@@ -671,16 +678,16 @@ def verify_bernstein_relations(label) -> list[tuple]:
     if not rs.is_twisted_proper():
         ell0 = rs.ell0()
         if ell0 == 1:
-            rhs = ctx.tau(aiv) * ctx.tau_alpha0()
-            records.append(("reduction-conj", s0 * ctx.tau(aiv) * s0, rhs))
+            rhs = tau(aiv) * ctx.tau_alpha0()
+            records.append(("reduction-conj", s0 * tau(aiv) * s0, rhs))
         elif ell0 == 2:
-            b = vsub(aiv, nu_theta_v)
-            records.append(("reduction-comm", s0 * ctx.tau(b), ctx.tau(b) * s0))
+            b = tuple(map(sub, aiv, nu_theta_v))
+            records.append(("reduction-comm", s0 * tau(b), tau(b) * s0))
         # ell0 = 4 (A_1^(1)): no reduction relation of this shape.
     else:
-        phiv = rs.coroot(rs.phi)
-        rhs = ctx.tau(phiv) * ctx.tau_alpha0()
-        records.append(("reduction-twisted", s0 * ctx.tau(phiv) * s0, rhs))
+        phiv = tau(rs.coroot_coords(rs.phi, rs.lattice_diagonals[1]))
+        rhs = phiv * ctx.tau_alpha0()
+        records.append(("reduction-twisted", s0 * phiv * s0, rhs))
     return records
 
 
@@ -717,7 +724,7 @@ class A2n2Comparison:
 
     def tau_eps1(self, ctx: DaweylContext) -> DaweylElement:
         """tau_{eps_1} in an A_{2n}^(2) context: eps_1 = sum_i nu(alpha_i^v)."""
-        return DaweylElement(ctx, ctx.wg.id, ctx.zero_coords, (1,) * self.n, 0)
+        return ctx.tau_coords((1,) * self.n)
 
     def map_weyl(self, w: WeylElement) -> WeylElement:
         """Transport a finite Weyl element through the epsilon dictionary:

@@ -109,9 +109,6 @@ _ALIASES = {("dddotC", 1): "dddotA", ("dddotCstar", 1): "dddotAstar"}
 class DoubleAffineLabel:
     family: str
     rank: int
-    # Set when the label is an alias (dddotC rank 1 is stored as dddotA 1,
-    # dddotCstar rank 1 as dddotAstar 1).
-    alias_of: str | None = None
 
     def __str__(self) -> str:
         if self.family[-1].isdigit():  # ddotB2, ddotF4, ddotG2 name their rank
@@ -151,7 +148,7 @@ def label(family: str, rank: int | None = None) -> DoubleAffineLabel:
     if rank is None:
         raise UnknownTypeError(f"{family} needs a rank")
     if (family, rank) in _ALIASES:
-        return DoubleAffineLabel(_ALIASES[family, rank], rank, alias_of=family)
+        return DoubleAffineLabel(_ALIASES[family, rank], rank)
     if row is not None and row.admits(rank):
         return DoubleAffineLabel(family, rank)
     if row is not None and row.least == row.most:

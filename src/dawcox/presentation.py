@@ -294,7 +294,8 @@ class GeneratorDictionary:
         s0_letter, t0_letter = affine_letters(self.label)
         out[s0_letter] = ctx.s(0)
         if self.label.is_triple:
-            out["Theta02"] = ctx.s(0) * ctx.tau_delta(k) * ctx.tau(ctx.nu_theta_v).inv()
+            tau_theta_v = ctx.tau_coords(ctx.theta_v_coords[1])
+            out["Theta02"] = ctx.s(0) * ctx.tau_delta(k) * tau_theta_v.inv()
         out[t0_letter] = ctx.t0
         return out
 

@@ -1,9 +1,11 @@
 """Exact affine root-system data.
 
-Public vectors are Fraction tuples in the coordinate basis (alpha_1,
-..., alpha_n, delta, Lambda0) of the affine weight space; arithmetic on
-finite vectors runs on integer simple-root coordinates and the integer
-form S = l (finite Gram block).  The lattices M and nu(Q^v) have bases
+The finite roots (the positive roots, theta, phi, theta', phi') are
+tuples of n integer simple-root coordinates, computed with the integer
+form S = l (finite Gram block); a coroot is read as lattice coordinates
+(coroot_coords).  The ambient vectors (the Gram matrix, delta, alpha_0,
+the lattice bases) are Fraction tuples in the coordinate basis (alpha_1,
+..., alpha_n, delta, Lambda0).  The lattices M and nu(Q^v) have bases
 of multiples of the simple roots, A_i = e_i alpha_i and nu(alpha_i^v) =
 d_i alpha_i, and RootSystemData.lattice_diagonals states the two
 diagonals (e_i) and (d_i) once: the basis vectors, their integer scales
@@ -23,46 +25,21 @@ RootSystemData is built in one pass with its final values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from operator import mul
 from typing import Sequence
 
 Vec = tuple[Fraction, ...]
+Root = tuple[int, ...]  # a finite root in integer simple-root coordinates
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
-def vadd(x: Vec, y: Vec) -> Vec:
-    # A zero summand is passed through instead of added: ambient vectors
-    # are sparse and each Fraction addition is costly.
-    return tuple(a + b if a and b else a or b for a, b in zip(x, y))
-
-
-def vsub(x: Vec, y: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(x, y))
-
-
-def vneg(x: Vec) -> Vec:
-    return tuple(-a for a in x)
-
-
-def vscale(c, x: Vec) -> Vec:
-    c = Fraction(c)
-    return tuple(c * a for a in x)
-
-
 def vzero(dim: int) -> Vec:
     return (_F0,) * dim
-
-
-def as_int(x, what: str) -> int:
-    """x as an int; ValueError if x is not an integer."""
-    if x != int(x):
-        raise ValueError(f"{what}: {x} is not an integer")
-    return int(x)
 
 
 def exact_quotient(a: int, b: int, what: str) -> int:
@@ -191,8 +168,7 @@ class AffineCartanData:
     label: AffineLabel
     cartan: tuple[tuple[int, ...], ...]  # (n+1) x (n+1)
     marks: tuple[int, ...]               # a_0 .. a_n
-    comarks: tuple[int, ...]             # a_0^v .. a_n^v
-    d: tuple[Fraction, ...]              # d_i = a_i / a_i^v
+    d: tuple[Fraction, ...]              # d_i = a_i / a_i^v, a_i^v the comarks
     e: tuple[Fraction, ...]              # e_i = max(1/a_0, d_i)
     twist: int                           # r = max d_i^{-1}
 
@@ -230,7 +206,6 @@ def affine_cartan(label: AffineLabel) -> AffineCartanData:
         raise ValueError(f"{label}: no left null vector with a_0^v = 1")
     if any(c <= 0 or c.denominator != 1 for c in comarks):
         raise ValueError(f"{label}: comarks are not positive integers")
-    comarks = [int(x) for x in comarks]
     d = tuple(Fraction(marks[i], comarks[i]) for i in range(m))
     a0inv = Fraction(1, marks[0])
     e = tuple(max(a0inv, di) for di in d)
@@ -241,7 +216,6 @@ def affine_cartan(label: AffineLabel) -> AffineCartanData:
         label=label,
         cartan=tuple(tuple(row) for row in a),
         marks=tuple(marks),
-        comarks=tuple(comarks),
         d=d,
         e=e,
         twist=int(twist),
@@ -252,20 +226,19 @@ def affine_cartan(label: AffineLabel) -> AffineCartanData:
 class RootSystemData:
     """An affine Cartan datum together with the finite root system.
 
-    Vectors live in the (n+2)-dimensional space with ordered basis
-    (alpha_1, ..., alpha_n, delta, Lambda0).
+    The finite roots are Root tuples of n integer simple-root coordinates.
+    The ambient vectors gram, alpha0 and delta live in the
+    (n+2)-dimensional space with ordered basis (alpha_1, ..., alpha_n,
+    delta, Lambda0).
     """
 
     cartan: AffineCartanData
     gram: tuple[Vec, ...]               # bilinear form on the basis
-    simple_roots: tuple[Vec, ...]       # alpha_1 .. alpha_n
     alpha0: Vec                         # (delta - theta) / a_0
     delta: Vec
-    Lambda0: Vec
-    pos_roots: tuple[Vec, ...]          # finite positive roots
-    theta: Vec                          # a_1 alpha_1 + ... + a_n alpha_n
-    phi: Vec                            # highest root of the finite system
-    root_set: frozenset = field(repr=False)
+    pos_roots: tuple[Root, ...]         # finite positive roots
+    theta: Root                         # a_1 alpha_1 + ... + a_n alpha_n
+    phi: Root                           # highest root of the finite system
 
     @property
     def n(self) -> int:
@@ -306,23 +279,15 @@ class RootSystemData:
             total += xi * sum(yj * row[j] for j, yj in enumerate(y) if yj)
         return total
 
-    def coroot(self, x: Vec) -> Vec:
-        """nu(x^v) = 2x/(x,x) for a real (non-isotropic) root x."""
-        norm = self.bilinear(x, x)
-        if norm == 0:
-            raise ValueError("isotropic vector has no coroot")
-        return vscale(Fraction(2) / norm, x)
-
-    def pairing(self, x: Vec, root: Vec) -> Fraction:
-        """(x, root^v)."""
-        return self.bilinear(x, self.coroot(root))
-
     # -- distinguished data -------------------------------------------
 
-    def primed(self, theta: Vec, phi: Vec) -> tuple[Vec, Vec]:
+    def primed(self, theta: Root, phi: Root) -> tuple[Root, Root]:
         """theta' = phi - theta and phi' = (phi, theta^v) theta - phi =
-        -s_theta(phi), whose coroot is theta^v - phi^v."""
-        return vsub(phi, theta), vsub(vscale(self.pairing(phi, theta), theta), phi)
+        -s_theta(phi), whose coroot is theta^v - phi^v; the Cartan number
+        (phi, theta^v) is 2 (phi, theta) / (theta, theta)."""
+        c = exact_quotient(2 * self.form(phi, theta), self.form(theta, theta), "Cartan number")
+        return (tuple(p - t for p, t in zip(phi, theta)),
+                tuple(c * t - p for p, t in zip(phi, theta)))
 
     def is_twisted_proper(self) -> bool:
         """Twisted and not A_{2n}^(2): theta short, phi long, distinct."""
@@ -389,9 +354,17 @@ class RootSystemData:
         """l (x, y) = x^T S y for integer simple-root coordinates x, y."""
         return sum(map(mul, x, mat_vec(self.int_form[0], y)))
 
-    def int_coords(self, v: Vec) -> list[int]:
-        """The simple-root coordinates of v as ints, or ValueError."""
-        return [as_int(c, "root coordinate") for c in v[: self.n]]
+    def coroot_coords(self, root: Root, diag) -> tuple[int, ...]:
+        """nu(root^v) = 2 root / (root, root) in the lattice basis diag[i]
+        alpha_i, diag one of lattice_diagonals, in exact ints: coordinate i
+        is 2 l root_i / (l (root, root) diag_i); ValueError if nu(root^v)
+        is not in the lattice."""
+        norm = self.form(root, root)
+        two_l = 2 * self.int_form[1]
+        return tuple(
+            exact_quotient(two_l * r * x.denominator, norm * x.numerator, "coroot coordinate")
+            for r, x in zip(root, diag)
+        )
 
     @cached_property
     def finite_form(self) -> tuple:
@@ -421,16 +394,13 @@ class RootSystemData:
     def pos_root_norms(self) -> tuple[Fraction, ...]:
         """(r, r) for each root r of pos_roots, in that order."""
         lcd = self.int_form[1]
-        return tuple(
-            Fraction(self.form(c, c), lcd) for c in map(self.int_coords, self.pos_roots)
-        )
+        return tuple(Fraction(self.form(c, c), lcd) for c in self.pos_roots)
 
-    def _touching(self, root: Vec) -> list[int]:
+    def _touching(self, root: Root) -> list[int]:
         """1-based indices of the finite nodes not orthogonal to a finite
         root: those j with <root, alpha_j^v> = sum_i A[j][i] root_i != 0,
         read in integers from the finite Cartan matrix."""
-        coords = self.int_coords(root)
-        return [j for j, row in enumerate(self.finite_cartan, start=1) if sum(map(mul, row, coords))]
+        return [j for j, row in enumerate(self.finite_cartan, start=1) if sum(map(mul, row, root))]
 
     def i_theta(self) -> int:
         """1-based index of the finite node attached to the affine node."""
@@ -491,9 +461,6 @@ def _build(label: AffineLabel) -> RootSystemData:
     n = cartan.n
     dim = n + 2
 
-    def unit(k: int) -> Vec:
-        return tuple(_F1 if j == k else _F0 for j in range(dim))
-
     # Gram matrix: (alpha_i, alpha_j) = d_i^{-1} a_ij on finite nodes,
     # delta orthogonal to everything but Lambda0, (delta, Lambda0) = 1.
     gram = [[_F0] * dim for _ in range(dim)]
@@ -504,23 +471,17 @@ def _build(label: AffineLabel) -> RootSystemData:
     if any(gram[i][j] != gram[j][i] for i in range(dim) for j in range(dim)):
         raise ValueError(f"{label}: the bilinear form is not symmetric")
 
-    delta = unit(n)
-    theta = tuple(map(Fraction, cartan.marks[1:])) + (_F0, _F0)
-    pos = tuple(
-        tuple(map(Fraction, v)) + (_F0, _F0)
-        for v in _positive_roots([row[1:] for row in cartan.cartan[1:]])
-    )
+    theta = cartan.marks[1:]
+    pos = tuple(_positive_roots([row[1:] for row in cartan.cartan[1:]]))
+    a0 = cartan.a0
     return RootSystemData(
         cartan=cartan,
         gram=tuple(map(tuple, gram)),
-        simple_roots=tuple(map(unit, range(n))),
-        alpha0=vscale(Fraction(1, cartan.a0), vsub(delta, theta)),
-        delta=delta,
-        Lambda0=unit(n + 1),
+        alpha0=tuple(Fraction(-t, a0) for t in theta) + (Fraction(1, a0), _F0),
+        delta=vzero(n) + (_F1, _F0),
         pos_roots=pos,
         theta=theta,
         phi=pos[-1],
-        root_set=frozenset(pos) | frozenset(map(vneg, pos)),
     )
 
 

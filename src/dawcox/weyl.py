@@ -5,23 +5,24 @@ part of the weight space (the span of alpha_1..alpha_n); comparison is
 by matrix equality, and each matrix is one object per root system:
 `element` keeps the elements met so far in the root system's table, so
 an element's inverse, lattice matrices and reduced word are computed
-once per process, not once per product.  Each element acts on the
-lattices M and nu(Q^v) by integer matrices in their bases, derived from
-its matrix and the lattices' integer scales.  Reduced words come from
-greedy descent on inversion sets; longest elements, of the group and of
-root stabilizers, from greedy ascent in a parabolic subgroup, with no
-enumeration of the group.
+once per process, not once per product.  They act on the roots, which
+are integer simple-root coordinates too, so reflections, inversion sets
+and stabilizers read the root system's roots as they are.  Each element
+acts on the lattices M and nu(Q^v) by integer matrices in their bases,
+derived from its matrix and the lattices' integer scales.  Reduced
+words come from greedy descent on inversion sets; longest elements, of
+the group and of root stabilizers, from greedy ascent in a parabolic
+subgroup, with no enumeration of the group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache, cached_property
 from itertools import compress
 from operator import mul, ne, sub
 
-from .rootsys import RootSystemData, Vec, clear_denominators, exact_quotient, mat_vec
+from .rootsys import Root, RootSystemData, exact_quotient, mat_vec
 from .rootsys import mat_inv  # noqa: F401  (public here: tests and bench/spans.py use weyl.mat_inv)
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -165,18 +166,8 @@ class WeylElement:
         return hash(self.matrix)
 
     def act_finite(self, v) -> tuple:
-        """Apply to a finite vector (n coordinates): ints for an int
-        vector, otherwise Fractions, computed as the integer product with
-        the vector's numerators over their common denominator."""
-        if all(x.__class__ is int for x in v):
-            return mat_vec(self.matrix, v)
-        nums, den = clear_denominators(v)
-        return tuple([Fraction(x, den) for x in mat_vec(self.matrix, nums)])
-
-    def act(self, v: Vec) -> Vec:
-        """Apply to a full vector; delta and Lambda0 are fixed."""
-        n = self.rs.n
-        return self.act_finite(v[:n]) + v[n:]
+        """Apply to a finite vector of n integer simple-root coordinates."""
+        return mat_vec(self.matrix, v)
 
     def is_identity(self) -> bool:
         return self._is_identity
@@ -228,24 +219,17 @@ def identity(rs: RootSystemData) -> WeylElement:
     return element(rs, _identity(rs.n))
 
 
-def reflect(rs: RootSystemData, alpha: Vec) -> WeylElement:
-    """The reflection s_alpha(x) = x - (x, alpha^v) alpha; ValueError
-    if its matrix is not integral.  For a = alpha over its common
-    denominator, row i is e_i - a_i p with p_j = 2 (S a)_j / a^T S a."""
-    n = rs.n
-    if any(alpha[n:]):
-        isotropic = rs.bilinear(alpha, alpha) == 0
-        raise ValueError("cannot reflect in an isotropic vector" if isotropic
-                         else "reflect() expects a finite root")
-    a, _ = clear_denominators(alpha[:n])
-    sa = mat_vec(rs.int_form[0], a)
-    norm = sum(map(mul, a, sa))
-    if norm == 0:
-        raise ValueError("cannot reflect in an isotropic vector")
+def reflect(rs: RootSystemData, alpha: Root) -> WeylElement:
+    """The reflection s_alpha(x) = x - (x, alpha^v) alpha in a finite root
+    given by its integer coordinates; ValueError if its matrix is not
+    integral.  Row i is e_i - alpha_i p with p_j = 2 (S alpha)_j /
+    alpha^T S alpha."""
+    sa = mat_vec(rs.int_form[0], alpha)
+    norm = sum(map(mul, alpha, sa))
     return element(rs, tuple(
         tuple(int(i == j) - exact_quotient(2 * ai * x, norm, "matrix entry")
               for j, x in enumerate(sa))
-        for i, ai in enumerate(a)
+        for i, ai in enumerate(alpha)
     ))
 
 
@@ -265,16 +249,13 @@ class WeylGroup:
 
     def __init__(self, rs: RootSystemData):
         self.rs = rs
-        n = rs.n
-        self.simples = [simple_reflection(rs, i) for i in range(1, n + 1)]
-        # Roots have integer coordinates in the simple-root basis.
-        self.pos_int = tuple(tuple(int(c) for c in r[:n]) for r in rs.pos_roots)
-        self.neg_set = frozenset(tuple(-c for c in r) for r in self.pos_int)
+        self.simples = [simple_reflection(rs, i) for i in range(1, rs.n + 1)]
+        self.neg_set = frozenset(tuple(-c for c in r) for r in rs.pos_roots)
         self.id = identity(rs)
 
     def inversion_set(self, w: WeylElement) -> frozenset:
-        """Pi(w): positive finite roots sent negative (finite coords)."""
-        return frozenset(r for r in self.pos_int if w.act_finite(r) in self.neg_set)
+        """Pi(w): positive finite roots sent negative."""
+        return frozenset(r for r in self.rs.pos_roots if w.act_finite(r) in self.neg_set)
 
     def length(self, w: WeylElement) -> int:
         return len(self.inversion_set(w))
@@ -330,7 +311,7 @@ class WeylGroup:
         (Chevalley), so no group enumeration is needed."""
         rs = self.rs
         # (r, alpha_j) has the sign of (S r)_j
-        pairings = [mat_vec(rs.int_form[0], rs.int_coords(r)) for r in roots_to_fix]
+        pairings = [mat_vec(rs.int_form[0], r) for r in roots_to_fix]
         if any(p < 0 for row in pairings for p in row):
             raise ValueError("longest_in_stabilizer expects dominant roots")
         orthogonal = [
@@ -341,7 +322,7 @@ class WeylGroup:
     def is_simply_laced(self) -> bool:
         return len(set(self.rs.pos_root_norms)) == 1
 
-    def short_dominant(self) -> Vec:
+    def short_dominant(self) -> Root:
         """Short dominant root of the finite system (theta in the
         non-simply-laced combinatorics, regardless of the affine host)."""
         rs = self.rs
@@ -359,7 +340,7 @@ class WeylGroup:
             raise ValueError(f"{len(cands)} short dominant roots")
         return cands[0]
 
-    def theta_phi_finite(self) -> tuple[Vec, Vec]:
+    def theta_phi_finite(self) -> tuple[Root, Root]:
         return self.short_dominant(), self.rs.phi
 
     def xy_candidates(self) -> tuple[WeylElement, WeylElement]:
@@ -384,11 +365,10 @@ class WeylGroup:
         rs = self.rs
         form = rs.form
         x, y = self.xy_candidates()
-        theta, phi = self.theta_phi_finite()
-        theta_prime, phi_prime = rs.primed(theta, phi)
-        s_th, s_ph = reflect(rs, theta), reflect(rs, phi)
-        s_thp, s_php = reflect(rs, theta_prime), reflect(rs, phi_prime)
-        th, ph, thp, php = (tuple(rs.int_coords(r)) for r in (theta, phi, theta_prime, phi_prime))
+        th, ph = self.theta_phi_finite()
+        thp, php = rs.primed(th, ph)
+        s_th, s_ph = reflect(rs, th), reflect(rs, ph)
+        s_thp, s_php = reflect(rs, thp), reflect(rs, php)
         records = [
             ("x^2 = 1", x * x, self.id),
             ("y^2 = 1", y * y, self.id),

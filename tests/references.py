@@ -1,11 +1,88 @@
 """The Fraction formulas of the root-system set-up, kept as references
 for the integer code that replaced them: each one computes with the
-bilinear form and Fraction arithmetic, as its definition reads."""
+bilinear form and Fraction arithmetic, as its definition reads.  The
+package states a finite root by its integer simple-root coordinates;
+ambient() is its vector in the affine weight space, with basis (alpha_1,
+..., alpha_n, delta, Lambda0), on which these formulas compute."""
 
 import math
 from fractions import Fraction
 
-from dawcox.rootsys import as_int, vscale, vsub
+
+def as_int(x, what: str) -> int:
+    """x as an int; ValueError if x is not an integer."""
+    if x != int(x):
+        raise ValueError(f"{what}: {x} is not an integer")
+    return int(x)
+
+
+def vadd(x, y):
+    return tuple(a + b for a, b in zip(x, y))
+
+
+def vsub(x, y):
+    return tuple(a - b for a, b in zip(x, y))
+
+
+def vneg(x):
+    return tuple(-a for a in x)
+
+
+def vscale(c, x):
+    c = Fraction(c)
+    return tuple(c * a for a in x)
+
+
+def unit(rs, k):
+    """Basis vector k of the weight space: alpha_{k+1} for k < n, delta
+    for k = n and Lambda0 for k = n + 1."""
+    return tuple(Fraction(int(j == k)) for j in range(rs.dim))
+
+
+def simple_roots(rs):
+    """alpha_1 .. alpha_n as ambient vectors."""
+    return tuple(unit(rs, i) for i in range(rs.n))
+
+
+def ambient(root):
+    """The ambient vector of a finite root in integer coordinates."""
+    return tuple(map(Fraction, root)) + (Fraction(0),) * 2
+
+
+def root_of(v):
+    """The integer coordinates of an ambient finite root; ValueError if it
+    has a delta or Lambda0 part or a coordinate that is not an integer."""
+    if any(v[-2:]):
+        raise ValueError("not a finite root")
+    return tuple(as_int(c, "root coordinate") for c in v[:-2])
+
+
+def coroot(rs, x):
+    """nu(x^v) = 2x/(x,x) for a real (non-isotropic) ambient root x."""
+    norm = rs.bilinear(x, x)
+    if norm == 0:
+        raise ValueError("isotropic vector has no coroot")
+    return vscale(Fraction(2) / norm, x)
+
+
+def pairing(rs, x, root):
+    """(x, root^v) for ambient vectors."""
+    return rs.bilinear(x, coroot(rs, root))
+
+
+def primed(rs, theta, phi):
+    """theta' = phi - theta and phi' = (phi, theta^v) theta - phi for
+    integer roots, by the Fraction formulas on their ambient vectors."""
+    th, ph = ambient(theta), ambient(phi)
+    return root_of(vsub(ph, th)), root_of(vsub(vscale(pairing(rs, ph, th), th), ph))
+
+
+def weyl_act(w, v):
+    """A finite Weyl element applied to an ambient vector, by Fraction
+    arithmetic: its matrix on the finite part, delta and Lambda0 fixed."""
+    n = w.rs.n
+    x = tuple(map(Fraction, v[:n]))
+    return tuple(sum(a * c for a, c in zip(row, x)) for row in w.matrix) + tuple(v[n:])
 
 
 def int_matrix(a):
@@ -15,14 +92,10 @@ def int_matrix(a):
 
 def reflect_matrix(rs, alpha):
     """The matrix of s_alpha(x) = x - (x, alpha^v) alpha in the simple-root
-    basis, column by column; ValueError for an isotropic or non-finite
-    vector or a matrix that is not integral."""
+    basis, column by column, for an ambient finite vector alpha;
+    ValueError if the matrix is not integral."""
     n = rs.n
-    if rs.bilinear(alpha, alpha) == 0:
-        raise ValueError("cannot reflect in an isotropic vector")
-    if any(alpha[n:]):
-        raise ValueError("reflect() expects a finite root")
-    av = rs.coroot(alpha)
+    av = coroot(rs, alpha)
     cols = []
     for j in range(n):
         e = tuple(Fraction(int(i == j)) for i in range(n)) + (Fraction(0),) * 2
@@ -63,7 +136,7 @@ def lattice_scales(basis):
 
 def pos_root_norms(rs):
     """(r, r) for each positive root."""
-    return tuple(rs.bilinear(r, r) for r in rs.pos_roots)
+    return tuple(rs.bilinear(ambient(r), ambient(r)) for r in rs.pos_roots)
 
 
 def pairing_table(rs):

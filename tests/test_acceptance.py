@@ -171,8 +171,9 @@ APPENDIX_TYPES = {"B2": "C2(1)", "B3": "B3(1)", "C3": "C3(1)", "F4": "F4(1)",
 
 
 def test_criterion_8_appendix_a():
-    from dawcox.rootsys import build, vsub, vscale
+    from dawcox.rootsys import build
     from dawcox.weyl import WeylGroup, reflect
+    from references import ambient, primed, simple_roots
 
     t0 = time.perf_counter()
     failures = []
@@ -181,8 +182,7 @@ def test_criterion_8_appendix_a():
         wg = WeylGroup(rs)
         theta, phi = wg.theta_phi_finite()
         s_th, s_ph = reflect(rs, theta), reflect(rs, phi)
-        theta_p = vsub(phi, theta)
-        phi_p = vsub(vscale(rs.pairing(phi, theta), theta), phi)
+        theta_p, phi_p = primed(rs, theta, phi)
         # the length factorization identities
         if wg.length(s_th) != wg.length(s_ph * s_th) + wg.length(reflect(rs, phi_p)):
             failures.append((name, "length factorization i"))
@@ -197,10 +197,10 @@ def test_criterion_8_appendix_a():
             continue
         # explicit x/y identifications
         if name == "G2":
-            i_th = next(i for i, a in enumerate(rs.simple_roots, 1)
-                        if rs.bilinear(theta, a) != 0)
-            i_ph = next(i for i, a in enumerate(rs.simple_roots, 1)
-                        if rs.bilinear(phi, a) != 0)
+            i_th = next(i for i, a in enumerate(simple_roots(rs), 1)
+                        if rs.bilinear(ambient(theta), a) != 0)
+            i_ph = next(i for i, a in enumerate(simple_roots(rs), 1)
+                        if rs.bilinear(ambient(phi), a) != 0)
             if x != wg.simples[i_ph - 1] or y != wg.simples[i_th - 1]:
                 failures.append((name, "triply laced identification"))
         else:

@@ -258,6 +258,30 @@ def test_lookalike_digit_rank_is_not_a_label(capsys, family):
     assert err == f"error: cannot parse double affine label {family!r}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--family", "dddotC"),
+    ("diagram", "--family", "ddotB"),
+    ("nf", "--family", "dddotA", "--word", "C"),
+    ("involution", "--matrix", "1,1;-2,-1", "--family", "dddotCstar"),
+])
+def test_a_family_without_its_rank_says_it_needs_one(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    family = argv[argv.index("--family") + 1]
+    assert code == 2 and out == ""
+    assert err == f"error: {family} needs a rank\n"
+
+
+@pytest.mark.parametrize("family,label", [
+    ("dddotC2", ("dddotC", 2)), ("dddotC2star", ("dddotCstar", 2)), ("dddotF", ("dddotF", 4)),
+    ("ddotB2", ("ddotB2", 2)), ("ddotG2", ("ddotG2", 2)),
+])
+def test_a_label_name_or_fixed_rank_family_needs_no_rank(capsys, family, label):
+    code, out, err = run(capsys, "diagram", "--family", family, "--json")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert (payload["family"], payload["rank"]) == label
+
+
 def test_verify_rank_needs_a_family(capsys):
     code, out, err = run(capsys, "verify", "--rank", "3", "--suite", "appendixA")
     assert code == 2 and out == ""
@@ -425,6 +449,27 @@ def test_verify_names_the_broken_record(capsys, monkeypatch, check):
     assert all(set(f) == {"relation", "lhs_nf", "rhs_nf"} for f in failures)
     mask = functools.partial(re.sub, r'"elapsed_ms": \d+', "")
     assert mask(first) == mask(second)
+
+
+def test_bernstein_right_hand_sides_do_not_read_the_lattice_matrices(capsys, monkeypatch):
+    # an xconj record's right-hand side tau_{s_i beta} is computed from
+    # the finite Cartan matrix, and its left-hand side s_i tau_beta s_i by
+    # the product, which reads s_i's matrix on nu(Q^v): a wrong matrix
+    # there must fail the record, not move both sides alike.  The wrong
+    # matrix goes into the element's own dict, so it holds whether or not
+    # the element's lattice matrices were built before.
+    argv = ("verify", "--family", "dddotB", "--rank", "5", "--suite", "bernstein", "--json")
+    assert run(capsys, *argv)[0] == 0
+    lab = diagrams.label("dddotB", 5)
+    s1 = dagroup.context(diagrams.correspondence(lab)).wg.simples[0]
+    identity = tuple(tuple(int(i == j) for j in range(5)) for i in range(5))
+    assert s1.qcheck_matrix != identity
+    monkeypatch.setitem(s1.__dict__, "qcheck_matrix", identity)
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    (report,) = (c for c in json.loads(out)["checks"] if c["id"] == "dddotB5:bernstein")
+    assert report["status"] == "FAIL"
+    assert any(f["relation"] == "xconj i=1" for f in report["witness"]["failures"])
 
 
 def _flipped_family_count(monkeypatch):

@@ -5,8 +5,9 @@ import pytest
 
 from dawcox import cli, dagroup, diagrams
 from dawcox.dagroup import A2n2Comparison, context, lam_word, tau_word
-from dawcox.rootsys import build, mat_inv, parse_label, vadd, vneg, vscale, vsub
+from dawcox.rootsys import build, mat_inv, parse_label
 from dawcox.weyl import WeylElement, mat_mul, mat_vec
+from references import ambient, coroot, vadd, vneg, vscale, vsub, weyl_act
 
 LABELS = ["A1(1)", "C2(1)", "A2(2)", "D3(2)", "G2(1)", "D4(3)", "B3(1)", "E6(2)"]
 
@@ -92,9 +93,9 @@ def test_conjugation_relations(ctxs, lab):
     for i in range(1, ctx.n + 1):
         s = ctx.s(i)
         for mu in rs.m_basis():
-            assert s * ctx.lam(mu) * s.inv() == ctx.lam(ctx.wg.simples[i - 1].act(mu))
+            assert s * ctx.lam(mu) * s.inv() == ctx.lam(weyl_act(ctx.wg.simples[i - 1], mu))
         for beta in rs.qcheck_basis():
-            assert s * ctx.tau(beta) * s.inv() == ctx.tau(ctx.wg.simples[i - 1].act(beta))
+            assert s * ctx.tau(beta) * s.inv() == ctx.tau(weyl_act(ctx.wg.simples[i - 1], beta))
     # s_0 as well: s_0(beta) picks up a delta component, which lands in k.
     s0 = ctx.s(0)
     for beta in rs.qcheck_basis():
@@ -152,7 +153,7 @@ def test_s0_equals_reflection_matrix(ctxs):
         rng = random.Random(1)
         for p in random_points(ctx, rng, 4):
             direct = vadd(
-                p, vscale(-rs.bilinear(p, rs.coroot(rs.alpha0)), rs.alpha0)
+                p, vscale(-rs.bilinear(p, coroot(rs, rs.alpha0)), rs.alpha0)
             )
             assert s0.act(p) == direct
 
@@ -180,13 +181,13 @@ def test_lam_linear_matches_reflection_composition(ctxs):
         ctx = ctxs[lab]
         rs = ctx.rs
         comp = ctx.s(0) * ctx.w(ctx.s_theta)
-        lam = ctx.lam(ctx.nu_theta_v)
+        lam = ctx.lam(coroot(rs, ambient(rs.theta)))
         assert comp == lam
         for p in random_points(ctx, rng, 3):  # points at level 1 or 2
             assert comp.act(p) == lam.act(p)
             assert lam.act(p) == lam_reference(rs, lam.mu, p)
             # mu = 0: lam_0 is the identity
-            assert ctx.lam(ctx.zero).act(p) == p
+            assert ctx.lam((Fraction(0),) * rs.dim).act(p) == p
             # k != 0: the point is shifted by k delta before lam_mu acts
             for k in (Fraction(-2), Fraction(1, 2), Fraction(3)):
                 shifted = vadd(p, vscale(k, rs.delta))
@@ -222,7 +223,7 @@ def act_reference(g, p):
     full bilinear form."""
     rs = g.ctx.rs
     shifted = vadd(vadd(tuple(map(Fraction, p)), vscale(g.k, rs.delta)), g.beta)
-    return g.w.act(lam_reference(rs, g.mu, shifted))
+    return weyl_act(g.w, lam_reference(rs, g.mu, shifted))
 
 
 @pytest.mark.parametrize("lab, half_delta", ACTION_CASES)

@@ -17,6 +17,7 @@ from dawcox.diagrams import (
     partner,
     to_json,
 )
+from dawcox.presentation import generator_dictionary
 from dawcox.rootsys import UnknownTypeError, affine_cartan, parse_label
 
 ALL = cli.LABELS + cli.LARGE
@@ -57,11 +58,12 @@ def test_label_validation():
         label("ddotB", 2)
     with pytest.raises(UnknownTypeError):
         label("dddotG", 3)
-    # The C1 = A1 aliasing convention.
-    c1 = label("dddotC", 1)
-    assert c1.family == "dddotA" and c1.alias_of == "dddotC"
-    c1s = label("dddotCstar", 1)
-    assert c1s.family == "dddotAstar" and c1s.alias_of == "dddotCstar"
+    # The C1 = A1 aliasing convention: one label, and one generator
+    # dictionary, under either name.
+    for family, name in (("dddotC", "dddotA1"), ("dddotCstar", "dddotA1star")):
+        c1 = label(family, 1)
+        assert c1 == parse(name) and str(c1) == name
+        assert generator_dictionary(c1) is generator_dictionary(parse(name))
 
 
 def test_parse_names():
@@ -82,15 +84,15 @@ def test_table_names_cover_the_verify_labels():
 def test_label_admits_exactly_the_admissible_ranks(family):
     for n in range(-1, 12):
         if (family, n) in ALIASES:
-            expected = (ALIASES[family, n], n, family)
+            expected = (ALIASES[family, n], n)
         elif n in ADMISSIBLE[family]:
-            expected = (family, n, None)
+            expected = (family, n)
         else:
             with pytest.raises(UnknownTypeError):
                 label(family, n)
             continue
         lab = label(family, n)
-        assert (lab.family, lab.rank, lab.alias_of) == expected
+        assert (lab.family, lab.rank) == expected
 
 
 def test_label_keeps_its_error_messages():

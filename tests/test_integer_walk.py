@@ -11,8 +11,9 @@ import pytest
 
 from dawcox import cli, diagrams, rootsys
 from dawcox.dagroup import AffineWalk, DaweylElement, context, lam_word, tau_word
-from dawcox.rootsys import RootSystemData, mat_inv, vadd, vscale, vsub
+from dawcox.rootsys import RootSystemData, mat_inv
 from dawcox.weyl import WeylElement, mat_vec
+from references import ambient, coroot, root_of, simple_roots, vadd, vscale, vsub, weyl_act
 
 LABELS = sorted(
     {
@@ -36,10 +37,11 @@ class FractionWalk:
         self.ctx = ctx
         self.kind = kind
         rs = ctx.rs
-        self.c_root = rs.theta if kind == "lam" else ctx.c_root
-        self.c_coroot = rs.coroot(self.c_root)
+        self.c_root = ambient(rs.theta if kind == "lam" else ctx.c_root)
+        self.c_coroot = coroot(rs, self.c_root)
         self.kappa = Fraction(2) / rs.bilinear(self.c_root, self.c_root)
-        self.simple_coroots = tuple(rs.coroot(a) for a in rs.simple_roots)
+        self.simple = simple_roots(rs)
+        self.simple_coroots = tuple(coroot(rs, a) for a in self.simple)
         self.base = self._base_point()
 
     def _wall_values(self, x):
@@ -71,15 +73,15 @@ class FractionWalk:
         rs = self.ctx.rs
         if i == 0:
             return vsub(x, vscale(rs.bilinear(x, self.c_coroot) - self.kappa, self.c_root))
-        a = rs.simple_roots[i - 1]
-        return vsub(x, vscale(rs.bilinear(x, rs.coroot(a)), a))
+        a = self.simple[i - 1]
+        return vsub(x, vscale(rs.bilinear(x, coroot(rs, a)), a))
 
     def _point_of(self, g):
         rs = self.ctx.rs
         if self.kind == "lam":
             q = g.act(self.base[: rs.n] + (_F0, _F1))
             return q[: rs.n] + (_F0, _F0)
-        return g.w.act(vadd(self.base, g.beta))
+        return weyl_act(g.w, vadd(self.base, g.beta))
 
     def word_for(self, g):
         x = self._point_of(g)
@@ -99,7 +101,7 @@ class FractionWalk:
 
 
 def fraction_positive_roots(rs):
-    simple = rs.simple_roots
+    simple = simple_roots(rs)
     seen = set(simple)
     frontier = list(simple)
     while frontier:
@@ -146,8 +148,8 @@ def test_words_match_the_fraction_walk(label):
 @pytest.mark.parametrize("label", LABELS)
 def test_positive_roots_match_the_fraction_closure(label):
     rs = rootsys.build(label)
-    assert list(rs.pos_roots) == fraction_positive_roots(rs)
-    assert all(type(c) is Fraction for r in rs.pos_roots for c in r)
+    assert list(rs.pos_roots) == [root_of(v) for v in fraction_positive_roots(rs)]
+    assert all(type(c) is int for r in rs.pos_roots for c in r)
 
 
 @pytest.mark.parametrize("label", LABELS)

@@ -1,10 +1,12 @@
-"""No function, method or class in the package exists only for the tests:
-each one is used somewhere else in the package or by the benchmark
-(bench/*.py).  Code that only the tests call belongs in the tests.
+"""No function, method, class or class field in the package exists only
+for the tests: each one is used somewhere else in the package or by the
+benchmark (bench/*.py).  Code that only the tests call belongs in the
+tests.
 
-A method counts as used only where an attribute of that name is read or
-a benchmark string names it: a bare name of the same spelling (a local
-variable, a parameter) does not reach it."""
+A method or a field (an annotated name in a class body: a dataclass or
+NamedTuple field) counts as used only where an attribute of that name is
+read or a benchmark string names it: a bare name of the same spelling (a
+local variable, a parameter, a constructor keyword) does not reach it."""
 
 import ast
 import re
@@ -65,10 +67,21 @@ def _methods(tree) -> set:
     }
 
 
+def _fields(tree) -> list:
+    """The annotated names of the class bodies, as (line, name)."""
+    return [
+        (item.lineno, item.target.id)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+    ]
+
+
 def test_package_has_no_test_only_code():
     assert SOURCES and BENCH
     every, reach = Counter(), Counter()
-    defs = []
+    defs, fields = [], []
     for path in SOURCES + BENCH:
         tree, docstrings = _parse(path)
         names, attrs, words = _uses(tree, docstrings)
@@ -80,6 +93,8 @@ def test_package_has_no_test_only_code():
             for node in ast.walk(tree)
             if path in SOURCES and isinstance(node, _DEFS) and not node.name.startswith("__")
         ]
+        if path in SOURCES:
+            fields += [(path.name, line, name) for line, name in _fields(tree)]
 
     def used(node, docstrings, is_method) -> int:
         # a use inside the definition itself (recursion) does not count
@@ -92,5 +107,10 @@ def test_package_has_no_test_only_code():
         f"{name}:{node.lineno} {node.name}"
         for name, node, docstrings, is_method in defs
         if not used(node, docstrings, is_method)
-    ]
+    ] + [f"{path}:{line} {name}" for path, line, name in fields if not reach[name]]
     assert unused == [], f"used only by the tests: {unused}"
+
+
+def test_the_guard_sees_class_fields():
+    tree = ast.parse("class A:\n    x: int\n    y: str = ''\n    z = 1\n\n    def f(self): pass\n")
+    assert [name for _, name in _fields(tree)] == ["x", "y"]

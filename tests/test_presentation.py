@@ -5,6 +5,7 @@ import pytest
 from dawcox import cli, dagroup, diagrams
 from dawcox import presentation as pr
 from dawcox.weyl import WeylGroup, reflect
+from references import ambient, coroot
 
 
 def _failed(records):
@@ -178,7 +179,7 @@ def test_psi_untwisted_theta_word():
     pres = gd.presentation
     word = pr.wmul((("Theta03", 1),), pres.theta_word)
     ctx = gd.ctx
-    assert gd.evaluate(word) == ctx.tau(ctx.rs.coroot(ctx.rs.theta))
+    assert gd.evaluate(word) == ctx.tau(coroot(ctx.rs, ambient(ctx.rs.theta)))
 
 
 def test_psi_twisted_phi_word():
@@ -187,7 +188,7 @@ def test_psi_twisted_phi_word():
     pres = gd.presentation
     word = pr.wmul((("Phi0", 1),), pres.phi_word)
     ctx = gd.ctx
-    assert gd.evaluate(word) == ctx.tau(ctx.rs.coroot(ctx.rs.phi))
+    assert gd.evaluate(word) == ctx.tau(coroot(ctx.rs, ambient(ctx.rs.phi)))
 
 
 STARRED = ["dddotA1star", "dddotC1star", "dddotC2star", "dddotC3star"]
@@ -223,10 +224,10 @@ def test_plain_images_match_the_affine_formulas(name):
     if gd.label.is_triple:
         assert img["Theta01"] == ctx.s(0)
         assert img["Theta02"] == ctx.s(0) * ctx.tau_alpha0()
-        assert img["Theta03"] == ctx.tau(rs.coroot(rs.theta)) * ctx.w(ctx.s_theta)
+        assert img["Theta03"] == ctx.tau(coroot(rs, ambient(rs.theta))) * ctx.w(ctx.s_theta)
     else:
         assert img["Theta0"] == ctx.s(0)
-        assert img["Phi0"] == ctx.tau(rs.coroot(rs.phi)) * ctx.w(reflect(rs, rs.phi))
+        assert img["Phi0"] == ctx.tau(coroot(rs, ambient(rs.phi))) * ctx.w(reflect(rs, rs.phi))
     assert all(img[f"T{i}"] == ctx.s(i) for i in range(1, ctx.n + 1))
 
 
@@ -239,7 +240,7 @@ def test_affine_letters_map_to_the_walk_generators(name):
     for q in gd.quotients:
         ctx, rs = q.ctx, q.ctx.rs
         c = rs.phi if rs.is_twisted_proper() else rs.theta
-        assert ctx.t0 == ctx.tau(rs.coroot(c)) * ctx.w(reflect(rs, c))
+        assert ctx.t0 == ctx.tau(coroot(rs, ambient(c))) * ctx.w(reflect(rs, c))
         assert q.images[s0_letter] == ctx.s(0) == ctx.lam_walk.generators[0]
         assert q.images[t0_letter] == ctx.t0 == ctx.tau_walk.generators[0]
 

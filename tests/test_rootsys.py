@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 import references
 from dawcox import cli, diagrams, rootsys
-from dawcox.rootsys import RootSystemData, build, parse_label, vadd, vscale, vsub
+from dawcox.rootsys import RootSystemData, build, parse_label
 from dawcox.weyl import WeylGroup
+from references import ambient, coroot, pairing, simple_roots, unit, vadd, vscale, vsub
 
 ALL_LABELS = [
     "A1(1)", "A2(1)", "A3(1)", "B3(1)", "B4(1)", "C2(1)", "C3(1)",
@@ -75,13 +76,32 @@ def test_lattice_diagonals_state_the_bases(label):
     # the bases as their definitions read: A_i = e_i alpha_i, and
     # nu(alpha_i^v) = 2 alpha_i / (alpha_i, alpha_i) from the bilinear form
     e = rs.cartan.e[1:]
-    assert rs.m_basis() == tuple(vscale(x, a) for x, a in zip(e, rs.simple_roots))
-    assert rs.qcheck_basis() == tuple(rs.coroot(a) for a in rs.simple_roots)
+    simple = simple_roots(rs)
+    assert rs.m_basis() == tuple(vscale(x, a) for x, a in zip(e, simple))
+    assert rs.qcheck_basis() == tuple(coroot(rs, a) for a in simple)
     for basis, diag in ((rs.m_basis(), m), (rs.qcheck_basis(), q)):
-        assert basis == tuple(vscale(x, a) for x, a in zip(diag, rs.simple_roots))
+        assert basis == tuple(vscale(x, a) for x, a in zip(diag, simple))
     assert rs.m_scales == references.lattice_scales(rs.m_basis())
     assert rs.qcheck_scales == references.lattice_scales(rs.qcheck_basis())
     assert rs.pairing_table == references.pairing_table(rs)
+
+
+@pytest.mark.parametrize("label", KAC_LABELS)
+def test_coroot_coords_match_the_fraction_coroot(label):
+    # nu(r^v) = 2 r / (r, r) for every root r, in both lattice bases:
+    # the coordinates where the reference finds them, ValueError where
+    # nu(r^v) is off the lattice
+    rs = build(label)
+    for root in rs.pos_roots:
+        nu = coroot(rs, ambient(root))
+        for diag, basis in zip(rs.lattice_diagonals, (rs.m_basis(), rs.qcheck_basis())):
+            try:
+                want = references.coords(nu, basis)
+            except ValueError:
+                with pytest.raises(ValueError, match="coroot coordinate"):
+                    rs.coroot_coords(root, diag)
+            else:
+                assert rs.coroot_coords(root, diag) == want
 
 
 def test_lattice_scales_reject_a_basis_that_is_not_diagonal():
@@ -125,8 +145,12 @@ def test_cartan_invariants(systems, lab):
     rs = systems[lab]
     c = rs.cartan
     n = c.n
-    # a_0^v = 1 always; a_0 = 1 except A_{2n}^(2).
-    assert c.comarks[0] == 1
+    # the comarks a_i^v = a_i / d_i are the left null vector of the
+    # Cartan matrix in positive integers, with a_0^v = 1 always
+    comarks = [a / d for a, d in zip(c.marks, c.d)]
+    assert comarks[0] == 1 and all(x > 0 and x.denominator == 1 for x in comarks)
+    assert not any(sum(x * row[j] for x, row in zip(comarks, c.cartan)) for j in range(n + 1))
+    # a_0 = 1 except A_{2n}^(2).
     even_a2 = lab[0] == "A" and lab.endswith("(2)") and int(lab[1:-3]) % 2 == 0
     assert c.a0 == (2 if even_a2 else 1)
     # twist equals the table number.
@@ -142,22 +166,23 @@ def test_bilinear_form_basics(systems, lab):
     rs = systems[lab]
     # (delta, delta) = 0, (delta, Lambda0) = 1, (Lambda0, Lambda0) = 0.
     assert rs.bilinear(rs.delta, rs.delta) == 0
-    assert rs.bilinear(rs.delta, rs.Lambda0) == 1
-    assert rs.bilinear(rs.Lambda0, rs.Lambda0) == 0
+    lambda0 = unit(rs, rs.n + 1)
+    assert rs.bilinear(rs.delta, lambda0) == 1
+    assert rs.bilinear(lambda0, lambda0) == 0
     # (alpha_0, alpha_j) = d_0^{-1} a_0j even though alpha_0 is derived.
-    for j in range(rs.n):
+    for j, a in enumerate(simple_roots(rs)):
         expect = rs.cartan.cartan[0][j + 1] / rs.cartan.d[0]
-        assert rs.bilinear(rs.alpha0, rs.simple_roots[j]) == expect
+        assert rs.bilinear(rs.alpha0, a) == expect
     assert rs.bilinear(rs.alpha0, rs.alpha0) == 2 / rs.cartan.d[0]
     # delta = a_0 alpha_0 + theta exactly.
-    assert vadd(vscale(rs.a0, rs.alpha0), rs.theta) == rs.delta
+    assert vadd(vscale(rs.a0, rs.alpha0), ambient(rs.theta)) == rs.delta
 
 
 @pytest.mark.parametrize("lab", ALL_LABELS)
 def test_nu_of_coroots(systems, lab):
     rs = systems[lab]
-    for i, a in enumerate(rs.simple_roots):
-        assert rs.coroot(a) == vscale(rs.cartan.d[i + 1], a)
+    for i, a in enumerate(simple_roots(rs)):
+        assert coroot(rs, a) == vscale(rs.cartan.d[i + 1], a)
 
 
 @pytest.mark.parametrize("lab", ALL_LABELS)
@@ -201,28 +226,32 @@ def test_theta_phi(systems, lab):
     rs = systems[lab]
     untwisted = rs.twist == 1
     even_a2 = lab[0] == "A" and lab.endswith("(2)") and int(lab[1:-3]) % 2 == 0
+    theta, phi = ambient(rs.theta), ambient(rs.phi)
     if untwisted or even_a2:
         assert rs.theta == rs.phi
     else:
         assert rs.theta != rs.phi
         # theta short dominant, phi long dominant, (phi^v, theta) = 1.
-        assert rs.bilinear(rs.theta, rs.theta) == 2
-        assert rs.bilinear(rs.phi, rs.phi) == 2 * rs.twist
-        assert rs.pairing(rs.theta, rs.phi) == 1
+        assert rs.bilinear(theta, theta) == 2
+        assert rs.bilinear(phi, phi) == 2 * rs.twist
+        assert pairing(rs, theta, phi) == 1
         # theta'/phi' orthogonality holds in the doubly-laced cases; for
         # the triply-laced system (theta', theta) = r - 2 instead.
         theta_prime, phi_prime = rs.primed(rs.theta, rs.phi)
+        assert ambient(theta_prime) == vsub(phi, theta)
+        assert ambient(phi_prime) == vsub(vscale(pairing(rs, phi, theta), theta), phi)
         if rs.twist == 2:
-            assert rs.bilinear(theta_prime, rs.theta) == 0
-            assert rs.bilinear(phi_prime, rs.phi) == 0
+            assert rs.bilinear(ambient(theta_prime), theta) == 0
+            assert rs.bilinear(ambient(phi_prime), phi) == 0
         else:
-            assert rs.bilinear(theta_prime, rs.theta) == rs.twist - 2
-        assert rs.coroot(phi_prime) == vsub(rs.coroot(rs.theta), rs.coroot(rs.phi))
-        assert theta_prime in rs.root_set
-        assert phi_prime in rs.root_set
-    for a in rs.simple_roots:
-        assert rs.bilinear(rs.theta, a) >= 0
-        assert rs.bilinear(rs.phi, a) >= 0
+            assert rs.bilinear(ambient(theta_prime), theta) == rs.twist - 2
+        assert coroot(rs, ambient(phi_prime)) == vsub(coroot(rs, theta), coroot(rs, phi))
+        roots = set(rs.pos_roots) | {tuple(-c for c in r) for r in rs.pos_roots}
+        assert theta_prime in roots
+        assert phi_prime in roots
+    for a in simple_roots(rs):
+        assert rs.bilinear(theta, a) >= 0
+        assert rs.bilinear(phi, a) >= 0
 
 
 @pytest.mark.parametrize("lab", ALL_LABELS)
@@ -230,23 +259,24 @@ def test_m_lattice(systems, lab):
     rs = systems[lab]
     mb = rs.m_basis()
     # a_0^{-1} theta = nu(theta^v) lies in M.
-    nu_thetav = rs.coroot(rs.theta)
-    assert nu_thetav == vscale(Fraction(1, rs.a0), rs.theta)
+    nu_thetav = coroot(rs, ambient(rs.theta))
+    assert nu_thetav == vscale(Fraction(1, rs.a0), ambient(rs.theta))
     assert rs.lattice_coords(nu_thetav, mb) is not None
     # M = nu(Qring^v) for r=1 and Qring for r=2,3; for A_{2n}^(2) the
     # a_0 = 2 rescaling makes M strictly larger than Qring.
+    roots = [ambient(r) for r in rs.pos_roots]
     if rs.a0 == 2:
-        target = [rs.coroot(r) for r in rs.pos_roots if rs.bilinear(r, r) == 4]
+        target = [coroot(rs, r) for r in roots if rs.bilinear(r, r) == 4]
         for v in mb:
             assert any(
                 rs.lattice_coords(v, [t] + list(mb[1:])) for t in target
             ) or rs.lattice_coords(v, mb)
         # W(a_0^{-1} theta) generates M: spot-check the orbit inclusion.
-        for r in rs.pos_roots:
+        for r in roots:
             if rs.bilinear(r, r) == 4:
-                assert rs.lattice_coords(rs.coroot(r), mb) is not None
+                assert rs.lattice_coords(coroot(rs, r), mb) is not None
         return
-    target = rs.qcheck_basis() if rs.twist == 1 else rs.simple_roots
+    target = rs.qcheck_basis() if rs.twist == 1 else simple_roots(rs)
     for v in mb:
         assert rs.lattice_coords(v, target) is not None
     for v in target:
@@ -256,7 +286,7 @@ def test_m_lattice(systems, lab):
 def test_specific_norms(systems):
     # (theta, theta) = 2 in A_1^(1); bilinear example values from the text.
     rs = systems["A1(1)"]
-    assert rs.bilinear(rs.theta, rs.theta) == 2
+    assert rs.bilinear(ambient(rs.theta), ambient(rs.theta)) == 2
     for lab, norm in (("D4(3)", 6), ("A2(2)", 4)):
         rs = systems[lab]
         assert max(*rs.pos_root_norms, rs.bilinear(rs.alpha0, rs.alpha0)) == norm
@@ -274,15 +304,9 @@ def test_ell0_values(systems):
     assert systems["D4(3)"].ell0() == 1
 
 
-def test_isotropic_coroot_rejected(systems):
-    rs = systems["A1(1)"]
-    with pytest.raises(ValueError):
-        rs.coroot(rs.delta)
-
-
 def _nodes_touching(rs, root):
     """The bilinear definition: finite nodes j with (root, alpha_j) != 0."""
-    return [j + 1 for j, a in enumerate(rs.simple_roots) if rs.bilinear(root, a) != 0]
+    return [j + 1 for j, a in enumerate(simple_roots(rs)) if rs.bilinear(ambient(root), a) != 0]
 
 
 @pytest.mark.parametrize(

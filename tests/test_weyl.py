@@ -9,6 +9,13 @@ from dawcox import dagroup, diagrams
 from dawcox.cli import LABELS, LARGE
 from dawcox.rootsys import build
 from dawcox.weyl import WeylElement, WeylGroup, mat_mul, reflect
+from references import ambient, primed, simple_roots
+
+
+def simple_root(n: int, i: int) -> tuple:
+    """alpha_i in integer simple-root coordinates."""
+    return tuple(int(j == i - 1) for j in range(n))
+
 
 def from_word(g: WeylGroup, word) -> WeylElement:
     """s_{word[0]} s_{word[1]} ..., the product of the simple reflections."""
@@ -38,7 +45,7 @@ def test_reflections_are_involutions(groups):
             assert (s * s).is_identity()
         s_th = reflect(g.rs, g.rs.theta)
         assert (s_th * s_th).is_identity()
-        th = g.rs.theta[: g.rs.n]
+        th = g.rs.theta
         assert s_th.act_finite(th) == tuple(-c for c in th)
 
 
@@ -53,7 +60,7 @@ def test_lengths_and_inversions(groups):
         assert g.length(g.id) == 0
         w0 = g.longest_element()
         assert g.length(w0) == len(g.rs.pos_roots)
-        assert g.inversion_set(w0) == frozenset(g.pos_int)
+        assert g.inversion_set(w0) == frozenset(g.rs.pos_roots)
         for i, s in enumerate(g.simples, start=1):
             assert g.length(s) == 1
             assert g.reduced_word(s) == (i,)
@@ -74,7 +81,7 @@ def test_reduced_word_roundtrip_random(groups):
         pi = set()
         suffix = g.id
         for k in reversed(red):
-            alpha = suffix.act_finite(g.rs.simple_roots[k - 1][: g.rs.n])
+            alpha = suffix.act_finite(simple_root(g.rs.n, k))
             pi.add(alpha)
             suffix = suffix * g.simples[k - 1]
         assert g.inversion_set(w) == frozenset(pi)
@@ -88,7 +95,7 @@ def test_descent_exchange_equivalences(groups):
         w = from_word(g, [rng.randint(1, 3) for _ in range(rng.randint(0, 10))])
         inv = g.inversion_set(w)
         for i in range(1, 4):
-            a = g.rs.simple_roots[i - 1][: g.rs.n]
+            a = simple_root(g.rs.n, i)
             is_descent = i in g.right_descents(w)
             assert is_descent == (a in inv)
             assert is_descent == (g.length(w * g.simples[i - 1]) == g.length(w) - 1)
@@ -120,9 +127,8 @@ def test_length_factorization_identities(groups, name):
     g = groups[name]
     rs = g.rs
     theta, phi = g.theta_phi_finite()
-    from dawcox.rootsys import vsub, vscale
-    theta_prime = vsub(phi, theta)
-    phi_prime = vsub(vscale(rs.pairing(phi, theta), theta), phi)
+    theta_prime, phi_prime = primed(rs, theta, phi)
+    assert rs.primed(theta, phi) == (theta_prime, phi_prime)
     s_th = reflect(rs, theta)
     s_ph = reflect(rs, phi)
     s_thp = reflect(rs, theta_prime)
@@ -135,19 +141,17 @@ def test_length_factorization_identities(groups, name):
 def test_compute_xy(groups, name):
     g = groups[name]
     rs = g.rs
-    from dawcox.rootsys import vsub, vscale
     theta, phi = g.theta_phi_finite()
-    theta_prime = vsub(phi, theta)
-    phi_prime = vsub(vscale(rs.pairing(phi, theta), theta), phi)
+    theta_prime, phi_prime = primed(rs, theta, phi)
     x, y = g.compute_xy()
     s_thp = reflect(rs, theta_prime)
     s_php = reflect(rs, phi_prime)
     if name == "G2":
         # x = s_{i_phi}, y = s_{i_theta} in the rank-two triple-laced case
-        i_th = next(i for i, a in enumerate(rs.simple_roots, 1)
-                    if rs.bilinear(theta, a) != 0)
-        i_ph = next(i for i, a in enumerate(rs.simple_roots, 1)
-                    if rs.bilinear(phi, a) != 0)
+        i_th = next(i for i, a in enumerate(simple_roots(rs), 1)
+                    if rs.bilinear(ambient(theta), a) != 0)
+        i_ph = next(i for i, a in enumerate(simple_roots(rs), 1)
+                    if rs.bilinear(ambient(phi), a) != 0)
         assert x == g.simples[i_ph - 1]
         assert y == g.simples[i_th - 1]
     else:
@@ -249,15 +253,14 @@ def _stabilized_root_sets(g):
 
 
 def _fixes(w, roots):
-    n = w.rs.n
-    return all(w.act_finite(r[:n]) == r[:n] for r in roots)
+    return all(w.act_finite(r) == r for r in roots)
 
 
 @pytest.mark.parametrize("label", LABELS + LARGE)
 def test_longest_elements_match_the_references(label):
     g = dagroup.context(diagrams.correspondence(diagrams.parse(label))).wg
     rs = g.rs
-    positive = frozenset(g.pos_int)
+    positive = frozenset(rs.pos_roots)
     root_sets = _stabilized_root_sets(g)
     # Every label: the longest element of a stabilizer is the element of
     # the group whose inversion set is the positive roots orthogonal to
@@ -265,8 +268,8 @@ def test_longest_elements_match_the_references(label):
     for roots in root_sets:
         v = g.longest_in_stabilizer(roots)
         orthogonal = frozenset(
-            r for r, full in zip(g.pos_int, rs.pos_roots)
-            if all(rs.bilinear(full, x) == 0 for x in roots)
+            r for r in rs.pos_roots
+            if all(rs.bilinear(ambient(r), ambient(x)) == 0 for x in roots)
         )
         assert _fixes(v, roots)
         assert g.inversion_set(v) == orthogonal
@@ -286,7 +289,7 @@ def test_longest_elements_match_the_references(label):
 def test_longest_in_stabilizer_rejects_a_non_dominant_root(groups):
     g = groups["B3"]
     with pytest.raises(ValueError, match="dominant"):
-        g.longest_in_stabilizer([g.rs.simple_roots[0]])
+        g.longest_in_stabilizer([simple_root(g.rs.n, 1)])
     with pytest.raises(ValueError, match="dominant"):
         g.longest_in_stabilizer([tuple(-c for c in g.rs.theta)])
 
