@@ -5,16 +5,19 @@ quotient.
 Two representations cooperate here.  EndoMap is the literal generator ->
 word assignment (suitable for relation checking; words stay short for
 the basic maps).  A word's image is evaluated as a homomorphism gives
-it: EndoMap.values evaluates each letter's image word once in the target
-dictionary (C's as the product over the central word), and a word is the
-product of its letters' values, reversed for an anti-map, with the same
-normal form as the substituted word.  CanonMap is the induced
-endomorphism of the Weyl quotient, stored through its images of the
-double-affine-Weyl-group generators, kept by index (s0..sn, lam_A1..n,
-tau_a1..n) for apply; composites of many letters stay cheap because
-elements are decomposed structurally (finite part by the element's
-reduced word, extracted once per element, lattice parts by coordinates)
-instead of by word substitution.  A braid word is folded one syllable
+it: EndoMap.values evaluates each letter's image word once in a target,
+the plain quotient of the dst dictionary unless a check names another
+(C's as the product over the central word), and a word is the product
+of its letters' values, reversed for an anti-map, with the same normal
+form as the substituted word.  Every word-level check evaluates this
+way, the C* restriction too: it reads the host's maps in the starred
+label's two quotients through that label's letter values.  CanonMap is
+the induced endomorphism of the Weyl quotient, stored through its images
+of the double-affine-Weyl-group generators, kept by index (s0..sn,
+lam_A1..n, tau_a1..n) for apply; composites of many letters stay cheap
+because elements are decomposed structurally (finite part by the
+element's reduced word, extracted once per element, lattice parts by
+coordinates) instead of by word substitution.  A braid word is folded one syllable
 x^e at a time, each syllable the power canon(label, x, e) memoized with
 the basic maps.
 
@@ -33,7 +36,6 @@ from . import diagrams
 from .congruence import Mat2, braid_lift, decompose, decompose_gamma12_prime, member
 from .dagroup import DaweylContext, DaweylElement, product
 from .presentation import (
-    CENTRAL,
     LetterValues,
     Word,
     free_reduce,
@@ -63,22 +65,21 @@ class EndoMap:
                 out.extend(piece)
         return free_reduce(tuple(out))
 
-    def values(self) -> LetterValues:
-        """The source letters' values in the target group: each image word
-        evaluated in the target dictionary when the letter is first read,
-        and C as the product of the central word's letters' values.
-        Their evaluate(word) is the value of apply_word(word) with C
-        written out, as a homomorphism gives it."""
-        target = generator_dictionary(self.dst).values()
-        central = generator_dictionary(self.src).presentation.central_word
-
-        def value(letter: str) -> DaweylElement:
-            if letter == CENTRAL:
-                return values.evaluate(central)
-            return target.evaluate(self.images[letter])
-
-        values = LetterValues(target.ctx, value, reverse=self.anti)
-        return values
+    def values(self, target: LetterValues | None = None) -> LetterValues:
+        """The source letters' values in a target: each image word
+        evaluated by the target's letter values when the letter is first
+        read, and C as the product over the source's central word.  Their
+        evaluate(word) is the value of apply_word(word) with C written
+        out, as a homomorphism gives it.  The target defaults to the
+        plain quotient of the dst dictionary."""
+        if target is None:  # an empty LetterValues is falsy
+            target = generator_dictionary(self.dst).values()
+        return LetterValues(
+            target.ctx,
+            lambda letter: target.evaluate(self.images[letter]),
+            generator_dictionary(self.src).presentation.central_word,
+            reverse=self.anti,
+        )
 
     def compose(self, other: "EndoMap") -> "EndoMap":
         """self after other."""
@@ -375,10 +376,11 @@ def cstar_restriction_check(star_name: str) -> list[tuple]:
     b = b_map(label_name)
     c_word = gd_star.presentation.central_word
     theta02_sq: Word = (("Theta02", 2),)
-    half_ctx = gd_star.quotient(half=True).ctx
+    plain, half = gd_star.values(), gd_star.values(half=True)
 
     def central(m):
-        return gd_star.evaluate(m.apply_word(c_word)), gd_star.evaluate(m.apply_word(theta02_sq))
+        values = m.values(plain)
+        return values.evaluate(c_word), values.evaluate(theta02_sq)
 
     records = []
     for name, m in (
@@ -387,8 +389,8 @@ def cstar_restriction_check(star_name: str) -> list[tuple]:
         ("b^2", b.compose(b)),
     ):
         records.append((f"{name} preserves C = Theta02^2", *central(m)))
-        square = gd_star.evaluate(m.apply_word(theta02_sq), half=True)
-        records.append((f"{name} preserves Theta02^2 = 1", square, half_ctx.identity()))
+        square = m.values(half).evaluate(theta02_sq)
+        records.append((f"{name} preserves Theta02^2 = 1", square, half.ctx.identity()))
     lhs, rhs = central(a)
     records.append(("a preserves C = Theta02^2", lhs == rhs, False))
     return records

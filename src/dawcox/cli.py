@@ -59,7 +59,7 @@ CHECKS = {
     "bernstein": (
         ("bernstein", _every,
          lambda lab: dagroup.verify_bernstein_relations(diagrams.correspondence(lab))),
-        ("a2n2-comparison", _star, lambda lab: dagroup.A2n2Comparison(lab.rank).report()),
+        ("a2n2-comparison", _star, lambda lab: dagroup.a2n2_comparison(lab.rank)),
     ),
     "auto": (
         ("auto", _plain, lambda lab: autoaction.verify_automorphisms(str(lab))),
@@ -173,6 +173,10 @@ def _matrix(text: str) -> congruence.Mat2:
     return m
 
 
+# decompose prints one token per letter: a longer word is refused.
+MAX_PRINTED_LETTERS = 10**6
+
+
 def cmd_decompose(args) -> int:
     try:
         m = _matrix(args.matrix)
@@ -183,6 +187,11 @@ def cmd_decompose(args) -> int:
         word = congruence.decompose(m, args.level)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    letters = sum(abs(e) for _, e in word)
+    if letters > MAX_PRINTED_LETTERS:
+        print(f"error: the word has {letters} letters, more than "
+              f"{MAX_PRINTED_LETTERS} to print", file=sys.stderr)
         return 1
     text = congruence.word_to_text(word)
     print(text if text else "(empty word)")

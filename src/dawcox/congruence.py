@@ -78,17 +78,9 @@ def e_conj(m: Mat2, r: int) -> Mat2:
 
 
 def member(m: Mat2, group: str, r: int | None = None) -> bool:
-    """Membership in Gamma(N), Gamma1(r), Gamma1(2)', Upsilon1(r)."""
+    """Membership in Gamma1(r), Gamma1(2)', Upsilon1(r), Upsilon1(2)'."""
     if m.det() != 1:
         raise ValueError("determinant must be 1")
-    if group == "Gamma":
-        N = r
-        return (
-            m.a % N == 1 % N
-            and m.d % N == 1 % N
-            and m.b % N == 0
-            and m.c % N == 0
-        )
     if group == "Gamma1":
         if r == 1:
             return True
@@ -193,7 +185,9 @@ def decompose(m: Mat2, r: int) -> Word:
     outside that shape the descent can stall, in which case a one-sided
     Euclidean reduction of the first column finishes the job.  The
     residual is +-(an u21^r power times an u12 power); the sign is spelled
-    with the central word (only ever needed for r = 1, 2).
+    with the central word (only ever needed for r = 1, 2).  Each phase
+    stops after 10000 steps with a ValueError, as does a word that does
+    not evaluate to m.
     """
     if not member(m, "Gamma1", r):
         raise NotInGroupError(f"matrix is not in Gamma1({r})")
@@ -228,7 +222,7 @@ def decompose(m: Mat2, r: int) -> Word:
         cur = cand
         guard += 1
         if guard > 10000:
-            raise RuntimeError("decompose did not terminate")
+            raise ValueError("decompose did not terminate")
     # One-sided Euclid on the first column until c = 0: alternate
     # c -> c - round(c / ra) * ra (a B-step) with a -> a - round(a/c) * c
     # (an A-step); each full alternation shrinks the column strictly.
@@ -246,12 +240,12 @@ def decompose(m: Mat2, r: int) -> Word:
             else:
                 e2 = _round_div(cur.a, cur.c)
                 if e2 == 0:
-                    raise RuntimeError("euclidean phase made no progress")
+                    raise ValueError("euclidean phase made no progress")
                 left.append(("A", -e2))
                 cur = U12**e2 * cur
         guard += 1
         if guard > 10000:
-            raise RuntimeError("euclidean phase did not terminate")
+            raise ValueError("euclidean phase did not terminate")
     # cur = [[s, x], [0, s]] with s = +-1.
     s = cur.a
     word = list(left)

@@ -40,10 +40,13 @@ pairing table, the lattice scales, the Weyl elements' lattice matrices
 and inverses), so that a fault in one route shows up as a disagreement
 with the other.
 
-The comparison morphism from C_n^(1) into the half-delta extension of
-A_{2n}^(2) is the identity on Weyl matrices and lattice coordinates and
-halves k: its epsilon dictionary is half the identity in simple-root
-coordinates, and the A_{2n}^(2) lattice bases are half the C_n^(1) ones.
+The A_{2n}^(2) comparison is a check like every other: a2n2_comparison(n)
+returns its (name, lhs, rhs) records.  Its coordinate morphism from
+C_n^(1) into the half-delta extension of A_{2n}^(2), comparison_image, is
+the identity on Weyl matrices and lattice coordinates and halves k: the
+epsilon dictionary is half the identity in simple-root coordinates, and
+the A_{2n}^(2) lattice bases are half the C_n^(1) ones, which the check
+confirms before it records anything.
 """
 from __future__ import annotations
 
@@ -696,106 +699,64 @@ def verify_bernstein_relations(label) -> list[tuple]:
 # ---------------------------------------------------------------------
 
 
-class A2n2Comparison:
-    """Weyl-level shadows of the two comparison morphisms from the
-    C_n^(1) group to the A_{2n}^(2) group (and its half-delta central
-    extension)."""
+def comparison_image(g: DaweylElement) -> DaweylElement:
+    """The image of an element of the C_n^(1) group under the coordinate
+    morphism into the half-delta extension of A_{2n}^(2) (X_delta ->
+    X_{delta/2}), defined on normal forms and a homomorphism there: w and
+    the lattice coordinates of mu and beta are kept, k halves."""
+    dst = context(f"A{2 * g.ctx.n}(2)", half_delta=True)
+    return DaweylElement(
+        dst, element(dst.rs, g.w.matrix), g.mu_coords, g.beta_coords, Fraction(g.k, 2)
+    )
 
-    def __init__(self, n: int):
-        self.n = n
-        src_label = "A1(1)" if n == 1 else f"C{n}(1)"
-        self.src = context(src_label)
-        self.dst = context(f"A{2 * n}(2)")
-        self.dst_c = context(f"A{2 * n}(2)", half_delta=True)
-        # The epsilon dictionary sqrt2 eps_i -> eps_i is half the identity
-        # in simple-root coordinates: sqrt2 eps_i = 2(alpha_i + ... +
-        # alpha_{n-1}) + alpha_n in C_n^(1) and eps_i = alpha_i + ... +
-        # alpha_{n-1} + alpha_n / 2 in A_{2n}^(2).  The two realizations
-        # share the finite Cartan matrix, so Weyl matrices carry over
-        # unchanged, and the A_{2n}^(2) bases of M and nu(Q^v) are half the
-        # C_n^(1) ones, so lattice coordinates carry over too.
-        rs_c, rs_a = self.src.rs, self.dst.rs
-        if rs_c.finite_cartan != rs_a.finite_cartan or any(
-            2 * a != c
-            for diag_a, diag_c in zip(rs_a.lattice_diagonals, rs_c.lattice_diagonals)
-            for a, c in zip(diag_a, diag_c)
-        ):
-            raise ValueError("the epsilon dictionary is not half the identity")
 
-    def tau_eps1(self, ctx: DaweylContext) -> DaweylElement:
-        """tau_{eps_1} in an A_{2n}^(2) context: eps_1 = sum_i nu(alpha_i^v)."""
-        return ctx.tau_coords((1,) * self.n)
-
-    def map_weyl(self, w: WeylElement) -> WeylElement:
-        """Transport a finite Weyl element through the epsilon dictionary:
-        T w T^{-1} = w, as T is a scalar."""
-        return element(self.dst.rs, w.matrix)
-
-    def map_ii(self, g: DaweylElement) -> DaweylElement:
-        """The coordinate morphism into the half-delta extension (X_delta
-        -> X_{delta/2}), defined on normal forms and a homomorphism there:
-        w and the lattice coordinates of mu and beta are kept, k halves."""
-        return DaweylElement(
-            self.dst_c, self.map_weyl(g.w), g.mu_coords, g.beta_coords, Fraction(g.k, 2)
-        )
-
-    def images_i(self) -> dict:
-        """Generator images of the first comparison morphism, as elements
-        of the plain A_{2n}^(2) group: T_i -> T_i, X_{sqrt2 eps_1} ->
-        X_{eps_1}, X_delta -> X_delta."""
-        out = {}
-        for i in range(self.n + 1):
-            out[f"s{i}"] = self.dst.s(i)
-        out["tau_eps1"] = self.tau_eps1(self.dst)
-        out["tau_delta"] = self.dst.tau_delta()
-        return out
-
-    def kernel_image_i(self) -> DaweylElement:
-        """Image of the kernel generator X_delta (T_0^{-1} X_{-sqrt2
-        eps1})^2 under the generator images of morphism i."""
-        im = self.images_i()
-        t0 = im["s0"]
-        x = im["tau_eps1"].inv()
-        w = t0.inv() * x
-        return im["tau_delta"] * w * w
-
-    def kernel_image_ii(self) -> DaweylElement:
-        """Image of (T_0^{-1} X_{alpha_0^v})^2 in the half-delta
-        extension: X_{alpha_0^v} -> X_{delta/2} X_{-eps_1}."""
-        ctx = self.dst_c
-        half = ctx.tau_delta(Fraction(1, 2))
-        x = half * self.tau_eps1(ctx).inv()
-        w = ctx.s(0).inv() * x
-        return w * w
-
-    def report(self) -> list[tuple]:
-        """The comparison identities as (name, lhs, rhs) records; they
-        hold when lhs == rhs."""
-        # T_i -> T_i: the transported simple reflections agree.
-        records = [
-            (f"s{i} maps to s{i}", self.map_weyl(s), self.dst.wg.simples[i - 1])
-            for i, s in enumerate(self.src.wg.simples, start=1)
-        ]
-        # s0 transports to s0 under the coordinate morphism.
-        records.append(("s0 maps to s0", self.map_ii(self.src.s(0)), self.dst_c.s(0)))
-        # Affine braid relations hold between the images of morphism i.
-        im = self.images_i()
-        a = self.src.rs.cartan.cartan
-        for i in range(self.n + 1):
-            for j in range(i + 1, self.n + 1):
-                lace = a[i][j] * a[j][i]
-                if lace <= 3:  # four laces (A_1^(1)) impose no braid relation
-                    lhs, rhs = braid_sides(im[f"s{i}"], im[f"s{j}"], lace)
-                    records.append(
-                        (f"braid {i},{j}", product(self.dst, lhs), product(self.dst, rhs))
-                    )
-        records.append(("kernel generator i trivial", self.kernel_image_i(), self.dst.identity()))
-        records.append(
-            ("kernel generator ii trivial", self.kernel_image_ii(), self.dst_c.identity())
-        )
-        # The tau_delta^{-1} shift: without the central half-delta factor
-        # the square is exactly tau_delta^{-1}.
-        ctx = self.dst_c
-        w = ctx.s(0).inv() * self.tau_eps1(ctx).inv()
-        records.append(("square is tau_delta^{-1}", w * w, ctx.tau_delta(-1)))
-        return records
+def a2n2_comparison(n: int) -> list[tuple]:
+    """Weyl-level shadows of the two comparison morphisms from the C_n^(1)
+    group to the A_{2n}^(2) group and its half-delta central extension,
+    as (name, lhs, rhs) records; they hold when lhs == rhs."""
+    src = context("A1(1)" if n == 1 else f"C{n}(1)")
+    dst = context(f"A{2 * n}(2)")
+    dst_c = context(f"A{2 * n}(2)", half_delta=True)
+    # The epsilon dictionary sqrt2 eps_i -> eps_i is half the identity in
+    # simple-root coordinates: sqrt2 eps_i = 2(alpha_i + ... + alpha_{n-1})
+    # + alpha_n in C_n^(1) and eps_i = alpha_i + ... + alpha_{n-1} +
+    # alpha_n / 2 in A_{2n}^(2).  The two realizations share the finite
+    # Cartan matrix, so Weyl matrices carry over unchanged (T w T^{-1} = w,
+    # as T is a scalar), and the A_{2n}^(2) bases of M and nu(Q^v) are half
+    # the C_n^(1) ones, so lattice coordinates carry over too.
+    if src.rs.finite_cartan != dst.rs.finite_cartan or any(
+        2 * a != c
+        for diag_a, diag_c in zip(dst.rs.lattice_diagonals, src.rs.lattice_diagonals)
+        for a, c in zip(diag_a, diag_c)
+    ):
+        raise ValueError("the epsilon dictionary is not half the identity")
+    # T_i -> T_i: the transported simple reflections agree.
+    records = [
+        (f"s{i} maps to s{i}", element(dst.rs, s.matrix), dst.wg.simples[i - 1])
+        for i, s in enumerate(src.wg.simples, start=1)
+    ]
+    # s0 transports to s0 under the coordinate morphism.
+    records.append(("s0 maps to s0", comparison_image(src.s(0)), dst_c.s(0)))
+    # Affine braid relations hold between the images T_i -> s_i of
+    # morphism i, which also sends X_{sqrt2 eps_1} -> tau_{eps_1} and
+    # X_delta -> tau_delta, with eps_1 = sum_i nu(alpha_i^v).
+    a = src.rs.cartan.cartan
+    for i in range(n + 1):
+        for j in range(i + 1, n + 1):
+            lace = a[i][j] * a[j][i]
+            if lace <= 3:  # four laces (A_1^(1)) impose no braid relation
+                lhs, rhs = braid_sides(dst.s(i), dst.s(j), lace)
+                records.append((f"braid {i},{j}", product(dst, lhs), product(dst, rhs)))
+    # The kernel generator X_delta (T_0^{-1} X_{-sqrt2 eps_1})^2 under
+    # morphism i.
+    w = dst.s(0).inv() * dst.tau_coords((1,) * n).inv()
+    records.append(("kernel generator i trivial", dst.tau_delta() * w * w, dst.identity()))
+    # (T_0^{-1} X_{alpha_0^v})^2 in the half-delta extension, with
+    # X_{alpha_0^v} -> X_{delta/2} X_{-eps_1}; without the central
+    # half-delta factor the square is exactly tau_delta^{-1}.
+    eps1_inv = dst_c.tau_coords((1,) * n).inv()
+    w = dst_c.s(0).inv() * (dst_c.tau_delta(Fraction(1, 2)) * eps1_inv)
+    records.append(("kernel generator ii trivial", w * w, dst_c.identity()))
+    w = dst_c.s(0).inv() * eps1_inv
+    records.append(("square is tau_delta^{-1}", w * w, dst_c.tau_delta(-1)))
+    return records

@@ -6,9 +6,14 @@ Words are tuples of (generator name, exponent); the letter C stands for
 the central word wherever a relation, identity or psi word uses it.  All
 equalities are decided in the double affine Weyl group through the
 generator dictionary, built once per label by generator_dictionary.
-Words are evaluated through LetterValues: each letter's value, C's
-included, is computed once per evaluator and the word is the product of
-its letters' values, which is the normal form of the flat word.  Every
+Every word is evaluated through LetterValues, the one evaluator: each
+letter's value is computed once per evaluator, and the word is the
+product of its letters' values, which is the normal form of the flat
+word.  LetterValues resolves C itself, as the value of the central word
+it is given, so a generator dictionary's values are just its images and
+a map's values (autoaction.EndoMap.values) just its image words
+evaluated in a target.  The surjectivity round trip checks the one-letter
+psi words; the alcove walk checks the others when it builds them.  Every
 label has one image formula.  A starred C-family label is read in two
 quotients of type A_{2n}^(2), the plain one and its half-delta central
 extension, where the extra central relation becomes visible; the
@@ -229,18 +234,23 @@ def build_presentation(lab: DoubleAffineLabel | str) -> Presentation:
 
 class LetterValues(dict):
     """Letter -> group element in one group: each value is computed on
-    first use and kept, and a word evaluates to the product of its
-    letters' values, in reverse letter order for the values of an
-    anti-map."""
+    first use and kept, C's as the value of the central word, and a word
+    evaluates to the product of its letters' values, in reverse letter
+    order for the values of an anti-map."""
 
-    def __init__(self, ctx: DaweylContext, value, reverse: bool = False):
+    def __init__(self, ctx: DaweylContext, value, central_word: Word, reverse: bool = False):
         super().__init__()
         self.ctx = ctx
         self.reverse = reverse
         self._value = value
+        self._central_word = central_word
 
     def __missing__(self, letter: str) -> DaweylElement:
-        value = self[letter] = self._value(letter)
+        if letter == CENTRAL:
+            value = self.evaluate(self._central_word)
+        else:
+            value = self._value(letter)
+        self[letter] = value
         return value
 
     def evaluate(self, word: Word) -> DaweylElement:
@@ -310,14 +320,7 @@ class GeneratorDictionary:
         """The letters' values in one quotient: the generator images, and
         C evaluated from the central word when it is first read."""
         q = self.quotient(half)
-
-        def value(letter: str) -> DaweylElement:
-            if letter == CENTRAL:
-                return values.evaluate(self.presentation.central_word)
-            return q.images[letter]
-
-        values = LetterValues(q.ctx, value)
-        return values
+        return LetterValues(q.ctx, q.images.__getitem__, self.presentation.central_word)
 
     def evaluate(self, word: Word, half: bool = False) -> DaweylElement:
         return self.values(half).evaluate(word)
@@ -384,7 +387,16 @@ def verify_presentation(lab) -> list[tuple]:
         tau = "tau_delta" if q.k == 1 else "tau_{delta/2}"
         records.append((f"C -> {tau}{q.suffix}", v[CENTRAL], q.ctx.tau_delta(q.k)))
 
-    # Surjectivity round trip.
+    # Surjectivity round trip, on the one-letter psi words of s0..sn and
+    # tau_delta.  The walk multiplied each lam_A_i and tau_a_i word back
+    # to its element over its generators (AffineWalk.checked_word); the
+    # records pin every letter of those words to the generator it stands
+    # for (T_i, the s0 letter, and the tau letter after the loop), so
+    # their values multiply to the same element.
     for sym, word in gd.psi.items():
-        records.append((f"psi round trip {sym}", values[0].evaluate(word), gd.ctx.generator(sym)))
+        if not sym.startswith(("lam_A", "tau_a")):
+            value = values[0].evaluate(word)
+            records.append((f"psi round trip {sym}", value, gd.ctx.generator(sym)))
+    tau_letter = affine_letters(pres.label)[1]
+    records.append((f"{tau_letter} -> t0", values[0][tau_letter], gd.ctx.tau_walk.generators[0]))
     return records

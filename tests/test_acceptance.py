@@ -270,7 +270,7 @@ def test_criterion_10_a2n2_comparison():
     t0 = time.perf_counter()
     ok = True
     for n in (1, 2):
-        records = dagroup.A2n2Comparison(n).report()
+        records = dagroup.a2n2_comparison(n)
         names = {name for name, _, _ in records}
         ok = ok and {"kernel generator i trivial", "kernel generator ii trivial"} <= names
         ok = ok and not _failed(records)

@@ -204,6 +204,31 @@ def test_cstar_restriction(n, monkeypatch):
     assert _failed(cstar_restriction_check(f"dddotC{n}star")) == ["a preserves C = Theta02^2"]
 
 
+@pytest.mark.parametrize("name", [n for n in cli.LABELS if diagrams.parse(n).is_star])
+def test_cstar_letter_values_match_word_substitution(name):
+    # the C* restriction reads the host's maps in the starred label's two
+    # quotients through letter values: in each quotient, the product of
+    # the letters' values is the normal form of the substituted word,
+    # in that quotient's context (an empty target is not the default)
+    gd_star = generator_dictionary(name)
+    host = str(diagrams.host(gd_star.label))
+    a, b = autoaction.a_map(host), autoaction.b_map(host)
+    maps = (
+        autoaction.identity_map(host),
+        b.compose(a).compose(autoaction.b_inv_map(host)),
+        b.compose(b),
+    )
+    words = (gd_star.presentation.central_word, (("Theta02", 2),))
+    for m in maps:
+        for q in gd_star.quotients:
+            values = m.values(gd_star.values(q.half))
+            for word in words:
+                got = values.evaluate(word)
+                expected = gd_star.evaluate(m.apply_word(word), q.half)
+                assert got.ctx is q.ctx and got == expected, (m.name, q.half, word)
+                assert got.describe() == expected.describe()
+
+
 @pytest.mark.parametrize("name", ["dddotA1", "ddotB2", "ddotC3", "ddotB3", "ddotG2", "dddotC2"])
 def test_syllable_fold_matches_the_letter_fold(name):
     # evaluate_braid folds each syllable x^e as the cached power

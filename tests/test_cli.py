@@ -7,6 +7,8 @@ import os
 import re
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -136,6 +138,22 @@ def test_decompose_s_matrix(capsys):
 def test_decompose_nonmember(capsys):
     code, _, err = run(capsys, "decompose", "--matrix", "1,0;1,1", "--level", "2")
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    # u12^20000 u21^2: the two-sided descent runs past its step guard
+    ("decompose", "--matrix=-39999,-20000;2,1", "--level", "2"),
+    ("involution", "--matrix=-39999,-20000;2,1", "--family", "ddotB2"),
+    # u12^(10^11): a word of 10^11 letters, too long to print
+    ("decompose", "--matrix=1,-100000000000;0,1", "--level", "1"),
+])
+def test_too_large_to_decompose_or_print_is_an_error(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error: ") and "Traceback" not in err
 
 
 def test_decompose_reports_a_failed_round_trip(capsys, monkeypatch):
@@ -387,8 +405,12 @@ def _torsion_tau_delta(monkeypatch):
 
 
 def _nontrivial_kernel(monkeypatch):
+    # tau_{delta/2} built as tau_delta: the second kernel generator of the
+    # comparison no longer vanishes
+    real = dagroup.DaweylContext.tau_delta
     monkeypatch.setattr(
-        dagroup.A2n2Comparison, "kernel_image_ii", lambda self: self.dst_c.tau_delta(1)
+        dagroup.DaweylContext, "tau_delta",
+        lambda self, k=1: real(self, 1 if k == Fraction(1, 2) else k),
     )
 
 

@@ -48,6 +48,9 @@ def test_membership_examples():
     assert member(Mat2(0, -1, 1, 0), "Gamma1", 1)
     with pytest.raises(ValueError):
         member(Mat2(1, 0, 0, 2), "Gamma1", 1)
+    # Gamma(N) is not a group member() decides
+    with pytest.raises(ValueError, match="unknown group 'Gamma'"):
+        member(I2, "Gamma", 2)
 
 
 def test_gamma12_prime_conjugation():

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from dawcox import cli, dagroup, diagrams
-from dawcox.dagroup import A2n2Comparison, context, lam_word, tau_word
+from dawcox.dagroup import a2n2_comparison, comparison_image, context, lam_word, tau_word
 from dawcox.rootsys import build, mat_inv, parse_label
-from dawcox.weyl import WeylElement, mat_mul, mat_vec
+from dawcox.weyl import WeylElement, element, mat_mul, mat_vec
 from references import ambient, coroot, vadd, vneg, vscale, vsub, weyl_act
 
 LABELS = ["A1(1)", "C2(1)", "A2(2)", "D3(2)", "G2(1)", "D4(3)", "B3(1)", "E6(2)"]
@@ -407,17 +407,44 @@ def test_pairing_two_relation_presence():
         assert any(name.startswith("t0-comm-long") for name, _, _ in records) == present
 
 
+def _full_delta_for_half(monkeypatch):
+    """tau_{delta/2} built as tau_delta: the second kernel generator of
+    the A_{2n}^(2) comparison then does not vanish."""
+    real = dagroup.DaweylContext.tau_delta
+    monkeypatch.setattr(
+        dagroup.DaweylContext, "tau_delta",
+        lambda self, k=1: real(self, 1 if k == Fraction(1, 2) else k),
+    )
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_a2n2_comparison(n, monkeypatch):
-    records = A2n2Comparison(n).report()
+    records = a2n2_comparison(n)
     assert _failed(records) == []
     names = [name for name, _, _ in records]
     assert {"kernel generator i trivial", "kernel generator ii trivial"} <= set(names)
     # a kernel generator that does not vanish is reported by name
-    monkeypatch.setattr(
-        A2n2Comparison, "kernel_image_ii", lambda self: self.dst_c.tau_delta(Fraction(1, 2))
-    )
-    assert _failed(A2n2Comparison(n).report()) == ["kernel generator ii trivial"]
+    _full_delta_for_half(monkeypatch)
+    assert _failed(a2n2_comparison(n)) == ["kernel generator ii trivial"]
+
+
+@pytest.mark.parametrize("n, braids", [
+    (1, []),
+    (2, ["braid 0,1", "braid 0,2", "braid 1,2"]),
+    (3, ["braid 0,1", "braid 0,2", "braid 0,3", "braid 1,2", "braid 1,3", "braid 2,3"]),
+])
+def test_a2n2_comparison_record_names(n, braids):
+    # the records, by name and in order: the finite reflections, s0, the
+    # braid relations of morphism i, the two kernel generators, the shift
+    names = [name for name, _, _ in a2n2_comparison(n)]
+    assert names == [
+        *(f"s{i} maps to s{i}" for i in range(1, n + 1)),
+        "s0 maps to s0",
+        *braids,
+        "kernel generator i trivial",
+        "kernel generator ii trivial",
+        "square is tau_delta^{-1}",
+    ]
 
 
 # -- The epsilon dictionaries of the A_{2n}^(2) comparison, kept here as
@@ -457,8 +484,9 @@ def _finite(v, n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_a2n2_comparison_matches_the_epsilon_reference(n):
-    cmp = A2n2Comparison(n)
-    rs_c, rs_a = cmp.src.rs, cmp.dst.rs
+    src = context("A1(1)" if n == 1 else f"C{n}(1)")
+    dst, dst_c = context(f"A{2 * n}(2)"), context(f"A{2 * n}(2)", half_delta=True)
+    rs_c, rs_a = src.rs, dst.rs
     eps_c, eps_a = _epsilon_matrix_c(n), _epsilon_matrix_a(n)
     # the dictionaries are orthonormal: (sqrt2 eps_i, sqrt2 eps_j) = 2 delta_ij
     # in C_n^(1) and (eps_i, eps_j) = delta_ij in A_{2n}^(2)
@@ -471,19 +499,19 @@ def test_a2n2_comparison_matches_the_epsilon_reference(n):
     assert t == tuple(tuple(Fraction(i == j, 2) for j in range(n)) for i in range(n))
     rng = random.Random(n)
     for _ in range(30):
-        g = random_element(cmp.src, rng, size=3)
+        g = random_element(src, rng, size=3)
         w = mat_mul(mat_mul(t, g.w.matrix), t_inv)
-        assert cmp.map_weyl(g.w).matrix == w
-        image = cmp.map_ii(g)
-        assert image.ctx is cmp.dst_c and image.w.matrix == w
+        assert element(rs_a, g.w.matrix).matrix == w
+        image = comparison_image(g)
+        assert image.ctx is dst_c and image.w.matrix == w
         assert image.mu == _finite(mat_vec(t, g.mu[:n]), n)
         assert image.beta == _finite(mat_vec(t, g.beta[:n]), n)
         assert image.k == Fraction(g.k, 2)
         # and a homomorphism on products
-        h = random_element(cmp.src, rng)
-        assert cmp.map_ii(g * h) == image * cmp.map_ii(h)
+        h = random_element(src, rng)
+        assert comparison_image(g * h) == image * comparison_image(h)
     # eps_1 = sum_i nu(alpha_i^v)
-    assert cmp.tau_eps1(cmp.dst).beta == _finite(eps_a[0], n)
+    assert dst.tau_coords((1,) * n).beta == _finite(eps_a[0], n)
 
 
 def test_a2n2_comparison_rejects_a_basis_that_is_not_halved(monkeypatch):
@@ -495,10 +523,10 @@ def test_a2n2_comparison_rejects_a_basis_that_is_not_halved(monkeypatch):
             m = tuple(2 * x for x in m)
         return m, q
 
-    assert A2n2Comparison(2).report()
+    assert a2n2_comparison(2)
     monkeypatch.setattr(type(context("C2(1)").rs), "lattice_diagonals", property(doubled))
     with pytest.raises(ValueError, match="half the identity"):
-        A2n2Comparison(2)
+        a2n2_comparison(2)
 
 
 def test_half_delta_context():

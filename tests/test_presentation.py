@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -200,11 +201,12 @@ def test_starred_images_match_the_comparison_formulas(name):
     # tau_delta^k tau_{eps_1}^-1 and Theta03 -> tau_{eps_1} s_theta, with
     # k = 1 in A_{2n}^(2) and k = 1/2 in its half-delta extension
     gd = pr.generator_dictionary(name)
-    cmp = dagroup.A2n2Comparison(diagrams.parse(name).rank)
-    assert [(q.ctx, q.k) for q in gd.quotients] == [(cmp.dst, 1), (cmp.dst_c, Fraction(1, 2))]
+    n = diagrams.parse(name).rank
+    dst, dst_c = (dagroup.context(f"A{2 * n}(2)", half_delta=h) for h in (False, True))
+    assert [(q.ctx, q.k) for q in gd.quotients] == [(dst, 1), (dst_c, Fraction(1, 2))]
     for q in gd.quotients:
         ctx, img = q.ctx, q.images
-        eps1 = cmp.tau_eps1(ctx)
+        eps1 = ctx.tau_coords((1,) * n)
         assert img["Theta01"] == ctx.s(0)
         assert img["Theta02"] == ctx.s(0) * ctx.tau_delta(q.k) * eps1.inv()
         assert img["Theta03"] == eps1 * ctx.w(ctx.s_theta)
@@ -243,6 +245,34 @@ def test_affine_letters_map_to_the_walk_generators(name):
         assert ctx.t0 == ctx.tau(coroot(rs, ambient(c))) * ctx.w(reflect(rs, c))
         assert q.images[s0_letter] == ctx.s(0) == ctx.lam_walk.generators[0]
         assert q.images[t0_letter] == ctx.t0 == ctx.tau_walk.generators[0]
+
+
+@pytest.mark.parametrize("name", ["dddotC2", "ddotB2"])
+def test_a_wrong_tau_letter_image_fails_its_record(name, monkeypatch):
+    # the letters of the tau walk words are pinned to the walk's
+    # generators: the tau letter to t_0
+    gd = pr.generator_dictionary(name)
+    t0_letter = pr.affine_letters(gd.label)[1]
+    assert _failed(pr.verify_presentation(name)) == []
+    monkeypatch.setitem(gd.images, t0_letter, gd.images[t0_letter] * gd.ctx.tau_delta())
+    assert f"{t0_letter} -> t0" in _failed(pr.verify_presentation(name))
+
+
+@pytest.mark.parametrize("name", ["dddotC2", "ddotB2"])
+def test_a_walk_word_with_a_dropped_letter_fails_presentation(name, monkeypatch, capsys):
+    # the walk multiplies each psi word of lam_A_i and tau_a_i back to its
+    # element when it builds the word; psi is rebuilt here, and the
+    # dictionary's own psi comes back afterwards
+    gd = pr.generator_dictionary(name)
+    assert gd.psi
+    monkeypatch.delitem(gd.__dict__, "psi")
+    real = dagroup.AffineWalk.word_for
+    monkeypatch.setattr(dagroup.AffineWalk, "word_for", lambda self, g: real(self, g)[1:])
+    argv = ["verify", "--family", name, "--suite", "presentation", "--json"]
+    assert cli.main(argv) == 1
+    (check,) = json.loads(capsys.readouterr().out)["checks"]
+    assert check["status"] == "FAIL"
+    assert "does not evaluate to the element" in check["witness"]["exception"]
 
 
 def test_half_delta_evaluation_needs_a_half_delta_quotient():
