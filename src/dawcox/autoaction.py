@@ -3,23 +3,23 @@ their congruence-group composites, verified in the double affine Weyl
 quotient.
 
 Two representations cooperate here.  EndoMap is the literal generator ->
-word assignment (suitable for relation checking; words stay short for
-the basic maps).  A word's image is evaluated as a homomorphism gives
-it: EndoMap.values evaluates each letter's image word once in a target,
-the plain quotient of the dst dictionary unless a check names another
-(C's as the product over the central word), and a word is the product
-of its letters' values, reversed for an anti-map, with the same normal
-form as the substituted word.  Every word-level check evaluates this
-way, the C* restriction too: it reads the host's maps in the starred
-label's two quotients through that label's letter values.  CanonMap is
-the induced endomorphism of the Weyl quotient, stored through its images
-of the double-affine-Weyl-group generators, kept by index (s0..sn,
-lam_A1..n, tau_a1..n) for apply; composites of many letters stay cheap
-because elements are decomposed structurally (finite part by the
-element's reduced word, extracted once per element, lattice parts by
-coordinates) instead of by word substitution.  A braid word is folded one syllable
-x^e at a time, each syllable the power canon(label, x, e) memoized with
-the basic maps.
+word assignment of a, b and the anti-involution e.  A map acts through
+its letter values: EndoMap.values evaluates each letter's image word
+once in a target, the plain quotient of the dst dictionary unless a
+check names another (C's as the product over the central word), and a
+word is the product of its letters' values, reversed for an anti-map.
+A composite nests them: composite_values reads each map's values in
+those of the map that acts after it, an anti-map exactly when an odd
+number of its maps are, and builds no substituted word.  inverse_maps
+states a^-1 = e b e and b^-1 = e a e once, for both representations.
+CanonMap is the induced endomorphism of the Weyl quotient, stored
+through its images of the double-affine-Weyl-group generators (the psi
+words in the letter values), kept by index (s0..sn, lam_A1..n,
+tau_a1..n) for apply; composites of many letters stay cheap because
+elements are decomposed structurally (finite part by the element's
+reduced word, extracted once per element, lattice parts by coordinates).
+A braid word is folded one syllable x^e at a time, each syllable the
+power canon(label, x, e) memoized with the basic maps.
 
 basic_involution_check takes every label: a starred label's matrices
 come from Gamma1(2)' and act through their level-one lift on the
@@ -35,14 +35,7 @@ from functools import reduce
 from . import diagrams
 from .congruence import Mat2, braid_lift, decompose, decompose_gamma12_prime, member
 from .dagroup import DaweylContext, DaweylElement, product
-from .presentation import (
-    LetterValues,
-    Word,
-    free_reduce,
-    generator_dictionary,
-    winv,
-    wmul,
-)
+from .presentation import LetterValues, Word, free_reduce, generator_dictionary, winv, wmul
 from .rootsys import AffineLabel
 from .weyl import braid_sides
 
@@ -71,36 +64,29 @@ class EndoMap:
         read, and C as the product over the source's central word.  Their
         evaluate(word) is the value of apply_word(word) with C written
         out, as a homomorphism gives it.  The target defaults to the
-        plain quotient of the dst dictionary."""
+        plain quotient of the dst dictionary.  In the values of a map m,
+        these are the values of m after self, reversed exactly when one
+        of the two reverses."""
         if target is None:  # an empty LetterValues is falsy
             target = generator_dictionary(self.dst).values()
         return LetterValues(
             target.ctx,
             lambda letter: target.evaluate(self.images[letter]),
             generator_dictionary(self.src).presentation.central_word,
-            reverse=self.anti,
-        )
-
-    def compose(self, other: "EndoMap") -> "EndoMap":
-        """self after other."""
-        if self.src != other.dst:
-            raise ValueError(f"cannot compose {self.name} after {other.name}")
-        images = {g: self.apply_word(w) for g, w in other.images.items()}
-        return EndoMap(
-            name=f"{self.name}*{other.name}",
-            src=other.src,
-            dst=self.dst,
-            images=images,
-            anti=self.anti != other.anti,
+            reverse=self.anti != target.reverse,
         )
 
 
-def identity_map(label_name: str) -> EndoMap:
-    pres = generator_dictionary(label_name).presentation
-    return EndoMap(
-        "id", label_name, label_name,
-        {g: ((g, 1),) for g in pres.generators},
-    )
+def composite_values(maps, target: LetterValues | None = None) -> LetterValues:
+    """The letter values of maps[0] after maps[1] after ... in a target
+    (by default the plain quotient of maps[0].dst): the values of
+    maps[i] are read in those of maps[i - 1]."""
+    for outer, inner in zip(maps, maps[1:]):
+        if outer.src != inner.dst:
+            raise ValueError(f"cannot compose {outer.name} after {inner.name}")
+    for m in maps:
+        target = m.values(target)
+    return target
 
 
 def _fixing_finite(pres) -> dict:
@@ -166,14 +152,12 @@ def e_map(label_name: str) -> EndoMap:
     return EndoMap("e", label_name, dst, images, anti=True)
 
 
-def a_inv_map(label_name: str) -> EndoMap:
+def inverse_maps(kind: str, label_name: str) -> tuple[EndoMap, ...]:
+    """a^-1 = e b e and b^-1 = e a e, as the maps to compose (kind "a" or
+    "b"): e crosses to the partner labeling and back."""
     e = e_map(label_name)
-    return e_map(e.dst).compose(b_map(e.dst)).compose(e)
-
-
-def b_inv_map(label_name: str) -> EndoMap:
-    e = e_map(label_name)
-    return e_map(e.dst).compose(a_map(e.dst)).compose(e)
+    middle = {"a": b_map, "b": a_map}[kind]
+    return e_map(e.dst), middle(e.dst), e
 
 
 def is_automorphism(m: EndoMap) -> list[tuple]:
@@ -188,11 +172,10 @@ def is_automorphism(m: EndoMap) -> list[tuple]:
         for name, lhs, rhs in src_gd.presentation.relations
     ]
     if m.name in ("a", "b"):
-        # m(inv(g)), the composite's image of g, from m's own values
-        inv = a_inv_map(m.src) if m.name == "a" else b_inv_map(m.src)
+        # m(inv(g)), the composite's image of g, read in m's own values
+        composite = composite_values(inverse_maps(m.name, m.src), values)
         for g in src_gd.presentation.generators:
-            img = values.evaluate(inv.images[g])
-            records.append((f"{m.name}: inverse witness {g}", img, dst_gd.images[g]))
+            records.append((f"{m.name}: inverse witness {g}", composite[g], dst_gd.images[g]))
     return records
 
 
@@ -218,12 +201,15 @@ class CanonMap:
         self.tau_images = [gen_images[f"tau_a{i}"] for i in range(1, n + 1)]
 
     @classmethod
-    def from_endo(cls, m: EndoMap) -> "CanonMap":
-        values = m.values()
+    def from_endo(cls, *maps: EndoMap) -> "CanonMap":
+        """The map induced by maps[0] after maps[1] after ...: the psi
+        words of the source evaluated by the composite's letter values."""
+        values = composite_values(maps)
+        src = maps[-1].src
         gen_images = {
-            sym: values.evaluate(word) for sym, word in generator_dictionary(m.src).psi.items()
+            sym: values.evaluate(word) for sym, word in generator_dictionary(src).psi.items()
         }
-        return cls(m.src, m.dst, m.anti, gen_images)
+        return cls(src, maps[0].dst, values.reverse, gen_images)
 
     @classmethod
     def identity(cls, label_name: str) -> "CanonMap":
@@ -286,14 +272,11 @@ def canon(label_name: str, kind: str, e: int = 1) -> CanonMap:
             raise ValueError(f"no power {e} of a canonical map")
         elif kind == "id":
             _CANON_CACHE[key] = CanonMap.identity(label_name)
+        elif kind in ("a_inv", "b_inv"):
+            maps = inverse_maps(kind.removesuffix("_inv"), label_name)
+            _CANON_CACHE[key] = CanonMap.from_endo(*maps)
         else:
-            maker = {
-                "a": a_map,
-                "b": b_map,
-                "e": e_map,
-                "a_inv": a_inv_map,
-                "b_inv": b_inv_map,
-            }[kind]
+            maker = {"a": a_map, "b": b_map, "e": e_map}[kind]
             _CANON_CACHE[key] = CanonMap.from_endo(maker(label_name))
     return _CANON_CACHE[key]
 
@@ -318,47 +301,38 @@ def braid_identity_check(label_name: str) -> list[tuple]:
     a a^-1 = b b^-1 = 1, as records checked generator-wise in the Weyl
     quotient."""
     twist = diagrams.correspondence(diagrams.parse(label_name)).twist
-    A, B = canon(label_name, "a"), canon(label_name, "b")
-    lhs, rhs = (reduce(CanonMap.compose, side) for side in braid_sides(A, B, twist))
+    sides = braid_sides(("a", 1), ("b", 1), twist)
+    lhs, rhs = (evaluate_braid(side, label_name) for side in sides)
     ident = canon(label_name, "id")
     return (
         lhs.records(f"braid [{twist}]", rhs)
-        + A.compose(canon(label_name, "a_inv")).records("a a^-1 = 1", ident)
-        + B.compose(canon(label_name, "b_inv")).records("b b^-1 = 1", ident)
+        + evaluate_braid((("a", 1), ("a", -1)), label_name).records("a a^-1 = 1", ident)
+        + evaluate_braid((("b", 1), ("b", -1)), label_name).records("b b^-1 = 1", ident)
     )
 
 
 def central_element_action(label_name: str) -> list[tuple]:
     """(ab)^3 (r = 1), (ab)^2 (r = 2), (ab)^3 (r = 3) act by conjugation
-    by w_circ (resp. its square) in the Weyl quotient, with (ab)^2 =
-    (ba)^2 (r = 2), and (ab)^3 = (ba)^3 and w_circ^2 = 1 (r = 3); as
-    records."""
+    by w_circ (resp. its square) in the Weyl quotient, on the affine
+    nodes for r = 1, with (ab)^p = (ba)^p for r > 1 and w_circ^2 = 1 for
+    r = 3; as records."""
     gd = generator_dictionary(label_name)
     twist = diagrams.correspondence(gd.presentation.label).twist
+    p, k = {1: (3, 1), 2: (2, 1), 3: (3, 2)}[twist]  # (ab)^p acts as conj(w0^k)
     ctx = gd.ctx
-    w0 = ctx.w(ctx.wg.longest_element())
+    conj = ctx.w(ctx.wg.longest_element()) ** k
     A, B = canon(label_name, "a"), canon(label_name, "b")
-    AB = A.compose(B)
-    gens = list(gd.presentation.generators)
+    M = reduce(CanonMap.compose, [A.compose(B)] * p)
+    w0_k = "w0" if k == 1 else f"w0^{k}"
+    relation = f"(ab)^{p} = conj({w0_k})"
     records = []
     if twist == 1:
-        M = AB.compose(AB).compose(AB)
-        conj = w0
         gens = [nd.label for nd in gd.presentation.diagram.affine_nodes]
-        relation = "(ab)^3 = conj(w0)"
-    elif twist == 2:
-        M = AB.compose(AB)
-        conj = w0
-        relation = "(ab)^2 = conj(w0)"
-        BA = B.compose(A)
-        records += M.records("(ab)^2 = (ba)^2", BA.compose(BA))
     else:
-        M = AB.compose(AB).compose(AB)
-        conj = w0 * w0
-        relation = "(ab)^3 = conj(w0^2)"
-        BA = B.compose(A)
-        records += M.records("(ab)^3 = (ba)^3", BA.compose(BA).compose(BA))
-        records.append(("w0^2 trivial", conj, ctx.identity()))
+        gens = list(gd.presentation.generators)
+        records += M.records(f"(ab)^{p} = (ba)^{p}", reduce(CanonMap.compose, [B.compose(A)] * p))
+    if k > 1:
+        records.append((f"{w0_k} trivial", conj, ctx.identity()))
     for g in gens:
         img = gd.images[g]
         records.append((f"{relation} on {g}", M.apply(img), conj * img * conj.inv()))
@@ -378,20 +352,20 @@ def cstar_restriction_check(star_name: str) -> list[tuple]:
     theta02_sq: Word = (("Theta02", 2),)
     plain, half = gd_star.values(), gd_star.values(half=True)
 
-    def central(m):
-        values = m.values(plain)
+    def central(maps):
+        values = composite_values(maps, plain)
         return values.evaluate(c_word), values.evaluate(theta02_sq)
 
     records = []
-    for name, m in (
-        ("identity", identity_map(label_name)),
-        ("b a b^-1", b.compose(a).compose(b_inv_map(label_name))),
-        ("b^2", b.compose(b)),
+    for name, maps in (
+        ("identity", ()),
+        ("b a b^-1", (b, a, *inverse_maps("b", label_name))),
+        ("b^2", (b, b)),
     ):
-        records.append((f"{name} preserves C = Theta02^2", *central(m)))
-        square = m.values(half).evaluate(theta02_sq)
+        records.append((f"{name} preserves C = Theta02^2", *central(maps)))
+        square = composite_values(maps, half).evaluate(theta02_sq)
         records.append((f"{name} preserves Theta02^2 = 1", square, half.ctx.identity()))
-    lhs, rhs = central(a)
+    lhs, rhs = central((a,))
     records.append(("a preserves C = Theta02^2", lhs == rhs, False))
     return records
 

@@ -253,10 +253,6 @@ class RootSystemData:
         return self.cartan.label
 
     @property
-    def twist(self) -> int:
-        return self.cartan.twist
-
-    @property
     def a0(self) -> int:
         return self.cartan.a0
 

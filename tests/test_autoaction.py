@@ -6,6 +6,7 @@ import pytest
 from dawcox import autoaction, cli, diagrams
 from dawcox.autoaction import (
     CanonMap,
+    EndoMap,
     a_map,
     b_map,
     basic_involution_check,
@@ -13,10 +14,11 @@ from dawcox.autoaction import (
     braid_identity_check,
     canon,
     central_element_action,
+    composite_values,
     cstar_restriction_check,
     e_map,
     evaluate_braid,
-    identity_map,
+    inverse_maps,
     is_automorphism,
 )
 from dawcox.congruence import I2, U21, Mat2, NotInGroupError, decompose_gamma12_prime, member
@@ -31,6 +33,19 @@ SMALL = ["dddotA1", "dddotC2", "ddotB2", "ddotG2", "ddotF4"]
 
 def _failed(records):
     return [name for name, lhs, rhs in records if lhs != rhs]
+
+
+def identity_map(label_name):
+    pres = generator_dictionary(label_name).presentation
+    return EndoMap("id", label_name, label_name, {g: ((g, 1),) for g in pres.generators})
+
+
+def _substituted(maps, word):
+    """The word substituted through maps[0] after maps[1] after ...,
+    the innermost map first."""
+    for m in reversed(maps):
+        word = m.apply_word(word)
+    return word
 
 
 def test_a_fixes_theta03_and_b_fixes_theta01():
@@ -86,12 +101,13 @@ def test_canon_map_consistency(name):
 
 
 def _maps(name):
-    """a, b, e, a^-1, b^-1 and one composite, the anti-map a after e."""
+    """a, b, e, a^-1, b^-1 and one composite, the anti-map a after e, as
+    tuples of maps, the outermost first."""
     e = e_map(name)
     return [
-        a_map(name), b_map(name), e,
-        autoaction.a_inv_map(name), autoaction.b_inv_map(name),
-        a_map(e.dst).compose(e),
+        (a_map(name),), (b_map(name),), (e,),
+        inverse_maps("a", name), inverse_maps("b", name),
+        (a_map(e.dst), e),
     ]
 
 
@@ -129,12 +145,12 @@ def test_map_values_match_word_substitution(name):
     # anti-map) give the normal form of the substituted word
     central = generator_dictionary(name).presentation.central_word
     words = _words(name)
-    for m in _maps(name):
-        dst = generator_dictionary(m.dst)
-        values = m.values()
+    for maps in _maps(name):
+        dst = generator_dictionary(maps[0].dst)
+        values = composite_values(maps)
         for word in words:
-            expected = dst.evaluate(m.apply_word(_written_out(word, central)))
-            assert values.evaluate(word) == expected, (m.name, word)
+            expected = dst.evaluate(_substituted(maps, _written_out(word, central)))
+            assert values.evaluate(word) == expected, ([m.name for m in maps], word)
 
 
 @pytest.mark.parametrize("name", ["dddotA2", "ddotB2", "ddotC3"])
@@ -162,8 +178,8 @@ def test_central_word_is_evaluated_once_per_map(name, monkeypatch):
 
 def test_aba_equals_theta03_image():
     # (a b a)(Theta01) = Theta03
-    m = a_map("dddotC2").compose(b_map("dddotC2")).compose(a_map("dddotC2"))
-    assert m.apply_word((("Theta01", 1),)) == (("Theta03", 1),)
+    a, b = a_map("dddotC2"), b_map("dddotC2")
+    assert a.apply_word(b.apply_word(a.apply_word((("Theta01", 1),)))) == (("Theta03", 1),)
 
 
 @pytest.mark.parametrize("name", FAMILIES)
@@ -198,9 +214,9 @@ def test_cstar_restriction(n, monkeypatch):
     assert ("a preserves C = Theta02^2", False, False) in records
     # an a that preserved it would fail the check (b^-1 = e a e keeps the
     # real a)
-    b_inv = autoaction.b_inv_map("dddotA1" if n == 1 else f"dddotC{n}")
-    monkeypatch.setattr(autoaction, "b_inv_map", lambda name: b_inv)
-    monkeypatch.setattr(autoaction, "a_map", autoaction.identity_map)
+    b_inv = inverse_maps("b", "dddotA1" if n == 1 else f"dddotC{n}")
+    monkeypatch.setattr(autoaction, "inverse_maps", lambda kind, name: b_inv)
+    monkeypatch.setattr(autoaction, "a_map", identity_map)
     assert _failed(cstar_restriction_check(f"dddotC{n}star")) == ["a preserves C = Theta02^2"]
 
 
@@ -212,21 +228,68 @@ def test_cstar_letter_values_match_word_substitution(name):
     # in that quotient's context (an empty target is not the default)
     gd_star = generator_dictionary(name)
     host = str(diagrams.host(gd_star.label))
-    a, b = autoaction.a_map(host), autoaction.b_map(host)
-    maps = (
-        autoaction.identity_map(host),
-        b.compose(a).compose(autoaction.b_inv_map(host)),
-        b.compose(b),
-    )
+    a, b = a_map(host), b_map(host)
+    composites = ((), (b, a, *inverse_maps("b", host)), (b, b))
     words = (gd_star.presentation.central_word, (("Theta02", 2),))
-    for m in maps:
+    for maps in composites:
         for q in gd_star.quotients:
-            values = m.values(gd_star.values(q.half))
+            values = composite_values(maps, gd_star.values(q.half))
             for word in words:
                 got = values.evaluate(word)
-                expected = gd_star.evaluate(m.apply_word(word), q.half)
-                assert got.ctx is q.ctx and got == expected, (m.name, q.half, word)
+                expected = gd_star.evaluate(_substituted(maps, word), q.half)
+                names = [m.name for m in maps]
+                assert got.ctx is q.ctx and got == expected, (names, q.half, word)
                 assert got.describe() == expected.describe()
+
+
+@pytest.mark.parametrize("name", cli.LABELS + cli.LARGE + ("ddotB5", "ddotC5"))
+def test_inverse_canon_maps_match_the_substituted_words(name):
+    # a^-1 and b^-1 as canon maps: the psi words evaluated through the
+    # substituted e b e and e a e words
+    gd = generator_dictionary(name)
+    central = gd.presentation.central_word
+    e = e_map(name)
+    for kind, middle in (("a_inv", b_map), ("b_inv", a_map)):
+        maps = (e_map(e.dst), middle(e.dst), e)
+        dst = generator_dictionary(maps[0].dst)
+        expected = {
+            sym: dst.evaluate(_substituted(maps, _written_out(word, central)))
+            for sym, word in gd.psi.items()
+        }
+        M = canon(name, kind)
+        assert (M.src, M.dst, M.anti) == (name, name, False)
+        assert M.gen_images == expected, kind
+
+
+@pytest.mark.parametrize("name", ["ddotB3", "ddotC3", "dddotC2", "ddotG2", "dddotA1"])
+def test_composite_values_match_the_chained_substitution(name):
+    # e e, a e and e b e, in the right context and orientation, also
+    # where e crosses between ddotB3 and ddotC3; the canon map of the
+    # composite is the composite of the canon maps
+    e = e_map(name)
+    p = e.dst
+    central = generator_dictionary(name).presentation.central_word
+    words = _words(name)
+    for maps, anti in (
+        ((e_map(p), e), False),
+        ((a_map(p), e), True),
+        ((e_map(p), b_map(p), e), False),
+    ):
+        names = [m.name for m in maps]
+        dst = generator_dictionary(maps[0].dst)
+        values = composite_values(maps)
+        assert values.reverse is anti and values.ctx is dst.ctx, names
+        for word in words:
+            expected = dst.evaluate(_substituted(maps, _written_out(word, central)))
+            assert values.evaluate(word) == expected, (names, word)
+        folded = reduce(CanonMap.compose, [CanonMap.from_endo(m) for m in maps])
+        assert CanonMap.from_endo(*maps).gen_images == folded.gen_images, names
+
+
+def test_composite_values_rejects_maps_that_do_not_chain():
+    # e carries ddotB3 to ddotC3, where ddotB3's b does not act
+    with pytest.raises(ValueError, match="^cannot compose b after e$"):
+        composite_values((b_map("ddotB3"), e_map("ddotB3")))
 
 
 @pytest.mark.parametrize("name", ["dddotA1", "ddotB2", "ddotC3", "ddotB3", "ddotG2", "dddotC2"])

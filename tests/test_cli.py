@@ -257,6 +257,20 @@ def test_verify_appendix_skips_simply_laced(capsys):
     assert "skipped (simply-laced)" in out
 
 
+def test_a_check_that_returns_no_records_fails(capsys, monkeypatch):
+    # only appendixA on a simply-laced label may check nothing; any other
+    # empty check is a failure, not a skip
+    monkeypatch.setitem(cli.CHECKS, "params", (("params", lambda lab: True, lambda lab: []),))
+    code, out, _ = run(capsys, "verify", "--family", "ddotB2", "--suite", "params")
+    assert code == 1
+    assert out.split()[:2] == ["FAIL", "ddotB2:params"]
+    code, out, _ = run(capsys, "verify", "--family", "ddotB2", "--suite", "params", "--json")
+    assert code == 1
+    (check,) = json.loads(out)["checks"]
+    assert check["id"] == "ddotB2:params" and check["status"] == "FAIL"
+    assert check["witness"] == {"empty": "the check returned no records"}
+
+
 def test_verify_unknown_family(capsys):
     code, _, err = run(capsys, "verify", "--family", "dddotZ", "--rank", "1")
     assert code == 2
@@ -422,9 +436,13 @@ def _wrong_b_image(monkeypatch):
 
 
 def _a_preserving_star_relations(monkeypatch):
-    b_inv = autoaction.b_inv_map("dddotC2")
-    monkeypatch.setattr(autoaction, "b_inv_map", lambda name: b_inv)
-    monkeypatch.setattr(autoaction, "a_map", autoaction.identity_map)
+    # b^-1 = e a e keeps the real a
+    b_inv = autoaction.inverse_maps("b", "dddotC2")
+    monkeypatch.setattr(autoaction, "inverse_maps", lambda kind, name: b_inv)
+    monkeypatch.setattr(autoaction, "a_map", lambda name: autoaction.EndoMap(
+        "id", name, name,
+        {g: ((g, 1),) for g in presentation.generator_dictionary(name).presentation.generators},
+    ))
 
 
 def _swapped_xy(monkeypatch):

@@ -519,7 +519,7 @@ def test_a2n2_comparison_rejects_a_basis_that_is_not_halved(monkeypatch):
 
     def doubled(rs):
         m, q = real(rs)
-        if rs.label.letter == "A" and rs.twist == 2:
+        if rs.label.letter == "A" and rs.label.twist == 2:
             m = tuple(2 * x for x in m)
         return m, q
 

@@ -188,7 +188,7 @@ def test_nu_of_coroots(systems, lab):
 @pytest.mark.parametrize("lab", ALL_LABELS)
 def test_max_root_norm_is_2r(systems, lab):
     rs = systems[lab]
-    assert max(*rs.pos_root_norms, rs.bilinear(rs.alpha0, rs.alpha0)) == 2 * rs.twist
+    assert max(*rs.pos_root_norms, rs.bilinear(rs.alpha0, rs.alpha0)) == 2 * rs.label.twist
 
 
 @pytest.mark.parametrize("lab", ["A3(1)", "C3(1)", "G2(1)", "D4(3)", "A4(2)"])
@@ -224,7 +224,7 @@ def test_positive_root_counts(systems, lab, count):
 @pytest.mark.parametrize("lab", ALL_LABELS)
 def test_theta_phi(systems, lab):
     rs = systems[lab]
-    untwisted = rs.twist == 1
+    untwisted = rs.label.twist == 1
     even_a2 = lab[0] == "A" and lab.endswith("(2)") and int(lab[1:-3]) % 2 == 0
     theta, phi = ambient(rs.theta), ambient(rs.phi)
     if untwisted or even_a2:
@@ -233,18 +233,18 @@ def test_theta_phi(systems, lab):
         assert rs.theta != rs.phi
         # theta short dominant, phi long dominant, (phi^v, theta) = 1.
         assert rs.bilinear(theta, theta) == 2
-        assert rs.bilinear(phi, phi) == 2 * rs.twist
+        assert rs.bilinear(phi, phi) == 2 * rs.label.twist
         assert pairing(rs, theta, phi) == 1
         # theta'/phi' orthogonality holds in the doubly-laced cases; for
         # the triply-laced system (theta', theta) = r - 2 instead.
         theta_prime, phi_prime = rs.primed(rs.theta, rs.phi)
         assert ambient(theta_prime) == vsub(phi, theta)
         assert ambient(phi_prime) == vsub(vscale(pairing(rs, phi, theta), theta), phi)
-        if rs.twist == 2:
+        if rs.label.twist == 2:
             assert rs.bilinear(ambient(theta_prime), theta) == 0
             assert rs.bilinear(ambient(phi_prime), phi) == 0
         else:
-            assert rs.bilinear(ambient(theta_prime), theta) == rs.twist - 2
+            assert rs.bilinear(ambient(theta_prime), theta) == rs.label.twist - 2
         assert coroot(rs, ambient(phi_prime)) == vsub(coroot(rs, theta), coroot(rs, phi))
         roots = set(rs.pos_roots) | {tuple(-c for c in r) for r in rs.pos_roots}
         assert theta_prime in roots
@@ -276,7 +276,7 @@ def test_m_lattice(systems, lab):
             if rs.bilinear(r, r) == 4:
                 assert rs.lattice_coords(coroot(rs, r), mb) is not None
         return
-    target = rs.qcheck_basis() if rs.twist == 1 else simple_roots(rs)
+    target = rs.qcheck_basis() if rs.label.twist == 1 else simple_roots(rs)
     for v in mb:
         assert rs.lattice_coords(v, target) is not None
     for v in target:
