@@ -14,12 +14,22 @@ number of its maps are, and builds no substituted word.  inverse_maps
 states a^-1 = e b e and b^-1 = e a e once, for both representations.
 CanonMap is the induced endomorphism of the Weyl quotient, stored
 through its images of the double-affine-Weyl-group generators (the psi
-words in the letter values), kept by index (s0..sn, lam_A1..n,
-tau_a1..n) for apply; composites of many letters stay cheap because
-elements are decomposed structurally (finite part by the element's
-reduced word, extracted once per element, lattice parts by coordinates).
-A braid word is folded one syllable x^e at a time, each syllable the
-power canon(label, x, e) memoized with the basic maps.
+words in the letter values).  By definition it maps w lam_mu tau_beta
+tau_delta^k to the product of the images of its letters: w's reduced
+word, lam_A_i^mu_i, tau_a_i^beta_i and tau_delta^k (product_image).
+Every composite of a, b and e sends s_1..s_n to finite Weyl elements and
+lam_A_i, tau_a_i and tau_delta to translations, and such a map is
+integer linear algebra on normal forms, the SL(2, Z) action on the
+Heisenberg lattice: apply reads the map's integer form, built on its
+first use, and multiplies no group elements.  The translation images
+combine linearly in (mu, beta), and k picks up the cocycle (beta_i,
+mu_j) of each pair of rows in product order; the finite part is w (w^-1
+for an anti-map), or the product of the finite images along w's reduced
+word when they are not the simple reflections (e on ddotB2, ddotG2 and
+ddotF4, and across the ddotB_n/ddotC_n pair).  An image table of another
+shape, such as a corrupted one, is applied by its definition.  A braid
+word is folded one syllable x^e at a time, each syllable the power
+canon(label, x, e) memoized with the basic maps.
 
 basic_involution_check takes every label: a starred label's matrices
 come from Gamma1(2)' and act through their level-one lift on the
@@ -30,14 +40,14 @@ check as the Gamma1(r) matrices of every other label.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 from . import diagrams
 from .congruence import Mat2, braid_lift, decompose, decompose_gamma12_prime, member
 from .dagroup import DaweylContext, DaweylElement, product
 from .presentation import LetterValues, Word, free_reduce, generator_dictionary, winv, wmul
-from .rootsys import AffineLabel
-from .weyl import braid_sides
+from .rootsys import AffineLabel, mat_vec
+from .weyl import WeylElement, braid_sides
 
 
 @dataclass
@@ -185,7 +195,8 @@ def is_automorphism(m: EndoMap) -> list[tuple]:
 
 class CanonMap:
     """The endomorphism of the double affine Weyl group induced by an
-    EndoMap, represented by its images of the group generators."""
+    EndoMap, represented by its images of the group generators, and
+    applied through its integer form when the images have that shape."""
 
     def __init__(self, src: str, dst: str, anti: bool, gen_images: dict):
         self.src = src
@@ -194,9 +205,9 @@ class CanonMap:
         self.gen_images = gen_images
         self.src_ctx: DaweylContext = generator_dictionary(src).ctx
         self.dst_ctx: DaweylContext = generator_dictionary(dst).ctx
-        # the images apply reads, by index: s0..sn, lam_A1..n, tau_a1..n
+        # the images apply reads, by index: s1..sn, lam_A1..n, tau_a1..n
         n = self.src_ctx.n
-        self.s_images = [gen_images[f"s{i}"] for i in range(n + 1)]
+        self.s_images = [gen_images[f"s{i}"] for i in range(1, n + 1)]
         self.lam_images = [gen_images[f"lam_A{i}"] for i in range(1, n + 1)]
         self.tau_images = [gen_images[f"tau_a{i}"] for i in range(1, n + 1)]
 
@@ -217,24 +228,108 @@ class CanonMap:
         gen_images = {sym: gd.ctx.generator(sym) for sym in gd.psi}
         return cls(label_name, label_name, False, gen_images)
 
-    def apply(self, g: DaweylElement) -> DaweylElement:
-        ctx = self.src_ctx
-        if g.ctx is not ctx:
-            raise ValueError("element is not in the source group")
-        out_ctx = self.dst_ctx
-        k = g.k
-        if k.denominator != 1:
-            raise ValueError("CanonMap.apply needs an integral tau_delta exponent")
+    @cached_property
+    def integer_form(self) -> tuple | None:
+        """The map as integer linear algebra on normal forms, or None
+        unless every s_i (i >= 1) goes to a finite Weyl element and every
+        lam_A_i, tau_a_i and tau_delta to a translation, as for every
+        composite of a, b and e.  The form is (finite, mu, beta, k,
+        cocycle): the Weyl images of s_1..s_n, or None when they are the
+        simple reflections of the same root system; the translation rows
+        in the order apply multiplies them (lam_A1..n, tau_a1..n,
+        tau_delta, reversed for an anti-map), as the non-zero (index,
+        coordinate) pairs of each row's mu and beta and each row's k; and
+        the cocycle table P[i][j] = (beta_i, mu_j) of the rows, for each
+        j the entries with i <= j.  Composites of a, b and e send each
+        lattice generator to a translation with few non-zero coordinates,
+        so the rows are kept sparse."""
+        if any(any(x.mu_coords) or any(x.beta_coords) or x.k for x in self.s_images):
+            return None
+        rows = [*self.lam_images, *self.tau_images, self.gen_images["tau_delta"]]
+        if not all(x.w.is_identity() for x in rows):
+            return None
+        if self.anti:
+            rows.reverse()
+        finite = [x.w for x in self.s_images]
+        if self.src_ctx.rs is self.dst_ctx.rs and finite == self.dst_ctx.wg.simples:
+            finite = None
+        mu = [tuple((t, x) for t, x in enumerate(r.mu_coords) if x) for r in rows]
+        beta = [tuple((t, x) for t, x in enumerate(r.beta_coords) if x) for r in rows]
+        # P = B (pairing table) M^T, with the rows' beta in B and mu in M,
+        # summed over the non-zero coordinates
+        pairing = self.dst_ctx.rs.pairing_table
+        b_pairing = []
+        for row in beta:
+            bp = self.dst_ctx.zero_coords
+            for a, x in row:
+                bp = [u + x * v for u, v in zip(bp, pairing[a])]
+            b_pairing.append(bp)
+        cocycle = []
+        for j, row in enumerate(mu):
+            col = (0,) * (j + 1)
+            for t, y in row:
+                col = [u + bp[t] * y for u, bp in zip(col, b_pairing)]
+            cocycle.append(col)
+        return finite, mu, beta, [r.k for r in rows], cocycle
 
+    def apply(self, g: DaweylElement) -> DaweylElement:
+        if g.ctx is not self.src_ctx:
+            raise ValueError("element is not in the source group")
+        if g.k.denominator != 1:
+            raise ValueError("CanonMap.apply needs an integral tau_delta exponent")
+        form = self.integer_form
+        if form is None:
+            return self.product_image(g)
+        finite, mu_rows, beta_rows, ks, cocycle = form
+        # g = w lam_mu tau_beta tau_delta^k is the product of its finite
+        # letters and of the rows' sources to the powers c; the rows'
+        # images multiply to a translation (mu', beta', k') with
+        # mu' = sum c_j mu_j, beta' = sum c_j beta_j and k' = sum c_j k_j
+        # + sum C(c_j, 2) P_jj + sum_{i<j} c_i c_j P_ij.
+        c = (*g.mu_coords, *g.beta_coords, int(g.k))
+        if self.anti:
+            c = c[::-1]
+        mu, beta = list(self.dst_ctx.zero_coords), list(self.dst_ctx.zero_coords)
+        k = 0
+        earlier = []
+        for j, cj in enumerate(c):
+            if cj:
+                for t, x in mu_rows[j]:
+                    mu[t] += cj * x
+                for t, x in beta_rows[j]:
+                    beta[t] += cj * x
+                col = cocycle[j]
+                k += cj * ks[j] + cj * (cj - 1) // 2 * col[j]
+                k += cj * sum([ci * col[i] for i, ci in earlier])
+                earlier.append((j, cj))
+        # the finite letters' images multiply to w'; the translation
+        # stands after w' for a map and before it for an anti-map, where
+        # it moves to the right through w'^-1
+        if finite is None:
+            w = g.w.inv() if self.anti else g.w
+        else:
+            word = g.reduced_word[::-1] if self.anti else g.reduced_word
+            w = reduce(WeylElement.__mul__, (finite[i - 1] for i in word), self.dst_ctx.wg.id)
+        if self.anti and not w.is_identity():
+            winv = w.inv()
+            return DaweylElement(
+                self.dst_ctx, w, mat_vec(winv.m_matrix, mu), mat_vec(winv.qcheck_matrix, beta), k
+            )
+        return DaweylElement(self.dst_ctx, w, tuple(mu), tuple(beta), k)
+
+    def product_image(self, g: DaweylElement) -> DaweylElement:
+        """apply by definition: the product of the images of g's letters
+        (its reduced word, then lam_A_i^mu_i, tau_a_i^beta_i and
+        tau_delta^k), in reverse for an anti-map."""
         s = self.s_images
-        w_parts = [s[i] for i in g.reduced_word]
+        w_parts = [s[i - 1] for i in g.reduced_word]
         lam_parts = [x ** c for x, c in zip(self.lam_images, g.mu_coords) if c]
         tau_parts = [x ** c for x, c in zip(self.tau_images, g.beta_coords) if c]
-        delta_parts = [self.gen_images["tau_delta"] ** int(k)] if k else []
+        delta_parts = [self.gen_images["tau_delta"] ** int(g.k)] if g.k else []
         if not self.anti:
-            return product(out_ctx, w_parts + lam_parts + tau_parts + delta_parts)
+            return product(self.dst_ctx, w_parts + lam_parts + tau_parts + delta_parts)
         return product(
-            out_ctx, delta_parts + tau_parts + lam_parts + list(reversed(w_parts))
+            self.dst_ctx, delta_parts + tau_parts + lam_parts + list(reversed(w_parts))
         )
 
     def compose(self, other: "CanonMap") -> "CanonMap":

@@ -158,10 +158,10 @@ Word = list
 
 
 def eval_word(word: Iterable, r: int) -> Mat2:
+    B = U21**r
     out = I2
     for letter, e in word:
-        base = U12 if letter == "A" else U21**r
-        out = out * base**e
+        out = out * (U12 if letter == "A" else B) ** e
     return out
 
 
@@ -192,24 +192,24 @@ def decompose(m: Mat2, r: int) -> Word:
     if not member(m, "Gamma1", r):
         raise NotInGroupError(f"matrix is not in Gamma1({r})")
     B = U21**r
+    # the four two-sided steps (left letter, right letter, left factor,
+    # right factor), in the order the descent tries them
+    A_inv, B_inv = U12.inv(), B.inv()
+    steps = (
+        (("A", 1), ("B", 1), U12, B),
+        (("B", 1), ("A", 1), B, U12),
+        (("A", -1), ("B", -1), A_inv, B_inv),
+        (("B", -1), ("A", -1), B_inv, A_inv),
+    )
     left: Word = []
     right: Word = []
     cur = m
     guard = 0
     while cur.b != 0:
-        options = []
-        for (lg, le), (rg, re) in (
-            (("A", 1), ("B", 1)),
-            (("B", 1), ("A", 1)),
-            (("A", -1), ("B", -1)),
-            (("B", -1), ("A", -1)),
-        ):
-            lm = (U12 if lg == "A" else B) ** le
-            rm = (U12 if rg == "A" else B) ** re
-            options.append(((lg, le), (rg, re), lm * cur * rm))
         chosen = None
         best_ad = None
-        for lw, rw, cand in options:
+        for lw, rw, lm, rm in steps:
+            cand = lm * cur * rm
             if abs(cand.b) < abs(cur.b):
                 ad = abs(cand.a) + abs(cand.d)
                 if chosen is None or ad < best_ad:

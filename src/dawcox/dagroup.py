@@ -233,10 +233,17 @@ class DaweylContext:
         )
 
 
+_ZERO = vzero(1)[0]  # the one Fraction zero that vzero pads with
+
+
 def _ambient(coords, diag) -> Vec:
     """The ambient vector sum_i coords[i] diag[i] alpha_i of a lattice
-    with the basis diag[i] alpha_i."""
-    return tuple([c * x for c, x in zip(coords, diag)]) + vzero(2)
+    with the basis diag[i] alpha_i.  Each coordinate is made as one
+    Fraction from the integers, since int * Fraction goes through
+    Fraction's generic operators."""
+    return tuple([
+        Fraction(c * x.numerator, x.denominator) if c else _ZERO for c, x in zip(coords, diag)
+    ]) + vzero(2)
 
 
 def _exponent(k):

@@ -22,7 +22,9 @@ from dawcox.autoaction import (
     is_automorphism,
 )
 from dawcox.congruence import I2, U21, Mat2, NotInGroupError, decompose_gamma12_prime, member
+from dawcox.dagroup import DaweylElement
 from dawcox.presentation import CENTRAL, LetterValues, generator_dictionary, winv
+from dawcox.weyl import WeylElement
 from samples import upsilon_samples
 
 # the unstarred labels of the `verify` matrix
@@ -307,6 +309,73 @@ def test_syllable_fold_matches_the_letter_fold(name):
         M = evaluate_braid(word, name)
         assert (M.src, M.dst, M.anti) == (folded.src, folded.dst, folded.anti)
         assert M.gen_images == folded.gen_images, word
+
+
+# the hosts of the registry labels: every unstarred label, and the host
+# each starred label acts through
+HOSTS = sorted({str(diagrams.host(diagrams.parse(n))) for n in cli.LABELS + cli.LARGE})
+
+
+def _random_elements(ctx, rng, count):
+    """Seeded normal forms w lam_mu tau_beta tau_delta^k: w a random word
+    in the simple reflections, the coordinates and k in [-3, 3]."""
+    n = ctx.n
+    out = []
+    for _ in range(count):
+        letters = [rng.choice(ctx.wg.simples) for _ in range(rng.randint(0, 3 * n))]
+        w = reduce(WeylElement.__mul__, letters, ctx.wg.id)
+        coords = [rng.randint(-3, 3) for _ in range(2 * n)]
+        out.append(DaweylElement(ctx, w, tuple(coords[:n]), tuple(coords[n:]), rng.randint(-3, 3)))
+    return out
+
+
+def _genuine_maps(name, rng):
+    """The canonical maps of a label, seeded braid composites gamma and
+    e after the last gamma."""
+    maps = {kind: canon(name, kind) for kind in ("a", "b", "e", "a_inv", "b_inv", "id")}
+    for _ in range(3):
+        word = [(rng.choice("ab"), rng.choice((-2, -1, 1, 2))) for _ in range(rng.randint(1, 4))]
+        gamma = maps[f"gamma {word}"] = evaluate_braid(word, name)
+    maps["e gamma"] = canon(name, "e").compose(gamma)
+    return maps
+
+
+@pytest.mark.parametrize("name", HOSTS)
+def test_structural_apply_matches_the_products(name):
+    # the integer form of every genuine map against apply's definition,
+    # the product of the letters' images, on the generators and on
+    # seeded random elements; ddotB*, ddotC*, ddotF4 and ddotG2 cover
+    # the finite images that are not the simple reflections themselves
+    rng = random.Random(f"structural {name}")
+    gd = generator_dictionary(name)
+    elements = [gd.ctx.generator(sym) for sym in gd.psi] + _random_elements(gd.ctx, rng, 6)
+    for kind, m in _genuine_maps(name, rng).items():
+        assert m.integer_form is not None, kind
+        for g in elements:
+            assert m.apply(g) == m.product_image(g), (kind, g)
+    assert (canon(name, "e").integer_form[0] is None) == name.startswith("dddot")
+
+
+@pytest.mark.parametrize("name,kind", [("dddotE8", "a"), ("ddotB3", "e"), ("ddotG2", "b_inv")])
+def test_a_structural_apply_multiplies_no_elements(name, kind, monkeypatch):
+    m = canon(name, kind)
+    fresh = CanonMap(m.src, m.dst, m.anti, dict(m.gen_images))
+    elements = _random_elements(m.src_ctx, random.Random(5), 10)
+    expected = [m.product_image(g) for g in elements]
+    calls = []
+
+    def counted(op):
+        real = getattr(DaweylElement, op)
+        return lambda self, other: calls.append(op) or real(self, other)
+
+    for op in ("__mul__", "__pow__"):
+        monkeypatch.setattr(DaweylElement, op, counted(op))
+    images = [fresh.apply(g) for g in elements]
+    assert calls == []
+    m.product_image(elements[0])  # the counter sees the product path
+    assert calls
+    monkeypatch.undo()
+    assert images == expected
 
 
 def test_homomorphism_property_random_words():

@@ -435,6 +435,16 @@ def _wrong_b_image(monkeypatch):
     monkeypatch.setitem(autoaction._CANON_CACHE, ("ddotB2", "b"), wrong)
 
 
+def test_the_corrupted_b_image_is_applied_by_products(monkeypatch):
+    # an s1 image with a tau_delta factor has no integer form: apply
+    # multiplies the images, and the broken record is still seen
+    _wrong_b_image(monkeypatch)
+    wrong = autoaction.canon("ddotB2", "b")
+    assert wrong.integer_form is None
+    witness = cli._witness(autoaction.braid_identity_check("ddotB2"))
+    assert "b b^-1 = 1 on s1" in [f["relation"] for f in witness["failures"]]
+
+
 def _a_preserving_star_relations(monkeypatch):
     # b^-1 = e a e keeps the real a
     b_inv = autoaction.inverse_maps("b", "dddotC2")
