@@ -20,16 +20,21 @@ word, lam_A_i^mu_i, tau_a_i^beta_i and tau_delta^k (product_image).
 Every composite of a, b and e sends s_1..s_n to finite Weyl elements and
 lam_A_i, tau_a_i and tau_delta to translations, and such a map is
 integer linear algebra on normal forms, the SL(2, Z) action on the
-Heisenberg lattice: apply reads the map's integer form, built on its
-first use, and multiplies no group elements.  The translation images
-combine linearly in (mu, beta), and k picks up the cocycle (beta_i,
-mu_j) of each pair of rows in product order; the finite part is w (w^-1
-for an anti-map), or the product of the finite images along w's reduced
-word when they are not the simple reflections (e on ddotB2, ddotG2 and
-ddotF4, and across the ddotB_n/ddotC_n pair).  An image table of another
-shape, such as a corrupted one, is applied by its definition.  A braid
-word is folded one syllable x^e at a time, each syllable the power
-canon(label, x, e) memoized with the basic maps.
+Heisenberg lattice: apply reads the map's integer form, built from the
+images on its first use, and multiplies no group elements.  The
+translation images combine linearly in (mu, beta), and k picks up the
+cocycle (beta_i, mu_j) of each pair of rows in product order; the finite
+part is w (w^-1 for an anti-map), or the product of the finite images
+along w's reduced word when they are not the simple reflections (e on
+ddotB2, ddotG2 and ddotF4, and across the ddotB_n/ddotC_n pair).
+compose composes two such maps as forms: the composite's rows are the
+outer map's images of the inner map's rows and its finite images the
+outer map's images of the inner map's, so no generator image is built,
+and a composite's images are built only when something reads them.  An
+image table of another shape, such as a corrupted one, is applied and
+composed by its definition.  A braid word is folded one syllable x^e at
+a time, each syllable the power canon(label, x, e) memoized with the
+basic maps.
 
 basic_involution_check takes every label: a starred label's matrices
 come from Gamma1(2)' and act through their level-one lift on the
@@ -41,6 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from operator import itemgetter
 
 from . import diagrams
 from .congruence import Mat2, braid_lift, decompose, decompose_gamma12_prime, member
@@ -193,23 +199,25 @@ def is_automorphism(m: EndoMap) -> list[tuple]:
 # Structural (CanonMap) machinery
 # ---------------------------------------------------------------------
 
+# keeps the (index, coordinate) pairs of a row's non-zero coordinates
+_nonzero = itemgetter(1)
+
+
 class CanonMap:
     """The endomorphism of the double affine Weyl group induced by an
     EndoMap, represented by its images of the group generators, and
-    applied through its integer form when the images have that shape."""
+    applied through its integer form when the images have that shape.  A
+    composite of two maps with integer forms is composed as forms: its
+    generator images are built only when read."""
 
-    def __init__(self, src: str, dst: str, anti: bool, gen_images: dict):
+    def __init__(self, src: str, dst: str, anti: bool, gen_images: dict | None):
         self.src = src
         self.dst = dst
         self.anti = anti
-        self.gen_images = gen_images
+        if gen_images is not None:
+            self.gen_images = gen_images
         self.src_ctx: DaweylContext = generator_dictionary(src).ctx
         self.dst_ctx: DaweylContext = generator_dictionary(dst).ctx
-        # the images apply reads, by index: s1..sn, lam_A1..n, tau_a1..n
-        n = self.src_ctx.n
-        self.s_images = [gen_images[f"s{i}"] for i in range(1, n + 1)]
-        self.lam_images = [gen_images[f"lam_A{i}"] for i in range(1, n + 1)]
-        self.tau_images = [gen_images[f"tau_a{i}"] for i in range(1, n + 1)]
 
     @classmethod
     def from_endo(cls, *maps: EndoMap) -> "CanonMap":
@@ -229,6 +237,15 @@ class CanonMap:
         return cls(label_name, label_name, False, gen_images)
 
     @cached_property
+    def gen_images(self) -> dict:
+        """A composed map's images, built when first read: the outer
+        map's images of the inner map's."""
+        outer, inner = self._factors
+        images = {sym: outer.apply(x) for sym, x in inner.gen_images.items()}
+        del self._factors
+        return images
+
+    @cached_property
     def integer_form(self) -> tuple | None:
         """The map as integer linear algebra on normal forms, or None
         unless every s_i (i >= 1) goes to a finite Weyl element and every
@@ -242,21 +259,33 @@ class CanonMap:
         the cocycle table P[i][j] = (beta_i, mu_j) of the rows, for each
         j the entries with i <= j.  Composites of a, b and e send each
         lattice generator to a translation with few non-zero coordinates,
-        so the rows are kept sparse."""
-        if any(any(x.mu_coords) or any(x.beta_coords) or x.k for x in self.s_images):
+        so the rows are kept sparse.  A composed map's form is set by
+        compose; this builds it from the images."""
+        n = self.src_ctx.n
+        images = self.gen_images
+        s_images = [images[f"s{i}"] for i in range(1, n + 1)]
+        if any(any(x.mu_coords) or any(x.beta_coords) or x.k for x in s_images):
             return None
-        rows = [*self.lam_images, *self.tau_images, self.gen_images["tau_delta"]]
+        rows = [images[f"{g}{i}"] for g in ("lam_A", "tau_a") for i in range(1, n + 1)]
+        rows.append(images["tau_delta"])
         if not all(x.w.is_identity() for x in rows):
             return None
         if self.anti:
             rows.reverse()
-        finite = [x.w for x in self.s_images]
+        return self._form(
+            [x.w for x in s_images],
+            [tuple(filter(_nonzero, enumerate(r.mu_coords))) for r in rows],
+            [tuple(filter(_nonzero, enumerate(r.beta_coords))) for r in rows],
+            [r.k for r in rows],
+        )
+
+    def _form(self, finite: list, mu: list, beta: list, ks: list) -> tuple:
+        """The integer form of these finite images and sparse rows: finite
+        becomes None when it is the simple reflections of the same root
+        system, and the cocycle is P = B (pairing table) M^T, with the
+        rows' beta in B and mu in M, summed over the non-zero coordinates."""
         if self.src_ctx.rs is self.dst_ctx.rs and finite == self.dst_ctx.wg.simples:
             finite = None
-        mu = [tuple((t, x) for t, x in enumerate(r.mu_coords) if x) for r in rows]
-        beta = [tuple((t, x) for t, x in enumerate(r.beta_coords) if x) for r in rows]
-        # P = B (pairing table) M^T, with the rows' beta in B and mu in M,
-        # summed over the non-zero coordinates
         pairing = self.dst_ctx.rs.pairing_table
         b_pairing = []
         for row in beta:
@@ -270,7 +299,37 @@ class CanonMap:
             for t, y in row:
                 col = [u + bp[t] * y for u, bp in zip(col, b_pairing)]
             cocycle.append(col)
-        return finite, mu, beta, [r.k for r in rows], cocycle
+        return finite, mu, beta, ks, cocycle
+
+    def _translation(self, form: tuple, c) -> tuple[list, list, int]:
+        """The product of the rows' images to the powers c, given as (j,
+        c_j) in increasing j: mu' = sum c_j mu_j, beta' = sum c_j beta_j
+        and k' = sum c_j k_j + sum C(c_j, 2) P_jj + sum_{i<j} c_i c_j
+        P_ij."""
+        _, mu_rows, beta_rows, ks, cocycle = form
+        mu, beta = list(self.dst_ctx.zero_coords), list(self.dst_ctx.zero_coords)
+        k = 0
+        earlier = []
+        for j, cj in c:
+            if cj:
+                for t, x in mu_rows[j]:
+                    mu[t] += cj * x
+                for t, x in beta_rows[j]:
+                    beta[t] += cj * x
+                col = cocycle[j]
+                k += cj * ks[j] + cj * (cj - 1) // 2 * col[j]
+                for i, ci in earlier:
+                    k += ci * cj * col[i]
+                earlier.append((j, cj))
+        return mu, beta, k
+
+    def _finite_image(self, finite: list | None, w: WeylElement) -> WeylElement:
+        """The product of the finite letters' images: w (w^-1 for an
+        anti-map), or the finite images along w's reduced word."""
+        if finite is None:
+            return w.inv() if self.anti else w
+        word = w.reduced_word[::-1] if self.anti else w.reduced_word
+        return reduce(WeylElement.__mul__, (finite[i - 1] for i in word), self.dst_ctx.wg.id)
 
     def apply(self, g: DaweylElement) -> DaweylElement:
         if g.ctx is not self.src_ctx:
@@ -280,36 +339,13 @@ class CanonMap:
         form = self.integer_form
         if form is None:
             return self.product_image(g)
-        finite, mu_rows, beta_rows, ks, cocycle = form
         # g = w lam_mu tau_beta tau_delta^k is the product of its finite
-        # letters and of the rows' sources to the powers c; the rows'
-        # images multiply to a translation (mu', beta', k') with
-        # mu' = sum c_j mu_j, beta' = sum c_j beta_j and k' = sum c_j k_j
-        # + sum C(c_j, 2) P_jj + sum_{i<j} c_i c_j P_ij.
+        # letters and of the rows' sources to the powers c
         c = (*g.mu_coords, *g.beta_coords, int(g.k))
-        if self.anti:
-            c = c[::-1]
-        mu, beta = list(self.dst_ctx.zero_coords), list(self.dst_ctx.zero_coords)
-        k = 0
-        earlier = []
-        for j, cj in enumerate(c):
-            if cj:
-                for t, x in mu_rows[j]:
-                    mu[t] += cj * x
-                for t, x in beta_rows[j]:
-                    beta[t] += cj * x
-                col = cocycle[j]
-                k += cj * ks[j] + cj * (cj - 1) // 2 * col[j]
-                k += cj * sum([ci * col[i] for i, ci in earlier])
-                earlier.append((j, cj))
-        # the finite letters' images multiply to w'; the translation
-        # stands after w' for a map and before it for an anti-map, where
-        # it moves to the right through w'^-1
-        if finite is None:
-            w = g.w.inv() if self.anti else g.w
-        else:
-            word = g.reduced_word[::-1] if self.anti else g.reduced_word
-            w = reduce(WeylElement.__mul__, (finite[i - 1] for i in word), self.dst_ctx.wg.id)
+        mu, beta, k = self._translation(form, enumerate(c[::-1] if self.anti else c))
+        # the translation stands after w' for a map and before it for an
+        # anti-map, where it moves to the right through w'^-1
+        w = self._finite_image(form[0], g.w)
         if self.anti and not w.is_identity():
             winv = w.inv()
             return DaweylElement(
@@ -321,11 +357,11 @@ class CanonMap:
         """apply by definition: the product of the images of g's letters
         (its reduced word, then lam_A_i^mu_i, tau_a_i^beta_i and
         tau_delta^k), in reverse for an anti-map."""
-        s = self.s_images
-        w_parts = [s[i - 1] for i in g.reduced_word]
-        lam_parts = [x ** c for x, c in zip(self.lam_images, g.mu_coords) if c]
-        tau_parts = [x ** c for x, c in zip(self.tau_images, g.beta_coords) if c]
-        delta_parts = [self.gen_images["tau_delta"] ** int(g.k)] if g.k else []
+        images = self.gen_images
+        w_parts = [images[f"s{i}"] for i in g.reduced_word]
+        lam_parts = [images[f"lam_A{i}"] ** c for i, c in enumerate(g.mu_coords, 1) if c]
+        tau_parts = [images[f"tau_a{i}"] ** c for i, c in enumerate(g.beta_coords, 1) if c]
+        delta_parts = [images["tau_delta"] ** int(g.k)] if g.k else []
         if not self.anti:
             return product(self.dst_ctx, w_parts + lam_parts + tau_parts + delta_parts)
         return product(
@@ -333,11 +369,42 @@ class CanonMap:
         )
 
     def compose(self, other: "CanonMap") -> "CanonMap":
-        """self after other."""
+        """self after other.  When both have an integer form, so does the
+        composite, composed from the two: its rows are self's images of
+        other's rows (reversed when self is an anti-map) and its finite
+        images self's images of other's, and its generator images are
+        built only when read.  Otherwise its images are self's images of
+        other's."""
         if self.src != other.dst:
             raise ValueError("canon maps do not chain")
-        gen_images = {sym: self.apply(el) for sym, el in other.gen_images.items()}
-        return CanonMap(other.src, self.dst, self.anti != other.anti, gen_images)
+        anti = self.anti != other.anti
+        outer, inner = self.integer_form, other.integer_form
+        if outer is None or inner is None:
+            gen_images = {sym: self.apply(el) for sym, el in other.gen_images.items()}
+            return CanonMap(other.src, self.dst, anti, gen_images)
+        finite, mu_rows, beta_rows, ks, _ = inner
+        if finite is None:
+            finite = other.dst_ctx.wg.simples
+        if outer[0] is not None or self.anti:
+            finite = [self._finite_image(outer[0], w) for w in finite]
+        # each row of other as the powers (j, c_j) of self's rows: mu at
+        # j = t, beta at n + t and k at 2n, from the end for an anti-map
+        n = self.src_ctx.n
+        last = 2 * n
+        rows = []
+        for mu_row, beta_row, k in zip(mu_rows, beta_rows, ks):
+            c = [*mu_row, *[(n + t, x) for t, x in beta_row], (last, k)]
+            if self.anti:
+                c = [(last - j, x) for j, x in reversed(c)]
+            rows.append(self._translation(outer, c))
+        if self.anti:
+            rows.reverse()
+        mu = [tuple(filter(_nonzero, enumerate(r[0]))) for r in rows]
+        beta = [tuple(filter(_nonzero, enumerate(r[1]))) for r in rows]
+        composite = CanonMap(other.src, self.dst, anti, None)
+        composite._factors = (self, other)
+        composite.integer_form = composite._form(finite, mu, beta, [r[2] for r in rows])
+        return composite
 
     def records(self, name: str, other: "CanonMap") -> list[tuple]:
         """`self = other` as one (name, lhs, rhs) record per generator of
@@ -352,13 +419,19 @@ class CanonMap:
 
 _CANON_CACHE: dict = {}
 
+CANON_KINDS = ("a", "b", "e", "a_inv", "b_inv", "id")
+
 
 def canon(label_name: str, kind: str, e: int = 1) -> CanonMap:
-    """Cached canonical maps: kind in {a, b, e, a_inv, b_inv, id}, and
-    for e > 1 the e-th power of the map, by square-and-multiply from the
-    cached smaller powers."""
+    """Cached canonical maps: kind in CANON_KINDS, and for e > 1 the e-th
+    power of the map, by square-and-multiply from the cached smaller
+    powers."""
     key = (label_name, kind) if e == 1 else (label_name, kind, e)
     if key not in _CANON_CACHE:
+        if kind not in CANON_KINDS:
+            raise ValueError(
+                f"no canonical map of kind {kind!r}: the kinds are {', '.join(CANON_KINDS)}"
+            )
         if e > 1:
             half = canon(label_name, kind, e // 2)
             square = half.compose(half)

@@ -192,26 +192,34 @@ def decompose(m: Mat2, r: int) -> Word:
     if not member(m, "Gamma1", r):
         raise NotInGroupError(f"matrix is not in Gamma1({r})")
     B = U21**r
-    # the four two-sided steps (left letter, right letter, left factor,
-    # right factor), in the order the descent tries them
-    A_inv, B_inv = U12.inv(), B.inv()
+    # the four two-sided steps (left letter, right letter, x, y), in the
+    # order the descent tries them: [[1, x], [0, 1]] g [[1, 0], [y, 1]]
+    # when the left letter is A, [[1, 0], [y, 1]] g [[1, x], [0, 1]] when
+    # it is B (u12^{+-1} has x = -+1, u21^{+-r} has y = +-r)
     steps = (
-        (("A", 1), ("B", 1), U12, B),
-        (("B", 1), ("A", 1), B, U12),
-        (("A", -1), ("B", -1), A_inv, B_inv),
-        (("B", -1), ("A", -1), B_inv, A_inv),
+        (("A", 1), ("B", 1), -1, r),
+        (("B", 1), ("A", 1), -1, r),
+        (("A", -1), ("B", -1), 1, -r),
+        (("B", -1), ("A", -1), 1, -r),
     )
     left: Word = []
     right: Word = []
     cur = m
     guard = 0
     while cur.b != 0:
+        a, b, c, d = cur.a, cur.b, cur.c, cur.d
         chosen = None
         best_ad = None
-        for lw, rw, lm, rm in steps:
-            cand = lm * cur * rm
-            if abs(cand.b) < abs(cur.b):
-                ad = abs(cand.a) + abs(cand.d)
+        for lw, rw, x, y in steps:
+            # the candidate's entries; only the chosen step becomes a Mat2
+            if lw[0] == "A":
+                nb = b + x * d
+                cand = (a + x * c + nb * y, nb, c + y * d, d)
+            else:
+                nb, nc = b + x * a, c + y * a
+                cand = (a, nb, nc, d + y * b + x * nc)
+            if abs(nb) < abs(b):
+                ad = abs(cand[0]) + abs(cand[3])
                 if chosen is None or ad < best_ad:
                     chosen, best_ad = (lw, rw, cand), ad
         if chosen is None:
@@ -219,7 +227,7 @@ def decompose(m: Mat2, r: int) -> Word:
         (lg, le), (rg, re), cand = chosen
         left.append((lg, -le))
         right.insert(0, (rg, -re))
-        cur = cand
+        cur = Mat2(*cand)
         guard += 1
         if guard > 10000:
             raise ValueError("decompose did not terminate")

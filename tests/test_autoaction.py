@@ -1,5 +1,5 @@
 import random
-from functools import reduce
+from functools import cached_property, reduce
 
 import pytest
 
@@ -376,6 +376,126 @@ def test_a_structural_apply_multiplies_no_elements(name, kind, monkeypatch):
     assert calls
     monkeypatch.undo()
     assert images == expected
+
+
+def _image_form(m):
+    """The integer form built from m's generator images."""
+    return CanonMap(m.src, m.dst, m.anti, dict(m.gen_images)).integer_form
+
+
+def _involution_maps(name, word):
+    """e o gamma on the label and on e's partner, and their square M2, as
+    basic_involution_check composes them."""
+    partner = canon(name, "e").dst
+    e_gamma = {
+        label: canon(label, "e").compose(evaluate_braid(word, label)) for label in {name, partner}
+    }
+    return [*e_gamma.values(), e_gamma[partner].compose(e_gamma[name])]
+
+
+@pytest.mark.parametrize("name", HOSTS)
+def test_composed_forms_match_the_forms_of_the_images(name):
+    # compose builds a composite's integer form from its factors' forms;
+    # it must be the form that the composite's images give: on seeded
+    # braid composites, the cached powers, e o gamma (ddotB3/ddotC3 and
+    # ddotB4/ddotC4 cross to the partner labeling) and the square M2
+    rng = random.Random(f"composed {name}")
+    kinds = ["a", "b", "a_inv", "b_inv"] + (["e"] if canon(name, "e").dst == name else [])
+    maps = [canon(name, kind, e) for kind in kinds for e in range(2, 10)]
+    for _ in range(4):
+        word = [(rng.choice("ab"), rng.choice((-3, -2, -1, 1, 2, 3)))
+                for _ in range(rng.randint(1, 5))]
+        maps += [evaluate_braid(word, name), *_involution_maps(name, word)]
+    for m in maps:
+        form = m.integer_form
+        assert form is not None and form == _image_form(m)
+
+
+@pytest.mark.parametrize("name", ["dddotA2", "ddotB2", "ddotG2", "ddotC3"])
+@pytest.mark.parametrize("sym,factor", [("lam_A1", "tau_delta"), ("s1", "s2")])
+def test_composed_forms_of_a_table_that_is_no_homomorphism(name, sym, factor):
+    # b with lam_A1 sent to its image times tau_delta's, or s1 to its
+    # image times s2's: still a translation and a finite Weyl element, so
+    # the table has an integer form, but b is no longer a homomorphism
+    # (and its s1 image no involution); its composites, as either
+    # factor, still match their images, and their images are the outer
+    # map's images of the inner map's
+    b = canon(name, "b")
+    images = {**b.gen_images, sym: b.gen_images[sym] * b.gen_images[factor]}
+    wrong = CanonMap(name, name, False, images)
+    assert wrong.integer_form is not None and wrong.integer_form != b.integer_form
+    e = canon(name, "e")
+    pairs = [(wrong, canon(name, "a", 2)), (canon(name, "a_inv"), wrong), (wrong, wrong),
+             (e, wrong), (e, evaluate_braid([("a", 2), ("b", -1)], name).compose(wrong))]
+    if e.dst == name:
+        pairs += [(wrong, e), (wrong, e.compose(wrong))]
+    for outer, inner in pairs:
+        m = outer.compose(inner)
+        assert m.integer_form == _image_form(m)
+        assert m.gen_images == {s: outer.apply(x) for s, x in inner.gen_images.items()}
+
+
+def test_composing_forms_applies_and_multiplies_nothing(monkeypatch):
+    # two maps with integer forms compose without an apply, a product or
+    # a power of group elements, and the composite's images are not built
+    # until they are read
+    name = "dddotE8"
+    x = evaluate_braid([("a", 2), ("b", -3)], name)
+    y = canon(name, "e")
+    for m in (x, y):
+        m.integer_form
+    calls = []
+
+    def counted(owner, op):
+        real = getattr(owner, op)
+        return lambda self, *args: calls.append(op) or real(self, *args)
+
+    monkeypatch.setattr(CanonMap, "apply", counted(CanonMap, "apply"))
+    for op in ("__mul__", "__pow__"):
+        monkeypatch.setattr(DaweylElement, op, counted(DaweylElement, op))
+    composites = [y.compose(x), x.compose(x)]
+    composites.append(composites[0].compose(composites[0]))
+    assert calls == []
+    assert all("gen_images" not in vars(m) for m in composites)
+    composites[0].gen_images  # the counter sees the images being built
+    assert set(calls) == {"apply"}
+    monkeypatch.undo()
+    for m in composites:
+        assert m.integer_form == _image_form(m)
+
+
+def test_the_involution_check_builds_forms_from_images_only_for_base_maps(monkeypatch):
+    # with an empty cache, basic_involution_check on dddotE8 builds the
+    # base maps' forms from their images and composes every other form
+    monkeypatch.setattr(autoaction, "_CANON_CACHE", {})
+    real = CanonMap.__dict__["integer_form"]
+    built = []
+
+    def counted(self):
+        built.append(self)
+        return real.func(self)
+
+    prop = cached_property(counted)
+    prop.__set_name__(CanonMap, "integer_form")
+    monkeypatch.setattr(CanonMap, "integer_form", prop)
+    m = upsilon_samples(1, 1, bound=12, seed=7)[0]
+    out = basic_involution_check(m, 1, "dddotE8")
+    assert out["upsilon_member"] and out["involution"]
+    base = [v for key, v in autoaction._CANON_CACHE.items() if len(key) == 2]
+    assert built and all(any(b is v for v in base) for b in built)
+    assert len(built) < len(autoaction._CANON_CACHE)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: canon("ddotB2", "c"),
+    lambda: canon("ddotB2", "c", 3),
+    lambda: evaluate_braid([("c", 1)], "ddotB2"),
+    lambda: evaluate_braid([("a", 1), ("c", -2)], "ddotB2"),
+])
+def test_an_unknown_canonical_kind_is_a_value_error(call):
+    with pytest.raises(ValueError, match=r"^no canonical map of kind 'c(_inv)?': "
+                       r"the kinds are a, b, e, a_inv, b_inv, id$"):
+        call()
 
 
 def test_homomorphism_property_random_words():

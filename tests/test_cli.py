@@ -445,6 +445,27 @@ def test_the_corrupted_b_image_is_applied_by_products(monkeypatch):
     assert "b b^-1 = 1 on s1" in [f["relation"] for f in witness["failures"]]
 
 
+def test_the_corrupted_b_image_composes_by_apply(monkeypatch):
+    # as the inner and as the outer factor, a map with no integer form
+    # makes a composite with none, whose images are built by apply when
+    # it is composed; the broken record is still seen
+    _wrong_b_image(monkeypatch)
+    wrong = autoaction.canon("ddotB2", "b")
+    a = autoaction.canon("ddotB2", "a")
+    real = autoaction.CanonMap.apply
+    for outer, inner in ((a, wrong), (wrong, a)):
+        applied = []
+        monkeypatch.setattr(autoaction.CanonMap, "apply",
+                            lambda self, g: applied.append(g) or real(self, g))
+        composite = outer.compose(inner)
+        monkeypatch.setattr(autoaction.CanonMap, "apply", real)
+        assert applied == list(inner.gen_images.values())
+        assert "gen_images" in vars(composite) and composite.integer_form is None
+        assert composite.gen_images == {s: outer.apply(x) for s, x in inner.gen_images.items()}
+    witness = cli._witness(autoaction.braid_identity_check("ddotB2"))
+    assert "b b^-1 = 1 on s1" in [f["relation"] for f in witness["failures"]]
+
+
 def _a_preserving_star_relations(monkeypatch):
     # b^-1 = e a e keeps the real a
     b_inv = autoaction.inverse_maps("b", "dddotC2")
